@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Benchmark the scan kernels: compiled extension vs pure Python.
 
-Times the two hot loops (the S_n statistics scan and the dual square-test
-agreement scan) on every available backend and prints a small table.
+Times the two hot loops (the statistics scan, which the pure-Python kernel
+runs over the square permutations and the compiled one over S_n, and the dual
+square-test agreement scan over S_n) on every available backend and prints a
+small table.
 
     python benchmarks/bench_kernels.py [--max-size 8] [--repeat 3]
 """

@@ -52,6 +52,7 @@ from .perms import (
     is_upper_unimodal,
     reversal,
     split_points,
+    square_permutations,
 )
 
 __version__ = "0.1.0"
@@ -66,5 +67,5 @@ __all__ = [
     "is_square_by_patterns", "is_upper_unimodal", "membership_verdict",
     "permutation_to_sequence", "permutomino_from_matrix", "reentrant_matrix",
     "reflect_x", "reflect_y", "reversal", "sequence_to_permutation",
-    "split_points", "transpose", "vertex_permutations",
+    "split_points", "square_permutations", "transpose", "vertex_permutations",
 ]

@@ -1,10 +1,12 @@
-"""Pure-Python scan kernels over the symmetric group.
+"""Pure-Python scan kernels behind every count.
 
-These are the reference implementations of the hot loops behind every count:
-one pass over S_n (optionally restricted to permutations with a fixed first
-value, which is the unit of work parallel workers split on) accumulating the
-per-permutation statistics the identities need.  permutomino._speedups is the
-compiled twin with the same surface; permutomino._kernels picks one at import.
+scan_stats folds the per-permutation statistics the identities need over the
+square permutations of size n, which permutomino.perms.square_permutations
+generates directly (optionally only those with a fixed first value, which is
+the unit of work parallel workers split on); no non-square permutation is
+visited.  square_agreement still walks all of S_n, because it has to see the
+non-squares.  permutomino._speedups is the compiled twin with the same surface
+(it filters S_n); permutomino._kernels picks one at import.
 
 Everything here works on raw tuples to keep the inner loop lean, but the
 predicates are the same definitions as the public ones in permutomino.perms:
@@ -15,6 +17,8 @@ sixteen forbidden patterns.
 from __future__ import annotations
 
 from itertools import combinations, permutations
+
+from .perms import square_permutations
 
 # forbidden length-5 patterns, as 0-based rank tuples for the fast route
 _FORBIDDEN = frozenset(
@@ -118,9 +122,10 @@ def _avoids_forbidden(p: tuple[int, ...], n: int) -> bool:
 
 
 def scan_stats(n: int, first: int | None = None) -> dict:
-    """One pass over S_n (or its block with a fixed first value), accumulating:
+    """One pass over the square permutations of size n (or those with a fixed
+    first value), accumulating:
 
-    - square: number of square permutations (lower envelope unimodal)
+    - square: number of square permutations
     - components: {k: number of square permutations with k indecomposable parts}
     - ctilde_by_fixed: list where entry f counts square indecomposable
       permutations with f free fixed points
@@ -133,9 +138,7 @@ def scan_stats(n: int, first: int | None = None) -> dict:
     by_fixed = [0] * max(n - 1, 1)
     both_ways = 0
     first_lt_last = 0
-    for p in _perm_stream(n, first):
-        if not _lower_envelope_unimodal(p, n):
-            continue
+    for p in square_permutations(n, first):
         square += 1
         comps = _component_count(p, n)
         components[comps] = components.get(comps, 0) + 1

@@ -2,9 +2,10 @@
 
 Subcommands: classify, build, enumerate, verify, decompose.  Permutations are
 given as one argument of whitespace- or comma-separated 1-based integers (no
-brackets).  Exit codes: 0 ok, 2 parse error, 3 not realizable, 4 size too
-large, 5 outside the bijection's domain; identity failures in `verify` also
-exit 1.
+brackets).  Exit codes: 0 ok; 1 only for a failed `verify` identity; 2 usage
+error (a malformed permutation, a size below 1, a `--max-size` below 2, a
+non-integer PERMUTOMINO_WORKERS, or any other bad argument); 3 not
+realizable; 4 size too large; 5 outside the bijection's domain.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from . import counting, verify
 from .bijection import permutation_to_sequence, sequence_to_permutation
 from .boundary import Permutomino
 from .errors import (
+    ConfigError,
     Indecomposable,
     InvalidSequence,
     NotAssociated,
@@ -43,6 +45,21 @@ class RenderSpec:
     format: str = "ascii"  # ascii | svg | json
     cell_px: int = 24
     out: str | None = None  # path; None means standard output
+
+
+def int_at_least(low: int):
+    """argparse type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def parse_permutation(text: str) -> tuple[int, ...]:
@@ -144,13 +161,18 @@ def cmd_enumerate(args) -> int:
                 print(f"{p.word or '(empty)'}  pi1={' '.join(map(str, p.pi1))}")
         return 0
     if name == "convex":
+        by_k = None
+        if args.by == "fixed-points":
+            by_k = counting.count_ctilde(n, workers)["by_free_fixed_points"]
         if args.method == "intervals":
             count = counting.count_convex(n, method="intervals")
+        elif by_k is not None:
+            count = counting.fiber_sum(by_k)  # same scan as the rows below
         else:
             count = counting.count_convex(n, workers=workers)
         print(count)
-        if args.by == "fixed-points":
-            for k, v in sorted(counting.count_ctilde(n, workers)["by_free_fixed_points"].items()):
+        if by_k is not None:
+            for k, v in sorted(by_k.items()):
                 print(f"free-fixed-points {k}: {v} permutations, {v * 2**k} permutominoes")
         if args.list:
             for p in counting.convex_via_fibers(n):
@@ -214,8 +236,15 @@ def cmd_decompose(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one line on stderr, exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message} (see --help)\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="permutomino",
         description="Convex permutominoes: classify permutations, build fibers, "
         "enumerate classes and verify counting identities.",
@@ -236,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("enumerate", help="count (and optionally list) a class at a size")
     e.add_argument("klass", metavar="class", choices=PERM_CLASSES + GEO_CLASSES)
-    e.add_argument("size", type=int)
+    e.add_argument("size", type=int_at_least(1))
     e.add_argument("--list", action="store_true", help="list members in stable order")
     e.add_argument("--by", choices=("fixed-points", "components"),
                    help="stratify the count")
@@ -247,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.set_defaults(fn=cmd_enumerate)
 
     v = sub.add_parser("verify", help="check every counting identity up to a size")
-    v.add_argument("--max-size", type=int, default=6)
+    v.add_argument("--max-size", type=int_at_least(2), default=6)
     v.add_argument("--strict-paper", action="store_true",
                    help="also evaluate the closed forms exactly as printed in the "
                         "source material and report known discrepancies")
@@ -273,6 +302,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    except ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except NotAssociated as exc:
         print(f"not realizable: {exc}", file=sys.stderr)

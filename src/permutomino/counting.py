@@ -1,32 +1,38 @@
-"""Counts over S_n and permutomino listings, built on the scan kernels.
+"""Permutation counts and permutomino listings, built on the scan kernels.
 
-The scans partition S_n into blocks by first value; with workers > 1 the
-blocks go through a process pool and the per-block tallies are summed, so the
-result is bit-identical for any worker count.  Worker count comes from the
-PERMUTOMINO_WORKERS environment variable when not passed explicitly (the CLI
-default), falling back to the available parallelism.
+The statistics scan visits the square permutations of size n and the square
+agreement scan all of S_n; both split their permutations into blocks by first
+value.  With workers > 1 the blocks go through a process pool and the
+per-block tallies are summed, so the result is bit-identical for any worker
+count.  Worker count comes from the PERMUTOMINO_WORKERS environment variable
+when not passed explicitly (the CLI default), falling back to the available
+parallelism.  Listings walk the square permutations too, since every listed
+permutation class is a subset of them.
 """
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import permutations
 
 from . import _kernels, oracles
 from .boundary import Permutomino
-from .errors import SizeTooLarge
+from .errors import ConfigError, SizeTooLarge
 from .membership import fiber, is_associated, is_associated_pi2
-from .perms import as_perm, is_indecomposable, is_square
+from .perms import is_indecomposable, square_permutations
 
-SCAN_BOUND = 10  # S_10 is ~3.6M permutations, the reasonable desk-scale limit
+SCAN_BOUND = 10  # square_agreement walks S_10's ~3.6M permutations, the desk-scale limit
 
 
 def env_workers() -> int:
+    """Worker count from PERMUTOMINO_WORKERS (at least 1), else the CPU count."""
     raw = os.environ.get("PERMUTOMINO_WORKERS", "").strip()
-    if raw:
+    if not raw:
+        return os.cpu_count() or 1
+    try:
         return max(1, int(raw))
-    return os.cpu_count() or 1
+    except ValueError:
+        raise ConfigError(f"PERMUTOMINO_WORKERS must be an integer, got {raw!r}") from None
 
 
 def _merge_stats(blocks: list[dict]) -> dict:
@@ -70,7 +76,7 @@ def _run_blocks(fn, n: int, workers: int) -> list[dict]:
 
 
 def scan_stats(n: int, workers: int = 1) -> dict:
-    """Merged per-permutation statistics over all of S_n (see kernel docs)."""
+    """Merged statistics over the square permutations of size n (see kernel docs)."""
     if n > SCAN_BOUND:
         raise SizeTooLarge(f"scans are bounded at size {SCAN_BOUND}, got {n}")
     if n < 1:
@@ -134,13 +140,16 @@ def count_convex(n: int, method: str = "fibers", workers: int = 1) -> int:
     (bounded at size 6).
     """
     if method == "fibers":
-        if n == 1:
-            return 1
-        stats = scan_stats(n, workers)
-        return sum(v << k for k, v in enumerate(stats["ctilde_by_fixed"]))
+        return fiber_sum(count_ctilde(n, workers)["by_free_fixed_points"])
     if method == "intervals":
         return len(oracles.enumerate_convex(n))
     raise ValueError(f"unknown method {method!r}")
+
+
+def fiber_sum(by_free_fixed_points: dict[int, int]) -> int:
+    """Convex permutomino count from {k: realizable permutations with k free
+    fixed points}; each such permutation has a fiber of 2^k permutominoes."""
+    return sum(v << k for k, v in by_free_fixed_points.items())
 
 
 def count_symmetric(n: int, bound: int = oracles.DEFAULT_BOUND) -> int:
@@ -151,13 +160,13 @@ def count_symmetric(n: int, bound: int = oracles.DEFAULT_BOUND) -> int:
 def convex_via_fibers(n: int, fiber_bound: int = 7) -> list[Permutomino]:
     """Materialize every convex permutomino of size n through the fibers.
 
-    Walks S_n, keeps the realizable permutations and expands each fiber; the
-    result is sorted by (pi1, boundary word) like the oracle listings.
+    Walks the square permutations, keeps the realizable ones and expands each
+    fiber; the result is sorted by (pi1, boundary word) like the oracle listings.
     """
     if n > fiber_bound:
         raise SizeTooLarge(f"fiber listing is bounded at size {fiber_bound}, got {n}")
     out: list[Permutomino] = []
-    for p in permutations(range(1, n + 1)):
+    for p in square_permutations(n):
         if is_associated(p):
             out.extend(fiber(p))
     out.sort(key=Permutomino.sort_key)
@@ -179,14 +188,18 @@ def listing(class_name: str, n: int, bound: int = oracles.DEFAULT_BOUND) -> list
 
 
 def perm_listing(class_name: str, n: int) -> list[tuple[int, ...]]:
-    """Stable listing of a permutation class (lexicographic)."""
+    """Stable listing of a permutation class (lexicographic).
+
+    Every class here is a subset of the square permutations, so the listing
+    filters the square generator rather than S_n.
+    """
     preds = {
         "ctilde": is_associated,
         "ctilde-prime": is_associated_pi2,
-        "square": is_square,
-        "decomposable": lambda p: is_square(p) and not is_indecomposable(p),
+        "square": lambda p: True,
+        "decomposable": lambda p: not is_indecomposable(p),
     }
     if class_name not in preds:
         raise ValueError(f"no permutation listing for class {class_name!r}")
     pred = preds[class_name]
-    return [as_perm(p) for p in permutations(range(1, n + 1)) if pred(p)]
+    return [p for p in square_permutations(n) if pred(p)]

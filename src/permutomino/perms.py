@@ -10,13 +10,14 @@ right-left maxima, the value n counted once), and the *lower envelope* is the
 complementary sublist together with both endpoints.  Both sublists retain the
 positions they came from.  A permutation is *square* when its lower envelope
 is lower unimodal; equivalently, when it avoids sixteen forbidden patterns of
-length five.
+length five, or when every entry is a left-right or right-left maximum or
+minimum (the form square_permutations generates from).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 def as_perm(values: Iterable[int]) -> tuple[int, ...]:
@@ -246,6 +247,45 @@ FORBIDDEN_PATTERNS: frozenset[tuple[int, ...]] = frozenset(
 def is_square(p: Sequence[int]) -> bool:
     """True iff the lower envelope of p is lower unimodal."""
     return is_lower_unimodal(envelopes(p).lower.values)
+
+
+def square_permutations(n: int, first: int | None = None) -> Iterator[tuple[int, ...]]:
+    """The square permutations of size n in lexicographic order, optionally only
+    those with p[0] == first.
+
+    A third characterization, independent of the envelope and pattern routes:
+    p is square iff every entry is a left-right or right-left maximum or
+    minimum.  So a value may extend a prefix iff it is a new maximum, a new
+    minimum, or the smallest or largest value still unused.  The largest
+    unused value always qualifies, so every prefix extends and the depth-first
+    search visits only square permutations and their prefixes.
+    """
+    if n < 1:
+        raise ValueError("size must be at least 1")
+    if first is not None and not 1 <= first <= n:
+        raise ValueError(f"first value must be in 1..{n}, got {first}")
+    # a state is (prefix, its minimum, its maximum, the unused values between them)
+    firsts = range(n, 0, -1) if first is None else (first,)
+    todo = [((f,), f, f, ()) for f in firsts]
+    push = todo.append
+    while todo:
+        prefix, lo, hi, gap = todo.pop()
+        if len(prefix) == n:
+            yield prefix
+            continue
+        # children go on the stack largest first, so they come off in increasing order
+        for v in range(n, hi, -1):  # a new maximum
+            push((prefix + (v,), lo, v, gap + tuple(range(hi + 1, v))))
+        if gap:
+            # below lo or above hi every unused value is a new extremum; inside
+            # the gap only its ends can be the smallest or largest unused value
+            # (a one-value gap is both, and is pushed once)
+            if hi == n and (lo > 1 or len(gap) > 1):
+                push((prefix + (gap[-1],), lo, hi, gap[:-1]))
+            if lo == 1:
+                push((prefix + (gap[0],), lo, hi, gap[1:]))
+        for v in range(lo - 1, 0, -1):  # a new minimum
+            push((prefix + (v,), v, hi, tuple(range(v + 1, lo)) + gap))
 
 
 def is_square_by_patterns(p: Sequence[int]) -> bool:

@@ -226,7 +226,7 @@ def verify_identities(
 
     def bijection_pairs():
         for n in range(2, geo_max + 1):
-            by_k = counting.count_square(n)["by_components"]
+            by_k = stats[n]["components"]
             for k in range(2, n + 1):
                 lhs = by_k.get(k, 0)
                 rhs = sequence_class_count(n, k, directed_counts, parallelogram_counts)

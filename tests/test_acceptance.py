@@ -109,12 +109,14 @@ def test_criterion_6_square_union_and_intersection():
 
 def test_criterion_7_square_test_equivalence():
     with report(7, "envelope-based and 16-pattern-based square verdicts agree for every "
-                   "permutation of every size <= 8, inside 120 s"):
+                   "permutation of every size <= 8, inside 120 s, and the record-based "
+                   "square generator yields as many permutations"):
         start = time.monotonic()
         for n in range(1, 9):
             out = counting.square_agreement(n)
             assert out["disagreements"] == 0, n
             assert out["by_envelope"] == out["by_patterns"] == SQUARE_COUNTS[n - 1]
+            assert sum(1 for _ in perms.square_permutations(n)) == SQUARE_COUNTS[n - 1], n
         elapsed = time.monotonic() - start
         assert elapsed < 120, f"dual square scan took {elapsed:.1f}s"
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from permutomino import counting
 from permutomino.cli import main, parse_permutation
 from permutomino.errors import ParseError
 from permutomino.render import cells_from_ascii
@@ -113,6 +114,60 @@ def test_enumerate_listing(capsys):
     assert all("pi1=" in line for line in lines[1:])
     code, out, _ = run(capsys, "enumerate", "ctilde", "3", "--list")
     assert out.splitlines()[1:] == ["1 2 3", "1 3 2", "2 1 3"]
+
+
+def scan_spy(monkeypatch):
+    """Record the size of every counting.scan_stats call."""
+    sizes = []
+    real = counting.scan_stats
+
+    def spy(n, workers=1):
+        sizes.append(n)
+        return real(n, workers)
+
+    monkeypatch.setattr(counting, "scan_stats", spy)
+    return sizes
+
+
+def test_convex_by_fixed_points_scans_once(capsys, monkeypatch):
+    sizes = scan_spy(monkeypatch)
+    code, out, _ = run(capsys, "enumerate", "convex", "7", "--by", "fixed-points",
+                       "--workers", "1")
+    assert code == 0 and sizes == [7]
+    lines = out.splitlines()
+    assert lines[0] == "1836"
+    assert lines[1] == "free-fixed-points 0: 1264 permutations, 1264 permutominoes"
+
+
+def test_verify_scans_each_size_once(capsys, monkeypatch):
+    sizes = scan_spy(monkeypatch)
+    code, _, _ = run(capsys, "verify", "--max-size", "6", "--workers", "1")
+    assert code == 0 and sizes == [1, 2, 3, 4, 5, 6]
+
+
+USAGE_ERRORS = [
+    ((), ("enumerate", "square", "0"), "must be at least 1"),
+    ((), ("enumerate", "convex", "0"), "must be at least 1"),
+    ((), ("enumerate", "symmetric", "-1"), "must be at least 1"),
+    ((), ("enumerate", "ctilde", "x"), "not an integer"),
+    ((), ("verify", "--max-size", "1"), "must be at least 2"),
+    ((("PERMUTOMINO_WORKERS", "abc"),), ("enumerate", "square", "5"), "PERMUTOMINO_WORKERS"),
+    ((("PERMUTOMINO_WORKERS", "2.5"),), ("verify", "--max-size", "3"), "PERMUTOMINO_WORKERS"),
+]
+
+
+@pytest.mark.parametrize("env,argv,message", USAGE_ERRORS)
+def test_usage_errors_exit_2_with_one_line(capsys, monkeypatch, env, argv, message):
+    for name, value in env:
+        monkeypatch.setenv(name, value)
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects the value before any command runs
+        code = exc.code
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert len(out.err.splitlines()) == 1 and message in out.err
 
 
 def test_enumerate_size_too_large(capsys):

@@ -33,7 +33,7 @@ def reference_stats(n):
     return out
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 8))
 @pytest.mark.parametrize("name", sorted(MODS))
 def test_scan_matches_library_fold(name, n):
     assert MODS[name].scan_stats(n) == reference_stats(n)

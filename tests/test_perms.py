@@ -258,3 +258,26 @@ def test_square_closed_under_symmetries(n):
         s = perms.is_square(p)
         assert s == perms.is_square(perms.reversal(p))
         assert s == perms.is_square(perms.complement(p))
+
+
+def test_square_generator_small_sizes():
+    assert list(perms.square_permutations(1)) == [(1,)]
+    assert list(perms.square_permutations(2)) == [(1, 2), (2, 1)]
+    assert list(perms.square_permutations(2, first=2)) == [(2, 1)]
+    for bad in [(0, None), (3, 0), (3, 4)]:
+        with pytest.raises(ValueError):
+            list(perms.square_permutations(*bad))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_square_generator_matches_both_filters(n):
+    by_envelope = [p for p in all_perms(n) if perms.is_square(p)]
+    by_patterns = [p for p in all_perms(n) if perms.is_square_by_patterns(p)]
+    assert list(perms.square_permutations(n)) == by_envelope == by_patterns
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_square_generator_first_value_blocks(n):
+    blocks = [list(perms.square_permutations(n, first)) for first in range(1, n + 1)]
+    assert all(p[0] == first for first, block in enumerate(blocks, 1) for p in block)
+    assert [p for block in blocks for p in block] == list(perms.square_permutations(n))
