@@ -4,8 +4,9 @@ Subcommands: classify, build, enumerate, verify, decompose.  Permutations are
 given as one argument of whitespace- or comma-separated 1-based integers (no
 brackets).  Exit codes: 0 ok; 1 only for a failed `verify` identity; 2 usage
 error (a malformed permutation, a size below 1, a `--max-size` below 2, a
-non-integer PERMUTOMINO_WORKERS, or any other bad argument); 3 not
-realizable; 4 size too large; 5 outside the bijection's domain.
+`--cell-px` below 1, or any other bad argument); 3 not realizable; 4 size too
+large, reported before anything is printed; 5 outside the bijection's domain.
+Scans run in one process unless `--workers N` asks for a pool of N.
 """
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ from . import counting, verify
 from .bijection import permutation_to_sequence, sequence_to_permutation
 from .boundary import Permutomino
 from .errors import (
-    ConfigError,
     Indecomposable,
     InvalidSequence,
     NotAssociated,
@@ -151,7 +151,6 @@ def cmd_build(args) -> int:
 
 def cmd_enumerate(args) -> int:
     n = args.size
-    workers = args.workers if args.workers is not None else counting.env_workers()
     name = args.klass
     if name in GEO_CLASSES and name != "convex":
         shapes = counting.listing(name, n)
@@ -161,38 +160,39 @@ def cmd_enumerate(args) -> int:
                 print(f"{p.word or '(empty)'}  pi1={' '.join(map(str, p.pi1))}")
         return 0
     if name == "convex":
+        # the listing's size bound is checked before the count is printed
+        shapes = counting.convex_via_fibers(n) if args.list else []
         by_k = None
         if args.by == "fixed-points":
-            by_k = counting.count_ctilde(n, workers)["by_free_fixed_points"]
+            by_k = counting.count_ctilde(n, args.workers)["by_free_fixed_points"]
         if args.method == "intervals":
             count = counting.count_convex(n, method="intervals")
         elif by_k is not None:
             count = counting.fiber_sum(by_k)  # same scan as the rows below
         else:
-            count = counting.count_convex(n, workers=workers)
+            count = counting.count_convex(n, workers=args.workers)
         print(count)
         if by_k is not None:
             for k, v in sorted(by_k.items()):
                 print(f"free-fixed-points {k}: {v} permutations, {v * 2**k} permutominoes")
-        if args.list:
-            for p in counting.convex_via_fibers(n):
-                print(f"{p.word or '(empty)'}  pi1={' '.join(map(str, p.pi1))}")
+        for p in shapes:
+            print(f"{p.word or '(empty)'}  pi1={' '.join(map(str, p.pi1))}")
         return 0
     if name == "ctilde":
-        info = counting.count_ctilde(n, workers)
+        info = counting.count_ctilde(n, args.workers)
         print(info["total"])
         if args.by == "fixed-points":
             for k, v in sorted(info["by_free_fixed_points"].items()):
                 print(f"free-fixed-points {k}: {v}")
     elif name == "square":
-        info = counting.count_square(n, workers)
+        info = counting.count_square(n, args.workers)
         print(info["square"])
         if args.by == "components":
             print("components 1:", info["square"] - info["decomposable"])
             for k, v in sorted(info["by_components"].items()):
                 print(f"components {k}: {v}")
     else:  # decomposable
-        info = counting.count_square(n, workers)
+        info = counting.count_square(n, args.workers)
         print(info["decomposable"])
         if args.by == "components":
             for k, v in sorted(info["by_components"].items()):
@@ -204,9 +204,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    workers = args.workers if args.workers is not None else counting.env_workers()
     report = verify.verify_identities(args.max_size, strict_paper=args.strict_paper,
-                                      workers=workers)
+                                      workers=args.workers)
     if args.json:
         print(json.dumps(report.as_dict(), indent=2))
     else:
@@ -259,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("perm")
     b.add_argument("--all", action="store_true", help="emit every fiber element")
     b.add_argument("--format", choices=("ascii", "svg", "json"), default="ascii")
-    b.add_argument("--cell-px", type=int, default=24, help="SVG cell size in pixels")
+    b.add_argument("--cell-px", type=int_at_least(1), default=24,
+                   help="SVG cell size in pixels")
     b.add_argument("--out", help="output path (default: standard output)")
     b.set_defaults(fn=cmd_build)
 
@@ -271,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stratify the count")
     e.add_argument("--method", choices=("fibers", "intervals"), default="fibers",
                    help="convex class only: counting method")
-    e.add_argument("--workers", type=int, default=None,
-                   help="scan workers (default: PERMUTOMINO_WORKERS or cpu count)")
+    e.add_argument("--workers", type=int, default=1,
+                   help="scan worker processes (default: 1, no pool)")
     e.set_defaults(fn=cmd_enumerate)
 
     v = sub.add_parser("verify", help="check every counting identity up to a size")
@@ -281,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also evaluate the closed forms exactly as printed in the "
                         "source material and report known discrepancies")
     v.add_argument("--json", action="store_true")
-    v.add_argument("--workers", type=int, default=None)
+    v.add_argument("--workers", type=int, default=1,
+                   help="scan worker processes (default: 1, no pool)")
     v.set_defaults(fn=cmd_verify)
 
     d = sub.add_parser("decompose", help="split a square permutation into its "
@@ -289,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("perm")
     d.add_argument("--render", action="store_true", help="render the non-empty parts")
     d.add_argument("--format", choices=("ascii", "svg", "json"), default="ascii")
-    d.add_argument("--cell-px", type=int, default=24)
+    d.add_argument("--cell-px", type=int_at_least(1), default=24)
     d.add_argument("--out", help="output path (default: standard output)")
     d.set_defaults(fn=cmd_decompose)
 
@@ -302,9 +303,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except NotAssociated as exc:
         print(f"not realizable: {exc}", file=sys.stderr)

@@ -2,37 +2,23 @@
 
 The statistics scan visits the square permutations of size n and the square
 agreement scan all of S_n; both split their permutations into blocks by first
-value.  With workers > 1 the blocks go through a process pool and the
-per-block tallies are summed, so the result is bit-identical for any worker
-count.  Worker count comes from the PERMUTOMINO_WORKERS environment variable
-when not passed explicitly (the CLI default), falling back to the available
-parallelism.  Listings walk the square permutations too, since every listed
-permutation class is a subset of them.
+value.  The blocks run in this process by default; with workers > 1 they go
+through a process pool, and the per-block tallies are summed, so the result is
+bit-identical for any worker count.  Listings walk the square permutations
+too, since every listed permutation class is a subset of them.
 """
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import _kernels, oracles
 from .boundary import Permutomino
-from .errors import ConfigError, SizeTooLarge
+from .errors import SizeTooLarge
 from .membership import fiber, is_associated, is_associated_pi2
 from .perms import is_indecomposable, square_permutations
 
 SCAN_BOUND = 10  # square_agreement walks S_10's ~3.6M permutations, the desk-scale limit
-
-
-def env_workers() -> int:
-    """Worker count from PERMUTOMINO_WORKERS (at least 1), else the CPU count."""
-    raw = os.environ.get("PERMUTOMINO_WORKERS", "").strip()
-    if not raw:
-        return os.cpu_count() or 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"PERMUTOMINO_WORKERS must be an integer, got {raw!r}") from None
 
 
 def _merge_stats(blocks: list[dict]) -> dict:

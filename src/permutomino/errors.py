@@ -66,10 +66,6 @@ class SizeTooLarge(PermutominoError):
     """Requested size exceeds the configured bound of an exhaustive enumerator."""
 
 
-class ConfigError(PermutominoError):
-    """An environment setting holds a value the package cannot use."""
-
-
 class ParseError(PermutominoError):
     """Malformed textual permutation; carries the 1-based token position at fault."""
 

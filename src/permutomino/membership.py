@@ -106,19 +106,21 @@ def free_fixed_points(p: Sequence[int]) -> FreeFixedPoints:
     verdict = membership_verdict(p)
     if not verdict.member:
         raise NotAssociated(f"{p} is not realizable ({verdict.reason})")
-    return FreeFixedPoints(frozenset(_free_fixed_values(p)))
+    return FreeFixedPoints(frozenset(free_fixed_values(p)))
 
 
-def _free_fixed_values(p: Sequence[int]) -> list[int]:
-    # f is free iff p(f) = f, 1 < f < n, and f is a left-right maximum
+def free_fixed_values(p: Sequence[int]) -> list[int]:
+    """The free fixed points of p in increasing order, without the membership
+    check: f is free iff p(f) = f, 1 < f < n, and f is a left-right maximum."""
     n = len(p)
     out = []
-    running_max = 0
+    high = 0
     for i in range(n):
         v = p[i]
-        if v == i + 1 and 1 < v < n and running_max < v:
-            out.append(v)
-        running_max = max(running_max, v)
+        if v > high:
+            high = v
+            if v == i + 1 and 1 < v < n:
+                out.append(v)
     return out
 
 
@@ -176,7 +178,7 @@ def fiber(p: Sequence[int]) -> set[Permutomino]:
     if len(p) == 1:
         return {EMPTY}
     canonical = canonical_permutomino(p)
-    free = _free_fixed_values(p)
+    free = free_fixed_values(p)
     if not free:
         return {canonical}
     base = reentrant_matrix(canonical)

@@ -37,7 +37,7 @@ def identity(n: int) -> tuple[int, ...]:
 
 def reversal(p: Sequence[int]) -> tuple[int, ...]:
     """The reversal: value at position i becomes the value at position n+1-i."""
-    return tuple(reversed(p))
+    return tuple(p[::-1])
 
 
 def complement(p: Sequence[int]) -> tuple[int, ...]:
@@ -56,26 +56,24 @@ def split_points(p: Sequence[int]) -> set[int]:
     """All r in 1..n-1 such that the length-r prefix holds the top r values.
 
     Equivalently { r : min(p[0..r-1]) == n-r+1 }; empty iff p is indecomposable
-    (not a direct difference of two permutations).
+    (not a direct difference of two permutations).  This is the one definition
+    of a split: the component count is one more than the number of split points.
     """
     n = len(p)
     splits = set()
-    running_min = n + 1
-    for r in range(1, n):
-        running_min = min(running_min, p[r - 1])
-        if running_min == n - r + 1:
-            splits.add(r)
+    low = bottom = n  # bottom = n-r+1, the least of the top r values
+    for v in p:
+        if v < low:
+            low = v
+        if low == bottom:
+            splits.add(n - bottom + 1)
+        bottom -= 1
+    splits.discard(n)  # the whole of p is not a split
     return splits
 
 
 def is_indecomposable(p: Sequence[int]) -> bool:
-    n = len(p)
-    running_min = n + 1
-    for r in range(1, n):
-        running_min = min(running_min, p[r - 1])
-        if running_min == n - r + 1:
-            return False
-    return True
+    return not split_points(p)
 
 
 def _standardize(values: Sequence[int]) -> tuple[int, ...]:
@@ -164,18 +162,37 @@ class Envelopes:
     lower: Subsequence
 
 
-def envelopes(p: Sequence[int]) -> Envelopes:
+def _envelope_positions(p: Sequence[int]) -> tuple[list[int], list[int]]:
+    """0-based positions of the upper and of the lower envelope, left to right.
+
+    A position is on the upper envelope iff its entry is a left-right or a
+    right-left maximum; the lower envelope holds both ends and the rest.
+    """
     n = len(p)
-    lr = extrema(p, "lr-max").entries
-    rl = extrema(p, "rl-max").entries
-    # lr ends with the entry holding value n, rl starts with it; count it once.
-    upper = lr + rl[1:]
-    in_upper = {pos for pos, _ in upper}
-    lower = [(1, p[0])]
-    lower += [(i + 1, p[i]) for i in range(1, n - 1) if (i + 1) not in in_upper]
-    if n > 1:
-        lower.append((n, p[n - 1]))
-    return Envelopes(Subsequence(tuple(upper)), Subsequence(tuple(lower)))
+    upper = [False] * n
+    high = 0
+    for i in range(n):
+        if p[i] > high:
+            high = p[i]
+            upper[i] = True
+    high = 0
+    for i in range(n - 1, -1, -1):
+        if p[i] > high:
+            high = p[i]
+            upper[i] = True
+    last = n - 1
+    return (
+        [i for i in range(n) if upper[i]],
+        [i for i in range(n) if not upper[i] or i == 0 or i == last],
+    )
+
+
+def envelopes(p: Sequence[int]) -> Envelopes:
+    upper, lower = _envelope_positions(p)
+    return Envelopes(
+        Subsequence(tuple((i + 1, p[i]) for i in upper)),
+        Subsequence(tuple((i + 1, p[i]) for i in lower)),
+    )
 
 
 def is_lower_unimodal(values: Sequence[int]) -> bool:
@@ -242,11 +259,13 @@ FORBIDDEN_PATTERNS: frozenset[tuple[int, ...]] = frozenset(
         (2, 4, 3, 5, 1), (2, 4, 3, 1, 5), (1, 4, 3, 5, 2), (1, 4, 3, 2, 5),
     }
 )
+# the same patterns with 0-based values, the form is_square_by_patterns ranks into
+_FORBIDDEN_RANKS = frozenset(tuple(v - 1 for v in pat) for pat in FORBIDDEN_PATTERNS)
 
 
 def is_square(p: Sequence[int]) -> bool:
     """True iff the lower envelope of p is lower unimodal."""
-    return is_lower_unimodal(envelopes(p).lower.values)
+    return is_lower_unimodal([p[i] for i in _envelope_positions(p)[1]])
 
 
 def square_permutations(n: int, first: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -291,12 +310,20 @@ def square_permutations(n: int, first: int | None = None) -> Iterator[tuple[int,
 def is_square_by_patterns(p: Sequence[int]) -> bool:
     """Independent route: true iff p avoids all sixteen forbidden patterns.
 
-    Checks the standardization of every 5-element subsequence against the
+    Ranks every 5-element subsequence in place (the rank of an entry is how
+    many of the other four it exceeds) and looks the rank tuple up in the
     forbidden set, which is the cheapest exhaustive form for fixed length 5.
     """
     if len(p) < 5:
         return True
-    for sub in combinations(p, 5):
-        if _standardize(sub) in FORBIDDEN_PATTERNS:
+    for a, b, c, d, e in combinations(p, 5):
+        ranks = (
+            (a > b) + (a > c) + (a > d) + (a > e),
+            (b > a) + (b > c) + (b > d) + (b > e),
+            (c > a) + (c > b) + (c > d) + (c > e),
+            (d > a) + (d > b) + (d > c) + (d > e),
+            (e > a) + (e > b) + (e > c) + (e > d),
+        )
+        if ranks in _FORBIDDEN_RANKS:
             return False
     return True

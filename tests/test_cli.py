@@ -151,8 +151,8 @@ USAGE_ERRORS = [
     ((), ("enumerate", "symmetric", "-1"), "must be at least 1"),
     ((), ("enumerate", "ctilde", "x"), "not an integer"),
     ((), ("verify", "--max-size", "1"), "must be at least 2"),
-    ((("PERMUTOMINO_WORKERS", "abc"),), ("enumerate", "square", "5"), "PERMUTOMINO_WORKERS"),
-    ((("PERMUTOMINO_WORKERS", "2.5"),), ("verify", "--max-size", "3"), "PERMUTOMINO_WORKERS"),
+    ((), ("build", "1 2", "--format", "svg", "--cell-px", "0"), "must be at least 1"),
+    ((), ("decompose", "3 4 1 2", "--render", "--cell-px", "0"), "must be at least 1"),
 ]
 
 
@@ -168,6 +168,21 @@ def test_usage_errors_exit_2_with_one_line(capsys, monkeypatch, env, argv, messa
     assert code == 2
     assert out.out == ""
     assert len(out.err.splitlines()) == 1 and message in out.err
+
+
+TOO_LARGE = [
+    ("enumerate", "convex", "9", "--list"),
+    ("enumerate", "symmetric", "7", "--list"),
+    ("enumerate", "square", "11", "--list"),
+]
+
+
+@pytest.mark.parametrize("argv", TOO_LARGE)
+def test_bounds_are_checked_before_output(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "size too large" in err
 
 
 def test_enumerate_size_too_large(capsys):

@@ -75,13 +75,6 @@ def test_geometric_listing_dispatch():
         counting.listing("square", 3)
 
 
-def test_env_workers(monkeypatch):
-    monkeypatch.setenv("PERMUTOMINO_WORKERS", "3")
-    assert counting.env_workers() == 3
-    monkeypatch.delenv("PERMUTOMINO_WORKERS")
-    assert counting.env_workers() >= 1
-
-
 def test_count_table():
     table = CountTable()
     table.set("convex", 5, 84)
