@@ -210,20 +210,6 @@ class Permutomino:
         return tuple(y for _, y in even)
 
     @cached_property
-    def column_intervals(self) -> tuple[tuple[int, int], ...] | None:
-        """Per-column (bottom, top) cell rows, or None when not column convex."""
-        columns: dict[int, list[int]] = defaultdict(list)
-        for x, y in self.cells:
-            columns[x].append(y)
-        out = []
-        for x in sorted(columns):
-            ys = sorted(columns[x])
-            if ys[-1] - ys[0] + 1 != len(ys):
-                return None
-            out.append((ys[0], ys[-1]))
-        return tuple(out)
-
-    @cached_property
     def flags(self) -> dict[str, bool]:
         return classify(self)
 
@@ -339,9 +325,9 @@ def classify(p: Permutomino) -> dict[str, bool]:
 
     parallelogram = False
     if directed:
-        intervals = p.column_intervals
-        bottoms = [a for a, _ in intervals]
-        tops = [b for _, b in intervals]
+        xs = sorted(columns)
+        bottoms = [min(columns[x]) for x in xs]
+        tops = [max(columns[x]) for x in xs]
         parallelogram = (
             all(a <= b for a, b in zip(bottoms, bottoms[1:]))
             and all(a <= b for a, b in zip(tops, tops[1:]))
@@ -371,12 +357,6 @@ class LabeledMatrix:
 
     def by_label(self, label: str) -> list[tuple[int, int]]:
         return sorted((x, y) for x, y, lab in self.points if lab == label)
-
-    def label_at(self, x: int, y: int) -> str | None:
-        for px, py, lab in self.points:
-            if (px, py) == (x, y):
-                return lab
-        return None
 
     def retyped(self, changes: Mapping[tuple[int, int], str]) -> "LabeledMatrix":
         """A copy with the labels at the given (x, y) points replaced."""

@@ -4,8 +4,9 @@ Subcommands: classify, build, enumerate, verify, decompose.  Permutations are
 given as one argument of whitespace- or comma-separated 1-based integers (no
 brackets).  Exit codes: 0 ok; 1 only for a failed `verify` identity; 2 usage
 error (a malformed permutation, a size below 1, a `--max-size` below 2, a
-`--cell-px` below 1, or any other bad argument); 3 not realizable; 4 size too
-large, reported before anything is printed; 5 outside the bijection's domain.
+`--cell-px` below 1, a `--workers` below 1, or any other bad argument); 3 not
+realizable; 4 size too large, reported before anything is printed; 5 outside
+the bijection's domain.
 Scans run in one process unless `--workers N` asks for a pool of N.
 """
 from __future__ import annotations
@@ -271,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stratify the count")
     e.add_argument("--method", choices=("fibers", "intervals"), default="fibers",
                    help="convex class only: counting method")
-    e.add_argument("--workers", type=int, default=1,
+    e.add_argument("--workers", type=int_at_least(1), default=1,
                    help="scan worker processes (default: 1, no pool)")
     e.set_defaults(fn=cmd_enumerate)
 
@@ -281,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also evaluate the closed forms exactly as printed in the "
                         "source material and report known discrepancies")
     v.add_argument("--json", action="store_true")
-    v.add_argument("--workers", type=int, default=1,
+    v.add_argument("--workers", type=int_at_least(1), default=1,
                    help="scan worker processes (default: 1, no pool)")
     v.set_defaults(fn=cmd_verify)
 

@@ -4,13 +4,15 @@ The statistics scan visits the square permutations of size n and the square
 agreement scan all of S_n; both split their permutations into blocks by first
 value.  The blocks run in this process by default; with workers > 1 they go
 through a process pool, and the per-block tallies are summed, so the result is
-bit-identical for any worker count.  Listings walk the square permutations
-too, since every listed permutation class is a subset of them.
+bit-identical for any worker count.  Permutation listings walk the square
+permutations too, since every listed permutation class is a subset of them.
+Geometric listings come from the interval oracle: column-convex from its own
+enumerator, every other class from the convex listing filtered by the class
+flag that CLASS_FLAGS names.
 """
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 
 from . import _kernels, oracles
 from .boundary import Permutomino
@@ -19,6 +21,15 @@ from .membership import fiber, is_associated, is_associated_pi2
 from .perms import is_indecomposable, square_permutations
 
 SCAN_BOUND = 10  # square_agreement walks S_10's ~3.6M permutations, the desk-scale limit
+FIBER_BOUND = 7  # convex_via_fibers materializes 1836 shapes at size 7
+
+# CLI class name -> boundary.classify flag that picks it out of the convex listing
+CLASS_FLAGS = {
+    "convex": "convex",
+    "directed": "directed",
+    "parallelogram": "parallelogram",
+    "symmetric": "symmetric_xy",
+}
 
 
 def _merge_stats(blocks: list[dict]) -> dict:
@@ -82,22 +93,6 @@ def square_agreement(n: int, workers: int = 1) -> dict:
     }
 
 
-@dataclass
-class CountTable:
-    """Arbitrary-precision counts keyed by (class name, size)."""
-
-    counts: dict[tuple[str, int], int] = field(default_factory=dict)
-
-    def set(self, name: str, n: int, value: int) -> None:
-        self.counts[(name, n)] = value
-
-    def get(self, name: str, n: int) -> int:
-        return self.counts[(name, n)]
-
-    def __contains__(self, key) -> bool:
-        return key in self.counts
-
-
 def count_ctilde(n: int, workers: int = 1) -> dict:
     """{'total': |realizable pi1 set|, 'by_free_fixed_points': {k: count}}."""
     stats = scan_stats(n, workers)
@@ -138,19 +133,14 @@ def fiber_sum(by_free_fixed_points: dict[int, int]) -> int:
     return sum(v << k for k, v in by_free_fixed_points.items())
 
 
-def count_symmetric(n: int, bound: int = oracles.DEFAULT_BOUND) -> int:
-    """Convex permutominoes of size n whose cell set is transpose-invariant."""
-    return len(oracles.enumerate_class(n, "symmetric_xy", bound))
-
-
-def convex_via_fibers(n: int, fiber_bound: int = 7) -> list[Permutomino]:
+def convex_via_fibers(n: int) -> list[Permutomino]:
     """Materialize every convex permutomino of size n through the fibers.
 
     Walks the square permutations, keeps the realizable ones and expands each
     fiber; the result is sorted by (pi1, boundary word) like the oracle listings.
     """
-    if n > fiber_bound:
-        raise SizeTooLarge(f"fiber listing is bounded at size {fiber_bound}, got {n}")
+    if n > FIBER_BOUND:
+        raise SizeTooLarge(f"fiber listing is bounded at size {FIBER_BOUND}, got {n}")
     out: list[Permutomino] = []
     for p in square_permutations(n):
         if is_associated(p):
@@ -159,18 +149,14 @@ def convex_via_fibers(n: int, fiber_bound: int = 7) -> list[Permutomino]:
     return out
 
 
-def listing(class_name: str, n: int, bound: int = oracles.DEFAULT_BOUND) -> list[Permutomino]:
+def listing(class_name: str, n: int) -> list[Permutomino]:
     """Stable listing of a permutomino class (geometry-backed classes only)."""
-    if class_name == "convex":
-        return oracles.enumerate_convex(n, bound)
     if class_name == "column-convex":
-        return oracles.enumerate_column_convex(n, bound)
-    if class_name in ("directed", "parallelogram"):
-        flag = "directed" if class_name == "directed" else "parallelogram"
-        return oracles.enumerate_class(n, flag, bound)
-    if class_name == "symmetric":
-        return oracles.enumerate_class(n, "symmetric_xy", bound)
-    raise ValueError(f"no geometric listing for class {class_name!r}")
+        return oracles.enumerate_column_convex(n)
+    flag = CLASS_FLAGS.get(class_name)
+    if flag is None:
+        raise ValueError(f"no geometric listing for class {class_name!r}")
+    return [p for p in oracles.enumerate_convex(n) if p.flags[flag]]
 
 
 def perm_listing(class_name: str, n: int) -> list[tuple[int, ...]]:

@@ -62,17 +62,13 @@ def membership_verdict(p: Sequence[int]) -> MembershipVerdict:
     For n = 1 the answer is yes (the empty permutomino).
     """
     p = perms.as_perm(p)
-    witness = _unimodality_witness(envelope_lower_entries(p))
+    witness = _unimodality_witness(perms.envelopes(p).lower.entries)
     if witness is not None:
         return MembershipVerdict(False, NOT_UNIMODAL, witness)
     splits = perms.split_points(p)
     if splits:
         return MembershipVerdict(False, DECOMPOSABLE, min(splits))
     return MembershipVerdict(True, OK)
-
-
-def envelope_lower_entries(p: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    return perms.envelopes(p).lower.entries
 
 
 def is_associated(p: Sequence[int]) -> bool:

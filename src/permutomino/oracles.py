@@ -8,6 +8,9 @@ its boundary word and passed through the full permutomino validator, so counts
 coming out of here share no code path with the permutation-side machinery.
 
 These enumerators are deliberately brute force and bounded (default size 6).
+The convex listing is the one source of every geometric class: directed,
+parallelogram and symmetric permutominoes are the convex shapes whose class
+flag (`boundary.classify`) is set, so callers list a size once and filter it.
 """
 from __future__ import annotations
 
@@ -93,12 +96,3 @@ def enumerate_convex(n: int, bound: int = DEFAULT_BOUND) -> list[Permutomino]:
 def enumerate_column_convex(n: int, bound: int = DEFAULT_BOUND) -> list[Permutomino]:
     """All column-convex permutominoes of size n (no convexity filter)."""
     return _enumerate(n, convex=False, bound=bound)
-
-
-def enumerate_class(n: int, flag: str, bound: int = DEFAULT_BOUND) -> list[Permutomino]:
-    """Convex permutominoes of size n whose class flag is set.
-
-    flag is one of the classify() keys, e.g. 'directed', 'parallelogram',
-    'symmetric_xy'.
-    """
-    return [p for p in enumerate_convex(n, bound) if p.flags[flag]]

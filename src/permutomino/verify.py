@@ -108,15 +108,19 @@ def verify_identities(
     max_size: int,
     strict_paper: bool = False,
     workers: int = 1,
-    oracle_bound: int = oracles.DEFAULT_BOUND,
 ) -> VerificationReport:
-    """Run every identity up to max_size (interval-oracle rows up to oracle_bound)."""
+    """Run every identity up to max_size (interval-oracle rows up to the oracle's bound).
+
+    The oracle lists the convex permutominoes of each size once; the directed,
+    parallelogram and symmetric rows count class flags over that listing.
+    """
     if max_size < 2:
         raise ValueError("max_size must be at least 2")
     report = VerificationReport(max_size, strict_paper)
     sizes_all = range(1, max_size + 1)
     sizes_from2 = range(2, max_size + 1)
-    geo_max = min(max_size, oracle_bound)
+    geo_max = min(max_size, oracles.DEFAULT_BOUND)
+    sizes_geo = range(1, geo_max + 1)
 
     stats = {n: counting.scan_stats(n, workers=workers) for n in sizes_all}
 
@@ -141,11 +145,11 @@ def verify_identities(
         ((n, convex(n), formulas.convex_permutomino(n),
           f"n={n}: {convex(n)} = {formulas.convex_permutomino(n)}") for n in sizes_all),
     )
-    oracle_convex = {n: len(oracles.enumerate_convex(n, oracle_bound)) for n in range(1, geo_max + 1)}
+    shapes = {n: oracles.enumerate_convex(n) for n in sizes_geo}
     _check(
         report, "convex: fiber sum vs interval oracle", f"1..{geo_max}",
-        ((n, convex(n), oracle_convex[n], f"n={n}: {convex(n)} = {oracle_convex[n]}")
-         for n in range(1, geo_max + 1)),
+        ((n, convex(n), len(shapes[n]), f"n={n}: {convex(n)} = {len(shapes[n])}")
+         for n in sizes_geo),
     )
     _check(
         report, "ctilde closed form (exact rational factor)", f"1..{max_size}",
@@ -199,29 +203,29 @@ def verify_identities(
          for n in sizes_from2),
     )
 
-    directed_counts = {n: len(oracles.enumerate_class(n, "directed", oracle_bound))
-                       for n in range(1, geo_max + 1)}
-    parallelogram_counts = {n: len(oracles.enumerate_class(n, "parallelogram", oracle_bound))
-                            for n in range(1, geo_max + 1)}
-    symmetric_counts = {n: len(oracles.enumerate_class(n, "symmetric_xy", oracle_bound))
-                        for n in range(1, geo_max + 1)}
+    def flag_counts(flag):
+        return {n: sum(p.flags[flag] for p in shapes[n]) for n in sizes_geo}
+
+    directed_counts = flag_counts("directed")
+    parallelogram_counts = flag_counts("parallelogram")
+    symmetric_counts = flag_counts("symmetric_xy")
     _check(
         report, "directed convex oracle vs closed form", f"1..{geo_max}",
         ((n, directed_counts[n], formulas.directed_convex(n),
           f"n={n}: {directed_counts[n]} = {formulas.directed_convex(n)}")
-         for n in range(1, geo_max + 1)),
+         for n in sizes_geo),
     )
     _check(
         report, "parallelogram oracle vs catalan", f"1..{geo_max}",
         ((n, parallelogram_counts[n], formulas.parallelogram(n),
           f"n={n}: {parallelogram_counts[n]} = {formulas.parallelogram(n)}")
-         for n in range(1, geo_max + 1)),
+         for n in sizes_geo),
     )
     _check(
         report, "symmetric oracle vs closed form", f"1..{geo_max}",
         ((n, symmetric_counts[n], formulas.symmetric(n),
           f"n={n}: {symmetric_counts[n]} = {formulas.symmetric(n)}")
-         for n in range(1, geo_max + 1)),
+         for n in sizes_geo),
     )
 
     def bijection_pairs():

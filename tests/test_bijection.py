@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 from conftest import all_perms
-from permutomino import oracles, perms
+from permutomino import counting, oracles, perms
 from permutomino.bijection import (
     PermutominoSequence,
     component_of,
@@ -80,8 +80,8 @@ def _sequence_pool(n, k, directed, parallelogram):
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_round_trip_and_cardinalities(n):
-    directed = {s: oracles.enumerate_class(s, "directed") for s in range(2, n + 1)}
-    parallelogram = {s: oracles.enumerate_class(s, "parallelogram") for s in range(2, n + 1)}
+    directed = {s: counting.listing("directed", s) for s in range(2, n + 1)}
+    parallelogram = {s: counting.listing("parallelogram", s) for s in range(2, n + 1)}
 
     squares_by_k = {}
     for p in all_perms(n):

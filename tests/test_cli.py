@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from permutomino import counting
+from permutomino import counting, oracles
 from permutomino.cli import main, parse_permutation
 from permutomino.errors import ParseError
 from permutomino.render import cells_from_ascii
@@ -145,12 +145,36 @@ def test_verify_scans_each_size_once(capsys, monkeypatch):
     assert code == 0 and sizes == [1, 2, 3, 4, 5, 6]
 
 
+def oracle_spy(monkeypatch):
+    """Record the size of every oracles.enumerate_convex call."""
+    sizes = []
+    real = oracles.enumerate_convex
+
+    def spy(n, bound=oracles.DEFAULT_BOUND):
+        sizes.append(n)
+        return real(n, bound)
+
+    monkeypatch.setattr(oracles, "enumerate_convex", spy)
+    return sizes
+
+
+def test_convex_listing_is_built_once_per_size(capsys, monkeypatch):
+    sizes = oracle_spy(monkeypatch)
+    code, _, _ = run(capsys, "verify", "--max-size", "6", "--workers", "1")
+    assert code == 0 and sizes == [1, 2, 3, 4, 5, 6]
+    sizes.clear()
+    code, out, _ = run(capsys, "enumerate", "symmetric", "6", "--list")
+    assert code == 0 and out.splitlines()[0] == "22" and sizes == [6]
+
+
 USAGE_ERRORS = [
     ((), ("enumerate", "square", "0"), "must be at least 1"),
     ((), ("enumerate", "convex", "0"), "must be at least 1"),
     ((), ("enumerate", "symmetric", "-1"), "must be at least 1"),
     ((), ("enumerate", "ctilde", "x"), "not an integer"),
     ((), ("verify", "--max-size", "1"), "must be at least 2"),
+    ((), ("enumerate", "square", "5", "--workers", "-3"), "must be at least 1"),
+    ((), ("verify", "--max-size", "3", "--workers", "0"), "must be at least 1"),
     ((), ("build", "1 2", "--format", "svg", "--cell-px", "0"), "must be at least 1"),
     ((), ("decompose", "3 4 1 2", "--render", "--cell-px", "0"), "must be at least 1"),
 ]

@@ -16,9 +16,11 @@ from permutomino.render import (
 )
 
 
-def test_json_round_trip_samples():
+def test_json_round_trip_samples(convex_by_size):
     samples = [EMPTY, from_boundary_word("NESW"), canonical_permutomino((3, 1, 6, 8, 2, 4, 7, 5))]
     samples += list(fiber((2, 1, 3, 4, 5)))
+    for n in range(1, 6):
+        samples += convex_by_size(n)
     for p in samples:
         assert from_json(to_json(p)) == p
 
