@@ -32,7 +32,7 @@ def test_fibers_method_extends_to_size_nine():
     assert counting.count_convex(9, "fibers") == formulas.convex_permutomino(9)
 
 
-def test_symmetric_listing():
+def test_count_symmetric():
     assert [len(counting.listing("symmetric", n)) for n in range(1, 7)] == [1, 1, 2, 4, 10, 22]
 
 
