@@ -7,7 +7,8 @@ error (a malformed permutation, a size below 1, a `--max-size` below 2, a
 `--cell-px` below 1, a `--workers` below 1, or any other bad argument); 3 not
 realizable; 4 size too large, reported before anything is printed; 5 outside
 the bijection's domain.
-Scans run in one process unless `--workers N` asks for a pool of N.
+Scans run in one process unless `--workers N` asks for a pool of N; scans
+below size 8 (`counting.POOL_MIN_SIZE`) run in process whatever N is.
 """
 from __future__ import annotations
 
@@ -273,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--method", choices=("fibers", "intervals"), default="fibers",
                    help="convex class only: counting method")
     e.add_argument("--workers", type=int_at_least(1), default=1,
-                   help="scan worker processes (default: 1, no pool)")
+                   help=f"scan worker processes from size {counting.POOL_MIN_SIZE} up "
+                        "(default: 1, no pool)")
     e.set_defaults(fn=cmd_enumerate)
 
     v = sub.add_parser("verify", help="check every counting identity up to a size")
@@ -283,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "source material and report known discrepancies")
     v.add_argument("--json", action="store_true")
     v.add_argument("--workers", type=int_at_least(1), default=1,
-                   help="scan worker processes (default: 1, no pool)")
+                   help=f"scan worker processes from size {counting.POOL_MIN_SIZE} up "
+                        "(default: 1, no pool)")
     v.set_defaults(fn=cmd_verify)
 
     d = sub.add_parser("decompose", help="split a square permutation into its "

@@ -2,13 +2,14 @@
 
 The statistics scan visits the square permutations of size n and the square
 agreement scan all of S_n; both split their permutations into blocks by first
-value.  The blocks run in this process by default; with workers > 1 they go
-through a process pool, and the per-block tallies are summed, so the result is
-bit-identical for any worker count.  Permutation listings walk the square
-permutations too, since every listed permutation class is a subset of them.
-Geometric listings come from the interval oracle: column-convex from its own
-enumerator, every other class from the convex listing filtered by the class
-flag that CLASS_FLAGS names.
+value.  The blocks run in this process by default.  With workers > 1 they go
+through a process pool, but only from size POOL_MIN_SIZE up: a smaller scan
+takes milliseconds, less than starting the pool.  The per-block tallies are
+summed, so the result is bit-identical for any worker count.  Permutation
+listings walk the square permutations too, since every listed permutation
+class is a subset of them.  Geometric listings come from the interval oracle:
+column-convex from its own enumerator, every other class from the convex
+listing filtered by the class flag that CLASS_FLAGS names.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from .membership import fiber, is_associated, is_associated_pi2
 from .perms import is_indecomposable, square_permutations
 
 SCAN_BOUND = 10  # square_agreement walks S_10's ~3.6M permutations, the desk-scale limit
+POOL_MIN_SIZE = 8  # smaller scans run in process whatever the worker count
 FIBER_BOUND = 7  # convex_via_fibers materializes 1836 shapes at size 7
 
 # CLI class name -> boundary.classify flag that picks it out of the convex listing
@@ -66,7 +68,7 @@ def _agreement_block(args):
 
 def _run_blocks(fn, n: int, workers: int) -> list[dict]:
     firsts = list(range(1, n + 1))
-    if workers <= 1 or n <= 2:
+    if workers <= 1 or n < POOL_MIN_SIZE:
         return [fn((n, first)) for first in firsts]
     with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
         return list(pool.map(fn, [(n, first) for first in firsts]))

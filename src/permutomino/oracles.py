@@ -1,53 +1,87 @@
 """Exhaustive geometric enumerators used as independent ground truth.
 
 A permutomino of size n occupies an (n-1) x (n-1) cell box.  Column-convex
-candidates are generated as stacks of per-column row intervals [a_j, b_j] with
-adjacent columns overlapping; convex candidates additionally keep the tops
-unimodal and the bottoms anti-unimodal.  Every candidate stack is serialized to
-its boundary word and passed through the full permutomino validator, so counts
-coming out of here share no code path with the permutation-side machinery.
+permutominoes are generated as stacks of per-column row intervals [a_j, b_j]
+with adjacent columns overlapping; convex ones additionally keep the tops
+unimodal and the bottoms anti-unimodal.  The depth-first search enforces the
+paper's one-side-per-coordinate rule as it goes: the junction rules give one
+vertical side per abscissa, and a stack is cut as soon as a column's bottom or
+top edge would start a second horizontal side at an ordinate.  Each stack
+that survives is serialized once, straight from its intervals, and still goes
+through the full permutomino validator (`boundary.from_boundary_word`, which
+rebuilds the cells and checks the word against them); a rejection there is
+an error, not a skipped candidate.  So counts coming out of here share no
+code path with the permutation-side machinery.
 
-These enumerators are deliberately brute force and bounded (default size 6).
+These enumerators are exhaustive over the box and bounded (default size 6).
 The convex listing is the one source of every geometric class: directed,
 parallelogram and symmetric permutominoes are the convex shapes whose class
 flag (`boundary.classify`) is set, so callers list a size once and filter it.
 """
 from __future__ import annotations
 
-from .boundary import Permutomino, EMPTY, from_boundary_word, word_from_cells
-from .errors import NotPermutomino, SizeTooLarge
+from .boundary import EMPTY, Permutomino, _trace, from_boundary_word
+from .errors import SizeTooLarge
 
 DEFAULT_BOUND = 6
 
 
-def _stack_to_permutomino(intervals: list[tuple[int, int]]) -> Permutomino | None:
-    cells = frozenset(
-        (x + 1, y) for x, (lo, hi) in enumerate(intervals) for y in range(lo, hi + 1)
+def _steps(a: int, b: int) -> str:
+    """Vertical steps from ordinate a to ordinate b."""
+    return "N" * (b - a) + "S" * (a - b)
+
+
+def _stack_word(intervals: list[tuple[int, int]]) -> str:
+    """Clockwise boundary word of a stack, read straight off its intervals.
+
+    The walk goes up the left side, along the tops left to right, down the
+    right side and along the bottoms right to left, and is then rotated to
+    start at the lowest leftmost point.
+    """
+    bottoms = [lo for lo, _ in intervals]
+    tops = [hi + 1 for _, hi in intervals]
+    word = (
+        _steps(bottoms[0], tops[0])
+        + "".join("E" + _steps(a, b) for a, b in zip(tops, tops[1:])) + "E"
+        + _steps(tops[-1], bottoms[-1])
+        + "".join("W" + _steps(a, b) for a, b in zip(bottoms[::-1], bottoms[-2::-1])) + "W"
     )
-    try:
-        return from_boundary_word(word_from_cells(cells))
-    except NotPermutomino:
-        return None
+    points = _trace(word)
+    start = min(range(len(word)), key=lambda i: (points[i][1], points[i][0]))
+    return word[start:] + word[:start]
 
 
 def _interval_stacks(n: int, convex: bool):
-    """Yield interval stacks over the (n-1)x(n-1) box passing the junction rules.
+    """Yield the interval stacks over the (n-1)x(n-1) box that are permutominoes.
 
     Junction rules: adjacent intervals overlap, and exactly one of bottom/top
     changes between adjacent columns (a permutomino needs exactly one vertical
-    side at each interior abscissa).  With convex=True, tops must rise then
-    fall and bottoms fall then rise.
+    side at each interior abscissa).  Ordinate rule: column x with interval
+    (lo, hi) has horizontal edges at ordinates lo and hi + 1, and an edge may
+    not start a second side at an ordinate, so it must continue the side that
+    ends at abscissa x - 1, if there is one; a full stack must have a side at
+    every ordinate 1..n.  With convex=True, tops must rise then fall and
+    bottoms fall then rise.
     """
     side = n - 1
     stack: list[tuple[int, int]] = []
+    # ordinate -> abscissa of its latest horizontal edge (0: none yet)
+    last_edge = [0] * (n + 1)
 
-    def extend(col: int, tops_fell: bool, bottoms_rose: bool):
-        if col == side:
-            if min(lo for lo, _ in stack) == 1 and max(hi for _, hi in stack) == side:
+    def free(y: int, x: int) -> bool:
+        return last_edge[y] == 0 or last_edge[y] == x - 1
+
+    def extend(x: int, tops_fell: bool, bottoms_rose: bool):
+        if x == n:
+            if all(last_edge[1:n + 1]):
                 yield list(stack)
             return
         for lo in range(1, side + 1):
+            if not free(lo, x):
+                continue
             for hi in range(lo, side + 1):
+                if not free(hi + 1, x):
+                    continue
                 if stack:
                     plo, phi = stack[-1]
                     if lo > phi or hi < plo:
@@ -65,11 +99,14 @@ def _interval_stacks(n: int, convex: bool):
                         new_tops_fell = new_bottoms_rose = False
                 else:
                     new_tops_fell = new_bottoms_rose = False
+                saved = last_edge[lo], last_edge[hi + 1]
+                last_edge[lo] = last_edge[hi + 1] = x
                 stack.append((lo, hi))
-                yield from extend(col + 1, new_tops_fell, new_bottoms_rose)
+                yield from extend(x + 1, new_tops_fell, new_bottoms_rose)
                 stack.pop()
+                last_edge[lo], last_edge[hi + 1] = saved
 
-    yield from extend(0, False, False)
+    yield from extend(1, False, False)
 
 
 def _enumerate(n: int, convex: bool, bound: int) -> list[Permutomino]:
@@ -79,11 +116,7 @@ def _enumerate(n: int, convex: bool, bound: int) -> list[Permutomino]:
         raise ValueError("size must be at least 1")
     if n == 1:
         return [EMPTY]
-    found = []
-    for stack in _interval_stacks(n, convex):
-        p = _stack_to_permutomino(stack)
-        if p is not None and p.size == n:
-            found.append(p)
+    found = [from_boundary_word(_stack_word(stack)) for stack in _interval_stacks(n, convex)]
     found.sort(key=Permutomino.sort_key)
     return found
 

@@ -43,12 +43,35 @@ def test_scan_bound():
         counting.convex_via_fibers(9)
 
 
-def test_worker_partitioning_is_deterministic():
+def pool_spy(monkeypatch) -> list[int]:
+    """Record the max_workers of every process pool counting opens."""
+    opened = []
+    real = counting.ProcessPoolExecutor
+
+    def spy(max_workers):
+        opened.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(counting, "ProcessPoolExecutor", spy)
+    return opened
+
+
+def test_worker_partitioning_is_deterministic(monkeypatch):
+    monkeypatch.setattr(counting, "POOL_MIN_SIZE", 3)
+    opened = pool_spy(monkeypatch)
     for n in (4, 6):
         serial = counting.scan_stats(n, workers=1)
         parallel = counting.scan_stats(n, workers=2)
         assert serial == parallel
     assert counting.square_agreement(5, workers=2) == counting.square_agreement(5, workers=1)
+    assert opened == [2, 2, 2]
+
+
+def test_small_scans_open_no_pool(monkeypatch):
+    opened = pool_spy(monkeypatch)
+    assert counting.scan_stats(6, workers=2) == counting.scan_stats(6, workers=1)
+    assert counting.square_agreement(5, workers=2) == counting.square_agreement(5, workers=1)
+    assert opened == []
 
 
 def test_fiber_listing_matches_oracle():

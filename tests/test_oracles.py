@@ -1,8 +1,10 @@
+import itertools
+
 import pytest
 
 from permutomino import counting, oracles
-from permutomino.boundary import EMPTY
-from permutomino.errors import SizeTooLarge
+from permutomino.boundary import EMPTY, from_boundary_word, word_from_cells
+from permutomino.errors import NotPermutomino, SizeTooLarge
 
 
 def test_convex_counts_match_published_terms():
@@ -47,3 +49,36 @@ def test_size_bound():
     with pytest.raises(SizeTooLarge):
         oracles.enumerate_column_convex(9)
     assert len(oracles.enumerate_convex(7, bound=7)) == 1836
+
+
+def stack_cells(stack):
+    return frozenset((x, y) for x, (lo, hi) in enumerate(stack, 1) for y in range(lo, hi + 1))
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_prune_drops_no_permutomino(n):
+    # every tuple of n-1 column intervals in the box, serialized and validated
+    # without the oracle's pruning or its direct word
+    side = n - 1
+    intervals = [(lo, hi) for lo in range(1, side + 1) for hi in range(lo, side + 1)]
+    accepted = set()
+    for stack in itertools.product(intervals, repeat=side):
+        try:
+            accepted.add(from_boundary_word(word_from_cells(stack_cells(stack))))
+        except (NotPermutomino, ValueError):
+            continue
+    assert accepted == set(oracles.enumerate_column_convex(n))
+    assert {p for p in accepted if p.is_convex} == set(oracles.enumerate_convex(n))
+
+
+@pytest.mark.parametrize("convex", [True, False])
+def test_generator_yields_only_permutominoes(convex):
+    for n in range(2, 7):
+        for stack in oracles._interval_stacks(n, convex):
+            word = oracles._stack_word(stack)
+            assert word == word_from_cells(stack_cells(stack))
+            assert from_boundary_word(word).size == n
+
+
+def test_column_convex_counts():
+    assert [len(oracles.enumerate_column_convex(n)) for n in range(1, 7)] == [1, 1, 4, 22, 152, 1262]
