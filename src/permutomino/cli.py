@@ -4,16 +4,20 @@ Subcommands: classify, build, enumerate, verify, decompose.  Permutations are
 given as one argument of whitespace- or comma-separated 1-based integers (no
 brackets).  Exit codes: 0 ok; 1 only for a failed `verify` identity; 2 usage
 error (a malformed permutation, a size below 1, a `--max-size` below 2, a
-`--cell-px` below 1, a `--workers` below 1, or any other bad argument); 3 not
-realizable; 4 size too large, reported before anything is printed; 5 outside
-the bijection's domain.
-Scans run in one process unless `--workers N` asks for a pool of N; scans
-below size 8 (`counting.POOL_MIN_SIZE`) run in process whatever N is.
+`--cell-px` below 1, a `--workers` below 1, an `--out` path that cannot be
+written, or any other bad argument); 3 not realizable; 4 size too large,
+reported before anything is printed; 5 outside the bijection's domain.
+An `--out` path whose directory does not exist is rejected before anything is
+printed or written.
+Counts are computed without a scan, up to size `counting.COUNT_BOUND`;
+permutation listings stop at `counting.SCAN_BOUND`.  `--workers` is still
+accepted but no count depends on it.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -25,6 +29,7 @@ from .errors import (
     InvalidSequence,
     NotAssociated,
     NotSquare,
+    OutputError,
     ParseError,
     SizeTooLarge,
 )
@@ -64,6 +69,14 @@ def int_at_least(low: int):
     return parse
 
 
+def output_path(text: str) -> str:
+    """argparse type: a file path whose directory exists."""
+    folder = os.path.dirname(text) or "."
+    if not os.path.isdir(folder):
+        raise argparse.ArgumentTypeError(f"no such directory: {folder}")
+    return text
+
+
 def parse_permutation(text: str) -> tuple[int, ...]:
     tokens = text.replace(",", " ").split()
     if not tokens:
@@ -90,15 +103,18 @@ def _emit(texts: list[str], spec: RenderSpec, joiner: str = "\n\n") -> None:
         print(joiner.join(texts))
         return
     if len(texts) == 1:
-        with open(spec.out, "w", encoding="utf-8") as fh:
-            fh.write(texts[0])
-        return
-    stem, dot, ext = spec.out.rpartition(".")
-    if not dot:
-        stem, ext = spec.out, "out"
-    for i, text in enumerate(texts, start=1):
-        with open(f"{stem}-{i}.{ext}", "w", encoding="utf-8") as fh:
-            fh.write(text)
+        paths = [spec.out]
+    else:
+        stem, dot, ext = spec.out.rpartition(".")
+        if not dot:
+            stem, ext = spec.out, "out"
+        paths = [f"{stem}-{i}.{ext}" for i in range(1, len(texts) + 1)]
+    try:
+        for path, text in zip(paths, texts):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except OSError as exc:
+        raise OutputError(f"{exc.filename}: {exc.strerror}") from None
 
 
 def _render(shapes: list[Permutomino], spec: RenderSpec) -> None:
@@ -166,13 +182,13 @@ def cmd_enumerate(args) -> int:
         shapes = counting.convex_via_fibers(n) if args.list else []
         by_k = None
         if args.by == "fixed-points":
-            by_k = counting.count_ctilde(n, args.workers)["by_free_fixed_points"]
+            by_k = counting.count_ctilde(n)["by_free_fixed_points"]
         if args.method == "intervals":
             count = counting.count_convex(n, method="intervals")
         elif by_k is not None:
-            count = counting.fiber_sum(by_k)  # same scan as the rows below
+            count = counting.fiber_sum(by_k)  # same counts as the rows below
         else:
-            count = counting.count_convex(n, workers=args.workers)
+            count = counting.count_convex(n)
         print(count)
         if by_k is not None:
             for k, v in sorted(by_k.items()):
@@ -180,34 +196,34 @@ def cmd_enumerate(args) -> int:
         for p in shapes:
             print(f"{p.word or '(empty)'}  pi1={' '.join(map(str, p.pi1))}")
         return 0
+    # the listing's size bound is checked before the count is printed
+    listed = counting.perm_listing(name, n) if args.list else []
     if name == "ctilde":
-        info = counting.count_ctilde(n, args.workers)
+        info = counting.count_ctilde(n)
         print(info["total"])
         if args.by == "fixed-points":
             for k, v in sorted(info["by_free_fixed_points"].items()):
                 print(f"free-fixed-points {k}: {v}")
     elif name == "square":
-        info = counting.count_square(n, args.workers)
+        info = counting.count_square(n)
         print(info["square"])
         if args.by == "components":
             print("components 1:", info["square"] - info["decomposable"])
             for k, v in sorted(info["by_components"].items()):
                 print(f"components {k}: {v}")
     else:  # decomposable
-        info = counting.count_square(n, args.workers)
+        info = counting.count_square(n)
         print(info["decomposable"])
         if args.by == "components":
             for k, v in sorted(info["by_components"].items()):
                 print(f"components {k}: {v}")
-    if args.list:
-        for p in counting.perm_listing(name, n):
-            print(" ".join(map(str, p)))
+    for p in listed:
+        print(" ".join(map(str, p)))
     return 0
 
 
 def cmd_verify(args) -> int:
-    report = verify.verify_identities(args.max_size, strict_paper=args.strict_paper,
-                                      workers=args.workers)
+    report = verify.verify_identities(args.max_size, strict_paper=args.strict_paper)
     if args.json:
         print(json.dumps(report.as_dict(), indent=2))
     else:
@@ -262,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--format", choices=("ascii", "svg", "json"), default="ascii")
     b.add_argument("--cell-px", type=int_at_least(1), default=24,
                    help="SVG cell size in pixels")
-    b.add_argument("--out", help="output path (default: standard output)")
+    b.add_argument("--out", type=output_path, help="output path (default: standard output)")
     b.set_defaults(fn=cmd_build)
 
     e = sub.add_parser("enumerate", help="count (and optionally list) a class at a size")
@@ -274,8 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--method", choices=("fibers", "intervals"), default="fibers",
                    help="convex class only: counting method")
     e.add_argument("--workers", type=int_at_least(1), default=1,
-                   help=f"scan worker processes from size {counting.POOL_MIN_SIZE} up "
-                        "(default: 1, no pool)")
+                   help="accepted for older command lines; no count depends on it")
     e.set_defaults(fn=cmd_enumerate)
 
     v = sub.add_parser("verify", help="check every counting identity up to a size")
@@ -285,8 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "source material and report known discrepancies")
     v.add_argument("--json", action="store_true")
     v.add_argument("--workers", type=int_at_least(1), default=1,
-                   help=f"scan worker processes from size {counting.POOL_MIN_SIZE} up "
-                        "(default: 1, no pool)")
+                   help="accepted for older command lines; no count depends on it")
     v.set_defaults(fn=cmd_verify)
 
     d = sub.add_parser("decompose", help="split a square permutation into its "
@@ -295,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--render", action="store_true", help="render the non-empty parts")
     d.add_argument("--format", choices=("ascii", "svg", "json"), default="ascii")
     d.add_argument("--cell-px", type=int_at_least(1), default=24)
-    d.add_argument("--out", help="output path (default: standard output)")
+    d.add_argument("--out", type=output_path, help="output path (default: standard output)")
     d.set_defaults(fn=cmd_decompose)
 
     return parser
@@ -307,6 +321,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    except OutputError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
     except NotAssociated as exc:
         print(f"not realizable: {exc}", file=sys.stderr)

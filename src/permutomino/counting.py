@@ -1,15 +1,17 @@
-"""Permutation counts and permutomino listings, built on the scan kernels.
+"""Permutation counts and permutomino listings, built on the kernels.
 
-The statistics scan visits the square permutations of size n and the square
-agreement scan all of S_n; both split their permutations into blocks by first
-value.  The blocks run in this process by default.  With workers > 1 they go
-through a process pool, but only from size POOL_MIN_SIZE up: a smaller scan
-takes milliseconds, less than starting the pool.  The per-block tallies are
-summed, so the result is bit-identical for any worker count.  Permutation
-listings walk the square permutations too, since every listed permutation
-class is a subset of them.  Geometric listings come from the interval oracle:
-column-convex from its own enumerator, every other class from the convex
-listing filtered by the class flag that CLASS_FLAGS names.
+Every permutation count reads _kernels.count_stats, which counts over the
+square generator's states, so counts go up to COUNT_BOUND without visiting a
+permutation.  The square agreement scan walks all of S_n, split into blocks
+by first value; the blocks run in this process by default, and with
+workers > 1 through a process pool, but only from size POOL_MIN_SIZE up: a
+smaller scan takes milliseconds, less than starting the pool.  The block
+tallies are summed, so the result is the same for any worker count.
+Permutation listings filter the square generator, since every listed
+permutation class is a subset of the square permutations.  Geometric listings
+come from the interval oracle: column-convex from its own enumerator, every
+other class from the convex listing filtered by the class flag that
+CLASS_FLAGS names.
 """
 from __future__ import annotations
 
@@ -21,7 +23,8 @@ from .errors import SizeTooLarge
 from .membership import fiber, is_associated, is_associated_pi2
 from .perms import is_indecomposable, square_permutations
 
-SCAN_BOUND = 10  # square_agreement walks S_10's ~3.6M permutations, the desk-scale limit
+COUNT_BOUND = 30  # _kernels.count_stats(30) takes 0.2-0.4 s, (40) 1.3-1.6 s
+SCAN_BOUND = 10  # square_agreement walks S_10's ~3.6M permutations; listings stop here too
 POOL_MIN_SIZE = 8  # smaller scans run in process whatever the worker count
 FIBER_BOUND = 7  # convex_via_fibers materializes 1836 shapes at size 7
 
@@ -34,79 +37,48 @@ CLASS_FLAGS = {
 }
 
 
-def _merge_stats(blocks: list[dict]) -> dict:
-    total = {
-        "square": 0,
-        "components": {},
-        "ctilde_by_fixed": None,
-        "both_ways": 0,
-        "assoc_first_lt_last": 0,
-    }
-    for block in blocks:
-        total["square"] += block["square"]
-        total["both_ways"] += block["both_ways"]
-        total["assoc_first_lt_last"] += block["assoc_first_lt_last"]
-        for k, v in block["components"].items():
-            total["components"][k] = total["components"].get(k, 0) + v
-        if total["ctilde_by_fixed"] is None:
-            total["ctilde_by_fixed"] = list(block["ctilde_by_fixed"])
-        else:
-            for i, v in enumerate(block["ctilde_by_fixed"]):
-                total["ctilde_by_fixed"][i] += v
-    return total
-
-
-def _scan_block(args):
-    n, first = args
-    return _kernels.scan_stats(n, first)
-
-
 def _agreement_block(args):
     n, first = args
     return _kernels.square_agreement(n, first)
 
 
-def _run_blocks(fn, n: int, workers: int) -> list[dict]:
-    firsts = list(range(1, n + 1))
-    if workers <= 1 or n < POOL_MIN_SIZE:
-        return [fn((n, first)) for first in firsts]
-    with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
-        return list(pool.map(fn, [(n, first) for first in firsts]))
-
-
 def scan_stats(n: int, workers: int = 1) -> dict:
-    """Merged statistics over the square permutations of size n (see kernel docs)."""
-    if n > SCAN_BOUND:
-        raise SizeTooLarge(f"scans are bounded at size {SCAN_BOUND}, got {n}")
+    """The statistics of the square permutations of size n (see
+    _kernels.scan_stats for the fields), counted by _kernels.count_stats.
+
+    workers is accepted for callers that pass it and changes nothing.
+    """
+    if n > COUNT_BOUND:
+        raise SizeTooLarge(f"counts are bounded at size {COUNT_BOUND}, got {n}")
     if n < 1:
         raise ValueError("size must be at least 1")
-    return _merge_stats(_run_blocks(_scan_block, n, workers))
+    return _kernels.count_stats(n)
 
 
 def square_agreement(n: int, workers: int = 1) -> dict:
     """Envelope route vs pattern route over all of S_n."""
     if n > SCAN_BOUND:
         raise SizeTooLarge(f"scans are bounded at size {SCAN_BOUND}, got {n}")
-    blocks = _run_blocks(_agreement_block, n, workers)
-    return {
-        "by_envelope": sum(b["by_envelope"] for b in blocks),
-        "by_patterns": sum(b["by_patterns"] for b in blocks),
-        "disagreements": sum(b["disagreements"] for b in blocks),
-    }
+    blocks = [(n, first) for first in range(1, n + 1)]
+    if workers <= 1 or n < POOL_MIN_SIZE:
+        tallies = [_agreement_block(block) for block in blocks]
+    else:
+        with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
+            tallies = list(pool.map(_agreement_block, blocks))
+    return {key: sum(t[key] for t in tallies)
+            for key in ("by_envelope", "by_patterns", "disagreements")}
 
 
-def count_ctilde(n: int, workers: int = 1) -> dict:
+def count_ctilde(n: int) -> dict:
     """{'total': |realizable pi1 set|, 'by_free_fixed_points': {k: count}}."""
-    stats = scan_stats(n, workers)
+    stats = scan_stats(n)
     by_k = {k: v for k, v in enumerate(stats["ctilde_by_fixed"]) if v}
-    if n == 1:
-        by_k = {0: 1}
     return {"total": sum(by_k.values()), "by_free_fixed_points": by_k}
 
 
-def count_square(n: int, workers: int = 1) -> dict:
+def count_square(n: int) -> dict:
     """{'square': Q, 'decomposable': B, 'by_components': {k>=2: count}}."""
-    stats = scan_stats(n, workers)
+    stats = scan_stats(n)
     by_k = {k: v for k, v in sorted(stats["components"].items()) if k >= 2}
     return {
         "square": stats["square"],
@@ -115,7 +87,7 @@ def count_square(n: int, workers: int = 1) -> dict:
     }
 
 
-def count_convex(n: int, method: str = "fibers", workers: int = 1) -> int:
+def count_convex(n: int, method: str = "fibers") -> int:
     """Number of convex permutominoes of size n.
 
     method 'fibers' sums 2^k over the realizable permutations with k free
@@ -123,7 +95,7 @@ def count_convex(n: int, method: str = "fibers", workers: int = 1) -> int:
     (bounded at size 6).
     """
     if method == "fibers":
-        return fiber_sum(count_ctilde(n, workers)["by_free_fixed_points"])
+        return fiber_sum(count_ctilde(n)["by_free_fixed_points"])
     if method == "intervals":
         return len(oracles.enumerate_convex(n))
     raise ValueError(f"unknown method {method!r}")
@@ -167,6 +139,8 @@ def perm_listing(class_name: str, n: int) -> list[tuple[int, ...]]:
     Every class here is a subset of the square permutations, so the listing
     filters the square generator rather than S_n.
     """
+    if n > SCAN_BOUND:
+        raise SizeTooLarge(f"permutation listings are bounded at size {SCAN_BOUND}, got {n}")
     preds = {
         "ctilde": is_associated,
         "ctilde-prime": is_associated_pi2,

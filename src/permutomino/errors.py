@@ -66,6 +66,10 @@ class SizeTooLarge(PermutominoError):
     """Requested size exceeds the configured bound of an exhaustive enumerator."""
 
 
+class OutputError(PermutominoError):
+    """An output file cannot be written."""
+
+
 class ParseError(PermutominoError):
     """Malformed textual permutation; carries the 1-based token position at fault."""
 

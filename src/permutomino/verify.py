@@ -104,11 +104,7 @@ def _compositions(n: int, k: int):
             yield (first,) + rest
 
 
-def verify_identities(
-    max_size: int,
-    strict_paper: bool = False,
-    workers: int = 1,
-) -> VerificationReport:
+def verify_identities(max_size: int, strict_paper: bool = False) -> VerificationReport:
     """Run every identity up to max_size (interval-oracle rows up to the oracle's bound).
 
     The oracle lists the convex permutominoes of each size once; the directed,
@@ -122,7 +118,7 @@ def verify_identities(
     geo_max = min(max_size, oracles.DEFAULT_BOUND)
     sizes_geo = range(1, geo_max + 1)
 
-    stats = {n: counting.scan_stats(n, workers=workers) for n in sizes_all}
+    stats = {n: counting.scan_stats(n) for n in sizes_all}
 
     def q(n):
         return stats[n]["square"]

@@ -177,6 +177,9 @@ USAGE_ERRORS = [
     ((), ("verify", "--max-size", "3", "--workers", "0"), "must be at least 1"),
     ((), ("build", "1 2", "--format", "svg", "--cell-px", "0"), "must be at least 1"),
     ((), ("decompose", "3 4 1 2", "--render", "--cell-px", "0"), "must be at least 1"),
+    ((), ("build", "2 1 3", "--out", "/nonexistent/x.txt"), "no such directory"),
+    ((), ("decompose", "3 4 1 2", "--render", "--out", "/nonexistent/x.txt"),
+     "no such directory"),
 ]
 
 
@@ -198,6 +201,8 @@ TOO_LARGE = [
     ("enumerate", "convex", "9", "--list"),
     ("enumerate", "symmetric", "7", "--list"),
     ("enumerate", "square", "11", "--list"),
+    ("enumerate", "decomposable", "11", "--list"),
+    ("enumerate", "ctilde", "12", "--list"),
 ]
 
 
@@ -212,8 +217,68 @@ def test_bounds_are_checked_before_output(capsys, argv):
 def test_enumerate_size_too_large(capsys):
     code, _, err = run(capsys, "enumerate", "column-convex", "9")
     assert code == 4 and "size too large" in err
-    code, _, err = run(capsys, "enumerate", "ctilde", "12")
+    code, _, err = run(capsys, "enumerate", "ctilde", str(counting.COUNT_BOUND + 1))
     assert code == 4
+    code, out, _ = run(capsys, "enumerate", "convex", "11")  # above the listing bound
+    assert code == 0 and out == "780156\n"
+
+
+def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys):
+    code, out, err = run(capsys, "build", "2 1 3", "--out", str(tmp_path))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "cannot write output" in err
+
+
+CENSUS = {
+    ("square", "9", "--by", "components"): """42064
+components 1: 32156
+components 2: 5812
+components 3: 2510
+components 4: 1024
+components 5: 386
+components 6: 130
+components 7: 37
+components 8: 8
+components 9: 1
+""",
+    ("convex", "9", "--by", "fixed-points"): """38632
+free-fixed-points 0: 29222 permutations, 29222 permutominoes
+free-fixed-points 1: 2089 permutations, 4178 permutominoes
+free-fixed-points 2: 610 permutations, 2440 permutominoes
+free-fixed-points 3: 173 permutations, 1384 permutominoes
+free-fixed-points 4: 46 permutations, 736 permutominoes
+free-fixed-points 5: 13 permutations, 416 permutominoes
+free-fixed-points 6: 2 permutations, 128 permutominoes
+free-fixed-points 7: 1 permutations, 128 permutominoes
+""",
+    ("decomposable", "9", "--by", "components"): """9908
+components 2: 5812
+components 3: 2510
+components 4: 1024
+components 5: 386
+components 6: 130
+components 7: 37
+components 8: 8
+components 9: 1
+""",
+    ("ctilde", "9", "--by", "fixed-points"): """32156
+free-fixed-points 0: 29222
+free-fixed-points 1: 2089
+free-fixed-points 2: 610
+free-fixed-points 3: 173
+free-fixed-points 4: 46
+free-fixed-points 5: 13
+free-fixed-points 6: 2
+free-fixed-points 7: 1
+""",
+}
+
+
+@pytest.mark.parametrize("argv", CENSUS, ids=lambda argv: argv[0])
+def test_census_output_is_pinned(capsys, argv):
+    code, out, err = run(capsys, "enumerate", *argv, "--workers", "2")
+    assert code == 0 and err == ""
+    assert out == CENSUS[argv]
 
 
 def test_verify_text_and_json(capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from permutomino import counting, oracles
+from permutomino import counting, formulas, oracles
 from permutomino.errors import SizeTooLarge
 
 
@@ -27,8 +27,6 @@ def test_count_convex_methods_agree():
 
 
 def test_fibers_method_extends_to_size_nine():
-    from permutomino import formulas
-
     assert counting.count_convex(9, "fibers") == formulas.convex_permutomino(9)
 
 
@@ -37,10 +35,26 @@ def test_count_symmetric():
 
 
 def test_scan_bound():
+    counting.scan_stats(counting.COUNT_BOUND)
     with pytest.raises(SizeTooLarge):
-        counting.scan_stats(11)
+        counting.scan_stats(counting.COUNT_BOUND + 1)
     with pytest.raises(SizeTooLarge):
         counting.convex_via_fibers(9)
+    with pytest.raises(SizeTooLarge):
+        counting.perm_listing("square", counting.SCAN_BOUND + 1)
+
+
+@pytest.mark.parametrize("n", range(11, counting.COUNT_BOUND + 1))
+def test_counts_above_the_scan_bound_match_the_closed_forms(n):
+    stats = counting.scan_stats(n)
+    square = stats["square"]
+    decomposable = sum(v for k, v in stats["components"].items() if k >= 2)
+    assert square == formulas.square_perms(n)
+    assert sum(stats["ctilde_by_fixed"]) == formulas.ctilde(n)
+    assert counting.count_convex(n) == formulas.convex_permutomino(n)
+    assert decomposable == formulas.decomposable_square(n)
+    assert 2 * stats["assoc_first_lt_last"] == square
+    assert stats["both_ways"] == square - 2 * decomposable
 
 
 def pool_spy(monkeypatch) -> list[int]:
@@ -59,18 +73,15 @@ def pool_spy(monkeypatch) -> list[int]:
 def test_worker_partitioning_is_deterministic(monkeypatch):
     monkeypatch.setattr(counting, "POOL_MIN_SIZE", 3)
     opened = pool_spy(monkeypatch)
-    for n in (4, 6):
-        serial = counting.scan_stats(n, workers=1)
-        parallel = counting.scan_stats(n, workers=2)
-        assert serial == parallel
-    assert counting.square_agreement(5, workers=2) == counting.square_agreement(5, workers=1)
+    for n in (4, 5, 6):
+        assert counting.square_agreement(n, workers=2) == counting.square_agreement(n, workers=1)
     assert opened == [2, 2, 2]
 
 
 def test_small_scans_open_no_pool(monkeypatch):
     opened = pool_spy(monkeypatch)
-    assert counting.scan_stats(6, workers=2) == counting.scan_stats(6, workers=1)
-    assert counting.square_agreement(5, workers=2) == counting.square_agreement(5, workers=1)
+    for n in (5, 6):
+        assert counting.square_agreement(n, workers=2) == counting.square_agreement(n, workers=1)
     assert opened == []
 
 

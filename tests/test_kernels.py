@@ -1,4 +1,5 @@
-"""The scan kernels against a fold over S_n with definitions of their own."""
+"""The kernels: the scan against a fold over S_n with definitions of its own,
+and the state-counting kernel against the scan."""
 import pytest
 
 from conftest import all_perms
@@ -51,6 +52,14 @@ def reference_stats(n):
 @pytest.mark.parametrize("n", range(1, 8), ids=lambda n: f"{BACKEND}-{n}")
 def test_scan_matches_library_fold(n):
     assert _kernels.scan_stats(n) == reference_stats(n)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_count_stats_matches_the_generator_fold(n):
+    counted, folded = _kernels.count_stats(n), _kernels.scan_stats(n)
+    assert counted.keys() == folded.keys()
+    for field in folded:
+        assert counted[field] == folded[field], field
 
 
 @pytest.mark.parametrize("n", [6], ids=[BACKEND])
