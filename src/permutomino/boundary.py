@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidMatrix, NotClosed, NotConvex, NotPermutomino, SelfIntersecting
 
@@ -47,7 +47,7 @@ def _trace(word: str) -> list[tuple[int, int]]:
     return points
 
 
-def _corners(points: list[tuple[int, int]], word: str):
+def _corners(points: Sequence[tuple[int, int]], word: str):
     """Corners of a closed path as (point, arrive, depart), in path order."""
     out = []
     for i in range(len(word)):
@@ -56,14 +56,6 @@ def _corners(points: list[tuple[int, int]], word: str):
         if arrive != depart:
             out.append((points[i], arrive, depart))
     return out
-
-
-def _runs(values: Iterable[int]) -> int:
-    """Number of maximal runs of consecutive integers."""
-    ordered = sorted(values)
-    if not ordered:
-        return 0
-    return 1 + sum(1 for a, b in zip(ordered, ordered[1:]) if b != a + 1)
 
 
 def word_from_cells(cells: frozenset[tuple[int, int]]) -> str:
@@ -111,7 +103,7 @@ def word_from_cells(cells: frozenset[tuple[int, int]]) -> str:
     return "".join(letters)
 
 
-def _cells_from_path(points: list[tuple[int, int]]) -> frozenset[tuple[int, int]]:
+def _cells_from_path(points: Sequence[tuple[int, int]]) -> frozenset[tuple[int, int]]:
     """Cells enclosed by a simple closed rectilinear path (parity fill by row)."""
     vertical = defaultdict(set)  # abscissa -> cell rows covered by a vertical edge
     for (x1, y1), (x2, y2) in zip(points, points[1:]):
@@ -170,14 +162,14 @@ class Permutomino:
     def cells(self) -> frozenset[tuple[int, int]]:
         if self.word is None:
             return frozenset()
-        return _cells_from_path(list(self.path))
+        return _cells_from_path(self.path)
 
     @cached_property
     def corners(self) -> tuple[tuple[tuple[int, int], str, str], ...]:
         """(point, arrive-letter, depart-letter) clockwise from the lowest leftmost."""
         if self.word is None:
             return ()
-        return tuple(_corners(list(self.path), self.word))
+        return tuple(_corners(self.path, self.word))
 
     @cached_property
     def vertices(self) -> tuple[tuple[int, int], ...]:
@@ -230,9 +222,14 @@ EMPTY = Permutomino.empty()
 def from_boundary_word(word: str) -> Permutomino:
     """Validate a boundary word and build the permutomino it encodes.
 
-    Raises NotClosed / SelfIntersecting / NotPermutomino for the three failure
-    modes, and ValueError when the word breaks the encoding convention itself
-    (bad alphabet, wrong starting point, counterclockwise orientation).
+    Raises ValueError for a letter outside N/E/S/W, NotClosed, SelfIntersecting,
+    ValueError unless the word starts at its lowest leftmost point heading N,
+    and NotPermutomino for the first abscissa 1..n, then ordinate 1..n, without
+    exactly one maximal side.  The cells are not rebuilt: such a word traces a
+    clockwise simple polygon, whose interior has no hole and walks back to the
+    word itself (NS, which encloses nothing, is NotClosed).  One maximal side
+    starts at each corner and a simple path neither splits nor joins sides, so
+    the sides are counted at the corners.
     """
     if not word:
         raise ValueError("empty boundary word (the size-1 permutomino has none)")
@@ -248,36 +245,28 @@ def from_boundary_word(word: str) -> Permutomino:
             seen.add(pt)
     if word[0] != "N" or min(interior_points, key=lambda p: (p[1], p[0])) != points[0]:
         raise ValueError("word must start at the lowest leftmost point and head N (clockwise)")
-
-    min_x = min(x for x, _ in points)
-    min_y = min(y for _, y in points)
-    points = [(x - min_x + 1, y - min_y + 1) for x, y in points]
-
-    cells = _cells_from_path(points)
-    if not cells:
+    if len(word) < 4:
         raise NotClosed("degenerate path encloses no cells")
-    if word_from_cells(cells) != word:
-        raise ValueError("word is not the clockwise boundary of its own interior")
 
-    vertical = defaultdict(set)
-    horizontal = defaultdict(set)
-    for (x1, y1), (x2, y2) in zip(points, points[1:]):
-        if x1 == x2:
-            vertical[x1].add(min(y1, y2))
-        else:
-            horizontal[y1].add(min(x1, x2))
-    n = max(vertical)
-    for x in range(1, n + 1):
-        count = _runs(vertical.get(x, ()))
-        if count != 1:
-            raise NotPermutomino("x", x, count)
-    m = max(horizontal)
-    for y in range(1, m + 1):
-        count = _runs(horizontal.get(y, ()))
-        if count != 1:
-            raise NotPermutomino("y", y, count)
-    # sides alternate around the loop, so n == m once both axes pass
-    return Permutomino(n, word)
+    # the start is the lowest point, so only the abscissas need shifting
+    shift = 1 - min(x for x, _ in points)
+    points = [(x + shift, y + 1) for x, y in points]
+    vertical = [0] * (1 + max(x for x, _ in points))  # maximal sides per abscissa
+    horizontal = [0] * (1 + max(y for _, y in points))  # and per ordinate
+    for i, (x, y) in enumerate(points[:-1]):
+        if word[i] != word[i - 1]:
+            if word[i] in "NS":
+                vertical[x] += 1
+            else:
+                horizontal[y] += 1
+    for axis, counts in (("x", vertical), ("y", horizontal)):
+        for c in range(1, len(counts)):
+            if counts[c] != 1:
+                raise NotPermutomino(axis, c, counts[c])
+    # sides alternate around the loop, so both axes give the size once they pass
+    result = Permutomino(len(vertical) - 1, word)
+    result.__dict__["path"] = tuple(points)  # seed the cached property
+    return result
 
 
 def vertex_permutations(p: Permutomino) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -312,16 +301,18 @@ def classify(p: Permutomino) -> dict[str, bool]:
     row_convex = all(max(v) - min(v) + 1 == len(v) for v in rows.values())
     convex = column_convex and row_convex
 
-    root = min(cells, key=lambda c: (c[1], c[0]))
-    seen = {root}
-    frontier = [root]
-    while frontier:
-        x, y = frontier.pop()
-        for nxt in ((x + 1, y), (x, y + 1)):
-            if nxt in cells and nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    directed = convex and len(seen) == len(cells)
+    directed = False
+    if convex:
+        root = min(cells, key=lambda c: (c[1], c[0]))
+        seen = {root}
+        frontier = [root]
+        while frontier:
+            x, y = frontier.pop()
+            for nxt in ((x + 1, y), (x, y + 1)):
+                if nxt in cells and nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        directed = len(seen) == len(cells)
 
     parallelogram = False
     if directed:

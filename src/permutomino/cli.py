@@ -5,10 +5,12 @@ given as one argument of whitespace- or comma-separated 1-based integers (no
 brackets).  Exit codes: 0 ok; 1 only for a failed `verify` identity; 2 usage
 error (a malformed permutation, a size below 1, a `--max-size` below 2, a
 `--cell-px` below 1, a `--workers` below 1, an `--out` path that cannot be
-written, or any other bad argument); 3 not realizable; 4 size too large,
-reported before anything is printed; 5 outside the bijection's domain.
-An `--out` path whose directory does not exist is rejected before anything is
-printed or written.
+written, or any other bad argument) and output that cannot be written,
+including a standard output closed by its reader; 3 not realizable; 4 size
+too large, reported before anything is printed (a fiber with more than
+`membership.FREE_FIXED_BOUND` free fixed points among them); 5 outside the
+bijection's domain.  An `--out` path whose directory does not exist is
+rejected before anything is printed or written.
 Counts are computed without a scan, up to size `counting.COUNT_BOUND`;
 permutation listings stop at `counting.SCAN_BOUND`.  `--workers` is still
 accepted but no count depends on it.
@@ -318,12 +320,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed standard output fails here, not at exit
+        return code
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except OutputError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError as exc:
+        # the reader closed standard output: send what is still buffered to
+        # devnull, so that the interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"cannot write output: standard output: {exc.strerror}", file=sys.stderr)
         return 2
     except NotAssociated as exc:
         print(f"not realizable: {exc}", file=sys.stderr)

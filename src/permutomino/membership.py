@@ -22,7 +22,11 @@ from .boundary import (
     permutomino_from_matrix,
     reentrant_matrix,
 )
-from .errors import NotAssociated
+from .errors import NotAssociated, SizeTooLarge
+
+# a fiber has 2^|F(p)| shapes; `build --all` at the bound (4096 shapes) takes
+# ~4 s and ~210 MB on a 2-vCPU VM, and each free fixed point more doubles both
+FREE_FIXED_BOUND = 12
 
 OK = "ok"
 NOT_UNIMODAL = "lower-envelope-not-unimodal"
@@ -168,13 +172,18 @@ def fiber(p: Sequence[int]) -> set[Permutomino]:
     """All convex permutominoes whose odd-vertex permutation is p.
 
     Exactly 2^|F(p)| of them: the canonical matrix with each subset of the free
-    fixed points retyped from alpha to gamma, rebuilt from the matrix.
+    fixed points retyped from alpha to gamma, rebuilt from the matrix.  Raises
+    NotAssociated when p is not realizable, and SizeTooLarge, before any shape
+    is built, when |F(p)| is above FREE_FIXED_BOUND.
     """
     p = perms.as_perm(p)
     if len(p) == 1:
         return {EMPTY}
-    canonical = canonical_permutomino(p)
     free = free_fixed_values(p)
+    if len(free) > FREE_FIXED_BOUND and is_associated(p):
+        raise SizeTooLarge(f"a fiber has 2^{len(free)} shapes; fibers are bounded at "
+                           f"{FREE_FIXED_BOUND} free fixed points")
+    canonical = canonical_permutomino(p)
     if not free:
         return {canonical}
     base = reentrant_matrix(canonical)

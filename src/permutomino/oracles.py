@@ -9,8 +9,9 @@ vertical side per abscissa, and a stack is cut as soon as a column's bottom or
 top edge would start a second horizontal side at an ordinate.  Each stack
 that survives is serialized once, straight from its intervals, and still goes
 through the full permutomino validator (`boundary.from_boundary_word`, which
-rebuilds the cells and checks the word against them); a rejection there is
-an error, not a skipped candidate.  So counts coming out of here share no
+checks that the word is closed, simple and clockwise from its lowest leftmost
+point, and counts its sides per coordinate); a rejection there is an error,
+not a skipped candidate.  So counts coming out of here share no
 code path with the permutation-side machinery.
 
 These enumerators are exhaustive over the box and bounded (default size 6).

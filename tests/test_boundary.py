@@ -6,12 +6,14 @@ from hypothesis import strategies as st
 
 from permutomino import boundary, oracles, perms
 from permutomino.boundary import (
-    ALPHA, BETA, DELTA, GAMMA, EMPTY, LabeledMatrix,
+    ALPHA, BETA, DELTA, GAMMA, EMPTY, LabeledMatrix, Permutomino,
     boundary_points, from_boundary_word, permutomino_from_matrix,
     reentrant_matrix, reflect_x, reflect_y, transpose, validate_matrix,
     vertex_permutations, word_from_cells,
 )
-from permutomino.errors import InvalidMatrix, NotClosed, NotConvex, NotPermutomino, SelfIntersecting
+from permutomino.errors import (
+    InvalidMatrix, NotClosed, NotConvex, NotPermutomino, PermutominoError, SelfIntersecting,
+)
 
 
 def test_single_cell():
@@ -49,6 +51,98 @@ def test_bad_words():
         from_boundary_word("NXSW")
     exc = pytest.raises(NotPermutomino, from_boundary_word, "NNEESSWW").value
     assert (exc.axis, exc.coordinate, exc.count) == ("x", 2, 0)
+
+
+def closed_words(max_len):
+    """Every closed self-avoiding word of length <= max_len that starts N at its
+    lowest leftmost point (the origin), degenerate NS included."""
+    words = []
+    letters = ["N"]
+    visited = {(0, 0), (0, 1)}
+
+    def walk(x, y):
+        left = max_len - len(letters)
+        for letter, (dx, dy) in boundary._STEP.items():
+            nx, ny = x + dx, y + dy
+            if (nx, ny) == (0, 0):
+                words.append("".join(letters) + letter)
+            elif (ny > 0 or (ny == 0 and nx > 0)) and (nx, ny) not in visited \
+                    and abs(nx) + abs(ny) < left:
+                visited.add((nx, ny))
+                letters.append(letter)
+                walk(nx, ny)
+                letters.pop()
+                visited.discard((nx, ny))
+
+    walk(0, 1)
+    return words
+
+
+def _runs(values):
+    """Number of maximal runs of consecutive integers."""
+    ordered = sorted(values)
+    if not ordered:
+        return 0
+    return 1 + sum(1 for a, b in zip(ordered, ordered[1:]) if b != a + 1)
+
+
+def reference_size(word):
+    """Size of the permutomino a word encodes, by the validator that fills the
+    cells, checks the word against them and counts sides as runs of edges."""
+    points = boundary._trace(word)
+    if points[-1] != points[0]:
+        raise NotClosed(f"path ends at {points[-1]}, not back at the start")
+    interior_points = points[:-1]
+    if len(set(interior_points)) != len(interior_points):
+        seen = set()
+        for pt in interior_points:
+            if pt in seen:
+                raise SelfIntersecting(f"boundary revisits {pt}")
+            seen.add(pt)
+    if word[0] != "N" or min(interior_points, key=lambda p: (p[1], p[0])) != points[0]:
+        raise ValueError("word must start at the lowest leftmost point and head N (clockwise)")
+    min_x = min(x for x, _ in points)
+    min_y = min(y for _, y in points)
+    points = [(x - min_x + 1, y - min_y + 1) for x, y in points]
+    cells = boundary._cells_from_path(points)
+    if not cells:
+        raise NotClosed("degenerate path encloses no cells")
+    if word_from_cells(cells) != word:
+        raise ValueError("word is not the clockwise boundary of its own interior")
+    vertical, horizontal = {}, {}
+    for (x1, y1), (x2, y2) in zip(points, points[1:]):
+        if x1 == x2:
+            vertical.setdefault(x1, set()).add(min(y1, y2))
+        else:
+            horizontal.setdefault(y1, set()).add(min(x1, x2))
+    for axis, edges in (("x", vertical), ("y", horizontal)):
+        for c in range(1, max(edges) + 1):
+            count = _runs(edges.get(c, ()))
+            if count != 1:
+                raise NotPermutomino(axis, c, count)
+    return max(vertical)
+
+
+def test_validator_matches_the_cell_round_trip_on_every_short_word():
+    """Every simple polygon of perimeter <= 18: the same error or the same size
+    as the cell-filling reference, and every accepted word is the boundary
+    walk of its own cells, with the seeded path equal to a fresh trace."""
+    words = closed_words(18)
+    accepted = 0
+    for word in words:
+        try:
+            want = reference_size(word)
+        except (ValueError, PermutominoError) as exc:
+            with pytest.raises(type(exc)) as got:
+                from_boundary_word(word)
+            assert type(got.value) is type(exc) and str(got.value) == str(exc)
+            continue
+        p = from_boundary_word(word)
+        assert p.size == want
+        assert "path" in vars(p) and p.path == Permutomino(p.size, word).path
+        assert word_from_cells(p.cells) == word
+        accepted += 1
+    assert len(words) == 18957 and accepted == 203
 
 
 def test_word_round_trip_on_oracle_listings():

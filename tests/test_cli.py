@@ -1,4 +1,9 @@
+import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -197,12 +202,16 @@ def test_usage_errors_exit_2_with_one_line(capsys, monkeypatch, env, argv, messa
     assert len(out.err.splitlines()) == 1 and message in out.err
 
 
+IDENTITY_20 = " ".join(map(str, range(1, 21)))  # 18 free fixed points
+
 TOO_LARGE = [
     ("enumerate", "convex", "9", "--list"),
     ("enumerate", "symmetric", "7", "--list"),
     ("enumerate", "square", "11", "--list"),
     ("enumerate", "decomposable", "11", "--list"),
     ("enumerate", "ctilde", "12", "--list"),
+    ("build", IDENTITY_20, "--all"),
+    ("decompose", " ".join(map(str, range(2, 17))) + " 1"),  # component 1..15: 13 free
 ]
 
 
@@ -227,6 +236,34 @@ def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys):
     code, out, err = run(capsys, "build", "2 1 3", "--out", str(tmp_path))
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and "cannot write output" in err
+
+
+def test_fiber_bound_leaves_classify_and_single_build(capsys):
+    code, out, _ = run(capsys, "classify", IDENTITY_20)
+    assert code == 0 and "fiber size: 262144" in out
+    code, out, _ = run(capsys, "build", IDENTITY_20)
+    assert code == 0 and len(out.splitlines()) == 19
+
+
+def test_closed_stdout_exits_2_with_one_line():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    perm = " ".join(map(str, range(1, 13)))  # 10 free fixed points: ~3 MB of JSON
+    with subprocess.Popen(
+        [sys.executable, "-m", "permutomino.cli", "build", perm, "--all", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        try:
+            assert proc.stdout.read(16)
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=120)
+        finally:
+            proc.kill()
+    assert code == 2
+    assert len(err.splitlines()) == 1 and "cannot write output" in err
+    assert "Traceback" not in err
 
 
 CENSUS = {
@@ -279,6 +316,25 @@ def test_census_output_is_pinned(capsys, argv):
     code, out, err = run(capsys, "enumerate", *argv, "--workers", "2")
     assert code == 0 and err == ""
     assert out == CENSUS[argv]
+
+
+# sha256 of the full stdout, recorded while validation still rebuilt every
+# shape's cells, so validation, corners and rendering stay byte-identical
+SHAPE_DIGESTS = {
+    ("build", "2 1 3 4 5 6 7 8 10 9", "--all", "--format", "json"):
+        "4e4490135fc50eecc8242044d1dd5d5459d0b9daea03cdbe6ffb7913ea8cd4ce",
+    ("build", "2 1 3 4 5 6 7 8 10 9", "--all", "--format", "svg"):
+        "219aaafedd041918e97a46a7818d864b3826007cc1414c6abfb605dd0879f37c",
+    ("enumerate", "convex", "6", "--list"):
+        "2d474f0cef1364fb2074591ffd12fe4c342ec0b90184b4a73b5b3193a20928c8",
+}
+
+
+@pytest.mark.parametrize("argv", SHAPE_DIGESTS, ids=("build-json", "build-svg", "enumerate-list"))
+def test_shape_output_is_pinned(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == SHAPE_DIGESTS[argv]
 
 
 def test_verify_text_and_json(capsys):

@@ -3,7 +3,7 @@ import pytest
 from conftest import all_perms
 from permutomino import membership, oracles, perms
 from permutomino.boundary import ALPHA, DELTA, EMPTY, LabeledMatrix, reentrant_matrix
-from permutomino.errors import NotAssociated
+from permutomino.errors import NotAssociated, SizeTooLarge
 from permutomino.membership import (
     canonical_permutomino,
     fiber,
@@ -84,6 +84,21 @@ def test_fiber_examples():
     assert len(fiber((2, 1, 3, 4, 7, 6, 5))) == 4
     assert fiber((1,)) == {EMPTY}
     assert len(fiber((1, 2))) == 1
+
+
+def test_fiber_bound_is_checked_before_any_shape_is_built(monkeypatch):
+    class Built(Exception):
+        pass
+
+    def refuse(p):
+        raise Built
+
+    monkeypatch.setattr(membership, "canonical_permutomino", refuse)
+    at_bound = tuple(range(1, membership.FREE_FIXED_BOUND + 3))  # free: 2..n-1
+    with pytest.raises(Built):
+        fiber(at_bound)
+    with pytest.raises(SizeTooLarge):
+        fiber(at_bound + (len(at_bound) + 1,))
 
 
 def test_fiber_law_and_membership():
