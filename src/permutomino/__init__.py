@@ -5,7 +5,7 @@ a convex permutomino, constructs the full fiber of permutominoes over such a
 permutation, converts between permutominoes and their labeled reentrant-corner
 matrices, realizes the bijection between decomposable square permutations and
 sequences of directed-convex/parallelogram permutominoes, and cross-verifies
-every closed-form count against brute-force enumeration.
+every closed-form count against exhaustive enumeration.
 """
 from .boundary import (
     EMPTY,

@@ -8,8 +8,8 @@ further characterization of square permutations; the independent checks stay
 the closed forms, the envelope-vs-pattern agreement and the interval oracle.
 
 scan_stats is the reference count_stats is tested against: it folds the same
-statistics over the square permutations the generator yields (optionally only
-those with a fixed first value); no non-square permutation is visited.
+statistics over the square permutations the generator yields; no non-square
+permutation is visited.
 square_agreement walks all of S_n, because it has to see the non-squares.
 
 The kernels define no predicate of their own: split points, indecomposability,
@@ -35,18 +35,8 @@ from .perms import (
 BACKEND = "python"
 
 
-def _perm_stream(n: int, first: int | None):
-    if first is None:
-        yield from permutations(range(1, n + 1))
-    else:
-        rest = [v for v in range(1, n + 1) if v != first]
-        for tail in permutations(rest):
-            yield (first,) + tail
-
-
-def scan_stats(n: int, first: int | None = None) -> dict:
-    """One pass over the square permutations of size n (or those with a fixed
-    first value), accumulating:
+def scan_stats(n: int) -> dict:
+    """One pass over the square permutations of size n, accumulating:
 
     - square: number of square permutations
     - components: {k: number of square permutations with k indecomposable parts}
@@ -61,7 +51,7 @@ def scan_stats(n: int, first: int | None = None) -> dict:
     by_fixed = [0] * max(n - 1, 1)
     both_ways = 0
     first_lt_last = 0
-    for p in square_permutations(n, first):
+    for p in square_permutations(n):
         square += 1
         comps = len(split_points(p)) + 1
         components[comps] = components.get(comps, 0) + 1
@@ -151,8 +141,8 @@ def count_stats(n: int) -> dict:
     }
 
 
-def square_agreement(n: int, first: int | None = None) -> dict:
-    """Compare the envelope route and the pattern route over a whole block.
+def square_agreement(n: int) -> dict:
+    """Compare the envelope route and the pattern route over all of S_n.
 
     Returns counts from both routes plus the number of disagreements (zero if
     the two characterizations really coincide).
@@ -160,7 +150,7 @@ def square_agreement(n: int, first: int | None = None) -> dict:
     by_envelope = 0
     by_patterns = 0
     disagree = 0
-    for p in _perm_stream(n, first):
+    for p in permutations(range(1, n + 1)):
         a = is_square(p)
         b = is_square_by_patterns(p)
         by_envelope += a

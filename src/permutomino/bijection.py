@@ -10,8 +10,10 @@ non-final part gives the reversal of its even-vertex permutation (the
 odd-vertex permutation of its mirror image across the vertical axis), and the
 final part gives the complement (mirror across the horizontal axis).  The
 components are then stacked with the direct difference.  Backward, each
-component's fiber is reflected and the unique part of the right class picked
-out.
+component is realized by the one shape of its fiber whose reflection has the
+right class: the canonical shape (every free fixed point typed alpha) for a
+first or middle part, and the shape with every free fixed point typed gamma
+for the last part.  No other shape of the fiber is built.
 """
 from __future__ import annotations
 
@@ -20,9 +22,17 @@ from functools import reduce
 from typing import Sequence
 
 from . import perms
-from .boundary import EMPTY, Permutomino, reflect_x, reflect_y
+from .boundary import (
+    EMPTY,
+    GAMMA,
+    Permutomino,
+    permutomino_from_matrix,
+    reentrant_matrix,
+    reflect_x,
+    reflect_y,
+)
 from .errors import Indecomposable, InvalidSequence, NotSquare
-from .membership import fiber
+from .membership import canonical_permutomino, free_fixed_values
 
 
 @dataclass(frozen=True)
@@ -79,15 +89,19 @@ def sequence_to_permutation(seq: PermutominoSequence | Sequence[Permutomino]) ->
 def _unique_part(component: tuple[int, ...], last: bool, middle: bool) -> Permutomino:
     if component == (1,):
         return EMPTY
-    reflect = reflect_x if last else reflect_y
+    shape = canonical_permutomino(component)
+    if last:
+        free = free_fixed_values(component)
+        if free:
+            retyped = reentrant_matrix(shape).retyped({(f, f): GAMMA for f in free})
+            shape = permutomino_from_matrix(retyped, len(component))
+        part = reflect_x(shape)
+    else:
+        part = reflect_y(shape)
     wanted = "parallelogram" if middle else "directed"
-    candidates = [q for q in (reflect(p) for p in fiber(component)) if q.flags[wanted]]
-    if len(candidates) != 1:
-        raise AssertionError(
-            f"expected exactly one {wanted} permutomino for component {component}, "
-            f"got {len(candidates)}"
-        )
-    return candidates[0]
+    if not part.flags[wanted]:
+        raise AssertionError(f"no {wanted} permutomino for component {component}")
+    return part
 
 
 def permutation_to_sequence(p: Sequence[int]) -> PermutominoSequence:

@@ -12,8 +12,10 @@ too large, reported before anything is printed (a fiber with more than
 bijection's domain.  An `--out` path whose directory does not exist is
 rejected before anything is printed or written.
 Counts are computed without a scan, up to size `counting.COUNT_BOUND`;
-permutation listings stop at `counting.SCAN_BOUND`.  `--workers` is still
-accepted but no count depends on it.
+permutation listings stop at `counting.SCAN_BOUND`.  `--workers` is ignored; it
+is still accepted only so that existing command lines keep working.
+`counting` is imported by `enumerate` and `verify` by `verify`, so the other
+subcommands do not load them.
 """
 from __future__ import annotations
 
@@ -23,7 +25,6 @@ import os
 import sys
 from dataclasses import dataclass
 
-from . import counting, verify
 from .bijection import permutation_to_sequence, sequence_to_permutation
 from .boundary import Permutomino
 from .errors import (
@@ -170,6 +171,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from . import counting
+
     n = args.size
     name = args.klass
     if name in GEO_CLASSES and name != "convex":
@@ -225,6 +228,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     report = verify.verify_identities(args.max_size, strict_paper=args.strict_paper)
     if args.json:
         print(json.dumps(report.as_dict(), indent=2))
@@ -292,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--method", choices=("fibers", "intervals"), default="fibers",
                    help="convex class only: counting method")
     e.add_argument("--workers", type=int_at_least(1), default=1,
-                   help="accepted for older command lines; no count depends on it")
+                   help="ignored; accepted only so that existing command lines keep working")
     e.set_defaults(fn=cmd_enumerate)
 
     v = sub.add_parser("verify", help="check every counting identity up to a size")
@@ -302,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "source material and report known discrepancies")
     v.add_argument("--json", action="store_true")
     v.add_argument("--workers", type=int_at_least(1), default=1,
-                   help="accepted for older command lines; no count depends on it")
+                   help="ignored; accepted only so that existing command lines keep working")
     v.set_defaults(fn=cmd_verify)
 
     d = sub.add_parser("decompose", help="split a square permutation into its "

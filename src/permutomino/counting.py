@@ -2,22 +2,17 @@
 
 Every permutation count reads _kernels.count_stats, which counts over the
 square generator's states, so counts go up to COUNT_BOUND without visiting a
-permutation.  The square agreement scan walks all of S_n, split into blocks
-by first value; the blocks run in this process by default, and with
-workers > 1 through a process pool, but only from size POOL_MIN_SIZE up: a
-smaller scan takes milliseconds, less than starting the pool.  The block
-tallies are summed, so the result is the same for any worker count.
+permutation.  The square agreement check walks all of S_n in this process.
 Permutation listings filter the square generator, since every listed
 permutation class is a subset of the square permutations.  Geometric listings
 come from the interval oracle: column-convex from its own enumerator, every
 other class from the convex listing filtered by the class flag that
-CLASS_FLAGS names.
+CLASS_FLAGS names.  The oracle is imported by the two functions that call it,
+so a count does not load it.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
-from . import _kernels, oracles
+from . import _kernels
 from .boundary import Permutomino
 from .errors import SizeTooLarge
 from .membership import fiber, is_associated, is_associated_pi2
@@ -25,7 +20,6 @@ from .perms import is_indecomposable, square_permutations
 
 COUNT_BOUND = 30  # _kernels.count_stats(30) takes 0.2-0.4 s, (40) 1.3-1.6 s
 SCAN_BOUND = 10  # square_agreement walks S_10's ~3.6M permutations; listings stop here too
-POOL_MIN_SIZE = 8  # smaller scans run in process whatever the worker count
 FIBER_BOUND = 7  # convex_via_fibers materializes 1836 shapes at size 7
 
 # CLI class name -> boundary.classify flag that picks it out of the convex listing
@@ -35,11 +29,6 @@ CLASS_FLAGS = {
     "parallelogram": "parallelogram",
     "symmetric": "symmetric_xy",
 }
-
-
-def _agreement_block(args):
-    n, first = args
-    return _kernels.square_agreement(n, first)
 
 
 def scan_stats(n: int, workers: int = 1) -> dict:
@@ -55,18 +44,11 @@ def scan_stats(n: int, workers: int = 1) -> dict:
     return _kernels.count_stats(n)
 
 
-def square_agreement(n: int, workers: int = 1) -> dict:
+def square_agreement(n: int) -> dict:
     """Envelope route vs pattern route over all of S_n."""
     if n > SCAN_BOUND:
         raise SizeTooLarge(f"scans are bounded at size {SCAN_BOUND}, got {n}")
-    blocks = [(n, first) for first in range(1, n + 1)]
-    if workers <= 1 or n < POOL_MIN_SIZE:
-        tallies = [_agreement_block(block) for block in blocks]
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
-            tallies = list(pool.map(_agreement_block, blocks))
-    return {key: sum(t[key] for t in tallies)
-            for key in ("by_envelope", "by_patterns", "disagreements")}
+    return _kernels.square_agreement(n)
 
 
 def count_ctilde(n: int) -> dict:
@@ -97,6 +79,8 @@ def count_convex(n: int, method: str = "fibers") -> int:
     if method == "fibers":
         return fiber_sum(count_ctilde(n)["by_free_fixed_points"])
     if method == "intervals":
+        from . import oracles
+
         return len(oracles.enumerate_convex(n))
     raise ValueError(f"unknown method {method!r}")
 
@@ -125,6 +109,8 @@ def convex_via_fibers(n: int) -> list[Permutomino]:
 
 def listing(class_name: str, n: int) -> list[Permutomino]:
     """Stable listing of a permutomino class (geometry-backed classes only)."""
+    from . import oracles
+
     if class_name == "column-convex":
         return oracles.enumerate_column_convex(n)
     flag = CLASS_FLAGS.get(class_name)

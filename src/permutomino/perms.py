@@ -2,7 +2,7 @@
 
 A permutation of size n is a plain tuple whose entries are exactly 1..n;
 ``p[i-1]`` is the value at position i.  Everything here is pure and works on
-immutable values, so results can be shared freely between workers.
+immutable values, so results can be shared freely.
 
 The central object is the envelope decomposition: the *upper envelope* of p is
 its maximal upper-unimodal sublist (the left-right maxima followed by the

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import json
 import re
-from xml.sax.saxutils import escape
 
 from .boundary import EMPTY, Permutomino, from_boundary_word
 
-_GLYPH = {"alpha": "α", "beta": "β", "gamma": "γ", "delta": "δ"}
+_GLYPH = {"alpha": "α", "beta": "β", "gamma": "γ", "delta": "δ"}  # none needs XML escaping
 
 
 def to_jsonable(p: Permutomino) -> dict:
@@ -125,7 +124,7 @@ def svg_document(p: Permutomino, cell_px: int = 24) -> str:
             )
             parts.append(
                 f'<text x="{sx(x) + r + 2}" y="{sy(y) - r}" font-size="{cell_px // 2}">'
-                f"{escape(_GLYPH[label])}</text>"
+                f"{_GLYPH[label]}</text>"
             )
     parts.append("</svg>")
     return "\n".join(parts)

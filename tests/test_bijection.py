@@ -6,13 +6,15 @@ from conftest import all_perms
 from permutomino import counting, oracles, perms
 from permutomino.bijection import (
     PermutominoSequence,
+    _unique_part,
     component_of,
     permutation_to_sequence,
     sequence_to_permutation,
     validate_sequence,
 )
-from permutomino.boundary import EMPTY
+from permutomino.boundary import EMPTY, reflect_x, reflect_y
 from permutomino.errors import Indecomposable, InvalidSequence, NotSquare
+from permutomino.membership import fiber
 
 BIG = (16, 15, 18, 19, 17, 14, 12, 13, 9, 7, 11, 10, 8, 3, 1, 6, 5, 2, 4)
 
@@ -116,3 +118,26 @@ def test_components_are_square_with_unimodal_envelopes(n):
             env = perms.envelopes(part)
             assert perms.is_upper_unimodal(env.upper.values)
             assert perms.is_lower_unimodal(env.lower.values)
+
+
+def _part_by_fiber_scan(component, last, middle):
+    """The unique part of a component, picked out of its whole reflected fiber."""
+    reflect = reflect_x if last else reflect_y
+    wanted = "parallelogram" if middle else "directed"
+    candidates = [q for q in map(reflect, fiber(component)) if q.flags[wanted]]
+    assert len(candidates) == 1, (component, wanted, len(candidates))
+    return candidates[0]
+
+
+def test_unique_part_matches_the_fiber_scan():
+    roles = set()
+    for n in range(2, 10):
+        for p in perms.square_permutations(n):
+            components = perms.decompose(p)
+            k = len(components)
+            for i, comp in enumerate(components):
+                if k > 1 and len(comp) > 1:  # a size-1 component is the empty part
+                    roles.add((comp, i == k - 1, 0 < i < k - 1))
+    assert len(roles) == 4902
+    for comp, last, middle in roles:
+        assert _unique_part(comp, last, middle) == _part_by_fiber_scan(comp, last, middle)

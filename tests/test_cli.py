@@ -211,7 +211,6 @@ TOO_LARGE = [
     ("enumerate", "decomposable", "11", "--list"),
     ("enumerate", "ctilde", "12", "--list"),
     ("build", IDENTITY_20, "--all"),
-    ("decompose", " ".join(map(str, range(2, 17))) + " 1"),  # component 1..15: 13 free
 ]
 
 
@@ -245,14 +244,24 @@ def test_fiber_bound_leaves_classify_and_single_build(capsys):
     assert code == 0 and len(out.splitlines()) == 19
 
 
-def test_closed_stdout_exits_2_with_one_line():
+def test_decompose_beyond_the_fiber_bound(capsys):
+    # component 1..15 has 13 free fixed points, but decompose builds one shape of it
+    code, out, _ = run(capsys, "decompose", " ".join(map(str, range(2, 17))) + " 1")
+    assert code == 0 and "components: 2" in out
+
+
+def subprocess_env() -> dict[str, str]:
+    """The environment, with this checkout's src first on PYTHONPATH."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+
+def test_closed_stdout_exits_2_with_one_line():
     perm = " ".join(map(str, range(1, 13)))  # 10 free fixed points: ~3 MB of JSON
     with subprocess.Popen(
         [sys.executable, "-m", "permutomino.cli", "build", perm, "--all", "--format", "json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=subprocess_env(),
     ) as proc:
         try:
             assert proc.stdout.read(16)
@@ -264,6 +273,28 @@ def test_closed_stdout_exits_2_with_one_line():
     assert code == 2
     assert len(err.splitlines()) == 1 and "cannot write output" in err
     assert "Traceback" not in err
+
+
+def modules_after(code: str) -> set[str]:
+    """The names in sys.modules after a fresh interpreter runs code."""
+    script = f"{code}\nimport sys\nprint('modules:', *sys.modules)"
+    out = subprocess.run([sys.executable, "-c", script], env=subprocess_env(),
+                         capture_output=True, text=True, check=True).stdout
+    return set(out.rpartition("modules:")[2].split())
+
+
+NOT_AT_IMPORT = (
+    "concurrent.futures", "multiprocessing", "xml.sax", "urllib.request", "http.client",
+    "email", "permutomino.counting", "permutomino.verify", "permutomino.formulas",
+    "permutomino.oracles", "permutomino._kernels",
+)
+
+
+def test_each_job_imports_only_what_it_runs():
+    assert modules_after("import permutomino.cli").isdisjoint(NOT_AT_IMPORT)
+    loaded = modules_after('from permutomino.cli import main\nmain(["enumerate", "square", "5"])')
+    assert "permutomino.counting" in loaded
+    assert loaded.isdisjoint({"permutomino.verify", "permutomino.formulas"})
 
 
 CENSUS = {

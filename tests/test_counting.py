@@ -57,34 +57,6 @@ def test_counts_above_the_scan_bound_match_the_closed_forms(n):
     assert stats["both_ways"] == square - 2 * decomposable
 
 
-def pool_spy(monkeypatch) -> list[int]:
-    """Record the max_workers of every process pool counting opens."""
-    opened = []
-    real = counting.ProcessPoolExecutor
-
-    def spy(max_workers):
-        opened.append(max_workers)
-        return real(max_workers=max_workers)
-
-    monkeypatch.setattr(counting, "ProcessPoolExecutor", spy)
-    return opened
-
-
-def test_worker_partitioning_is_deterministic(monkeypatch):
-    monkeypatch.setattr(counting, "POOL_MIN_SIZE", 3)
-    opened = pool_spy(monkeypatch)
-    for n in (4, 5, 6):
-        assert counting.square_agreement(n, workers=2) == counting.square_agreement(n, workers=1)
-    assert opened == [2, 2, 2]
-
-
-def test_small_scans_open_no_pool(monkeypatch):
-    opened = pool_spy(monkeypatch)
-    for n in (5, 6):
-        assert counting.square_agreement(n, workers=2) == counting.square_agreement(n, workers=1)
-    assert opened == []
-
-
 def test_fiber_listing_matches_oracle():
     for n in range(1, 7):
         assert counting.convex_via_fibers(n) == oracles.enumerate_convex(n)

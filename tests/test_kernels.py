@@ -62,19 +62,6 @@ def test_count_stats_matches_the_generator_fold(n):
         assert counted[field] == folded[field], field
 
 
-@pytest.mark.parametrize("n", [6], ids=[BACKEND])
-def test_prefix_blocks_partition_the_scan(n):
-    whole = _kernels.scan_stats(n)
-    blocks = [_kernels.scan_stats(n, first) for first in range(1, n + 1)]
-    assert sum(b["square"] for b in blocks) == whole["square"]
-    assert sum(b["both_ways"] for b in blocks) == whole["both_ways"]
-    merged = [0] * (n - 1)
-    for b in blocks:
-        for i, v in enumerate(b["ctilde_by_fixed"]):
-            merged[i] += v
-    assert merged == list(whole["ctilde_by_fixed"])
-
-
 def test_agreement_counts_are_square_counts():
     for n, q in [(1, 1), (2, 2), (3, 6), (4, 24), (5, 104), (6, 464)]:
         out = _kernels.square_agreement(n)
