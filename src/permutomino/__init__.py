@@ -11,7 +11,6 @@ from .boundary import (
     EMPTY,
     LabeledMatrix,
     Permutomino,
-    boundary_points,
     classify,
     from_boundary_word,
     permutomino_from_matrix,
@@ -19,7 +18,6 @@ from .boundary import (
     reflect_x,
     reflect_y,
     transpose,
-    vertex_permutations,
 )
 from .bijection import (
     PermutominoSequence,
@@ -60,12 +58,12 @@ __version__ = "0.1.0"
 __all__ = [
     "EMPTY", "LabeledMatrix", "Permutomino", "PermutominoSequence",
     "FreeFixedPoints", "MembershipVerdict", "Envelopes", "Subsequence",
-    "as_perm", "boundary_points", "canonical_permutomino", "classify",
+    "as_perm", "canonical_permutomino", "classify",
     "complement", "contains_pattern", "decompose", "direct_difference",
     "envelopes", "extrema", "fiber", "free_fixed_points", "from_boundary_word",
     "is_associated", "is_associated_pi2", "is_lower_unimodal", "is_square",
     "is_square_by_patterns", "is_upper_unimodal", "membership_verdict",
     "permutation_to_sequence", "permutomino_from_matrix", "reentrant_matrix",
     "reflect_x", "reflect_y", "reversal", "sequence_to_permutation",
-    "split_points", "square_permutations", "transpose", "vertex_permutations",
+    "split_points", "square_permutations", "transpose",
 ]

@@ -13,6 +13,10 @@ typed by their two-letter factor: EN -> alpha, SE -> beta, WS -> gamma,
 NW -> delta; the reentrant corners of a convex permutomino of size n form a
 permutation matrix on {2..n-1} in these four symbols.
 
+The boundary path is the only shape representation reasoned with here: the
+class flags are read off its edges and points, and a reflection maps the word
+letter by letter.  The cell set is built only to draw a shape.
+
 The size-1 permutomino is the empty one: no boundary, pi1 = pi2 = (1) by
 convention.
 """
@@ -21,7 +25,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import InvalidMatrix, NotClosed, NotConvex, NotPermutomino, SelfIntersecting
 
@@ -32,6 +36,11 @@ _STEP = {"N": (0, 1), "E": (1, 0), "S": (0, -1), "W": (-1, 0)}
 # two-letter boundary factors (arrive, depart) at a corner
 _SALIENT_FACTORS = {("N", "E"), ("E", "S"), ("S", "W"), ("W", "N")}
 _REENTRANT_LABEL = {("E", "N"): ALPHA, ("S", "E"): BETA, ("W", "S"): GAMMA, ("N", "W"): DELTA}
+# letter maps of the reflections, applied to the reversed word: a reflection
+# turns a clockwise walk counterclockwise, so the walk is also run backwards
+_MIRROR_Y = str.maketrans("NS", "SN")
+_MIRROR_X = str.maketrans("EW", "WE")
+_TRANSPOSE = str.maketrans("NESW", "WSEN")
 
 
 def _trace(word: str) -> list[tuple[int, int]]:
@@ -45,6 +54,17 @@ def _trace(word: str) -> list[tuple[int, int]]:
         x, y = x + dx, y + dy
         points.append((x, y))
     return points
+
+
+def _start_at_lowest_leftmost(word: str) -> str:
+    """The rotation of a closed word that starts at its lowest leftmost point."""
+    points = _trace(word)
+    start = min(range(len(word)), key=lambda i: (points[i][1], points[i][0]))
+    return word[start:] + word[:start]
+
+
+def _reflected_word(word: str, letters: dict[int, int]) -> str:
+    return _start_at_lowest_leftmost(word[::-1].translate(letters))
 
 
 def _corners(points: Sequence[tuple[int, int]], word: str):
@@ -127,8 +147,9 @@ class Permutomino:
     """A validated permutomino, identified by its size and boundary word.
 
     ``word`` is None only for the size-1 empty permutomino.  Build instances
-    through :func:`from_boundary_word`, :meth:`from_cells` or :meth:`empty`;
-    derived data (cells, corners, pi1/pi2, class flags) is computed lazily.
+    through :func:`from_boundary_word` or :meth:`empty`; derived data (path,
+    corners, pi1/pi2, class flags) is computed lazily, and so are the cells,
+    which only rendering reads.
     """
 
     size: int
@@ -137,16 +158,6 @@ class Permutomino:
     @staticmethod
     def empty() -> "Permutomino":
         return Permutomino(1, None)
-
-    @staticmethod
-    def from_cells(cells: Iterable[tuple[int, int]]) -> "Permutomino":
-        frozen = frozenset(cells)
-        if not frozen:
-            return Permutomino.empty()
-        min_x = min(x for x, _ in frozen)
-        min_y = min(y for _, y in frozen)
-        frozen = frozenset((x - min_x + 1, y - min_y + 1) for x, y in frozen)
-        return from_boundary_word(word_from_cells(frozen))
 
     @cached_property
     def path(self) -> tuple[tuple[int, int], ...]:
@@ -269,62 +280,37 @@ def from_boundary_word(word: str) -> Permutomino:
     return result
 
 
-def vertex_permutations(p: Permutomino) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The two permutations read off the odd/even corners, by abscissa."""
-    return p.pi1, p.pi2
-
-
-def boundary_points(p: Permutomino):
-    """(salient points, labeled reentrant points) in clockwise boundary order."""
-    return list(p.salient), list(p.reentrant)
-
-
 def classify(p: Permutomino) -> dict[str, bool]:
-    """Class flags from the cell set.
+    """Class flags read off the boundary path of a size-n permutomino.
 
-    directed requires convexity on top of N/E reachability from the south-west
-    root cell, and parallelogram requires directed, so the flags always satisfy
-    parallelogram => directed => convex.  The empty permutomino gets every flag.
+    column_convex: every cell column 1..n-1 is crossed by exactly two
+    horizontal edges; row_convex: every cell row 1..n-1 by exactly two
+    vertical edges.  directed: convex, and the walk starts at (1, 1), so the
+    shape holds the bounding box's south-west cell.  parallelogram: directed,
+    and (n, n) is on the path.  symmetric_xy: the transposed word is the word.
+    The flags always satisfy parallelogram => directed => convex.  The empty
+    permutomino gets every flag.
     """
     if p.word is None:
         return {
             "column_convex": True, "row_convex": True, "convex": True,
             "directed": True, "parallelogram": True, "symmetric_xy": True,
         }
-    cells = p.cells
-    columns: dict[int, list[int]] = defaultdict(list)
-    rows: dict[int, list[int]] = defaultdict(list)
-    for x, y in cells:
-        columns[x].append(y)
-        rows[y].append(x)
-    column_convex = all(max(v) - min(v) + 1 == len(v) for v in columns.values())
-    row_convex = all(max(v) - min(v) + 1 == len(v) for v in rows.values())
+    n = p.size
+    path = p.path
+    horizontal = [0] * (n + 1)  # edges crossing each cell column
+    vertical = [0] * (n + 1)  # and each cell row
+    for (x1, y1), (x2, y2) in zip(path, path[1:]):
+        if y1 == y2:
+            horizontal[min(x1, x2)] += 1
+        else:
+            vertical[min(y1, y2)] += 1
+    column_convex = all(c == 2 for c in horizontal[1:n])
+    row_convex = all(c == 2 for c in vertical[1:n])
     convex = column_convex and row_convex
-
-    directed = False
-    if convex:
-        root = min(cells, key=lambda c: (c[1], c[0]))
-        seen = {root}
-        frontier = [root]
-        while frontier:
-            x, y = frontier.pop()
-            for nxt in ((x + 1, y), (x, y + 1)):
-                if nxt in cells and nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        directed = len(seen) == len(cells)
-
-    parallelogram = False
-    if directed:
-        xs = sorted(columns)
-        bottoms = [min(columns[x]) for x in xs]
-        tops = [max(columns[x]) for x in xs]
-        parallelogram = (
-            all(a <= b for a, b in zip(bottoms, bottoms[1:]))
-            and all(a <= b for a, b in zip(tops, tops[1:]))
-        )
-
-    symmetric_xy = cells == {(y, x) for x, y in cells}
+    directed = convex and path[0] == (1, 1)
+    parallelogram = directed and (n, n) in path
+    symmetric_xy = _reflected_word(p.word, _TRANSPOSE) == p.word
     return {
         "column_convex": column_convex,
         "row_convex": row_convex,
@@ -502,24 +488,22 @@ def permutomino_from_matrix(matrix: LabeledMatrix, size: int) -> Permutomino:
     return result
 
 
-def reflect_y(p: Permutomino) -> Permutomino:
-    """Mirror image across the vertical axis of the bounding box."""
+def _reflect(p: Permutomino, letters: dict[int, int]) -> Permutomino:
     if p.word is None:
         return p
-    width = p.size - 1
-    return Permutomino.from_cells((width + 1 - x, y) for x, y in p.cells)
+    return from_boundary_word(_reflected_word(p.word, letters))
+
+
+def reflect_y(p: Permutomino) -> Permutomino:
+    """Mirror image across the vertical axis of the bounding box (N<->S on the reversed word)."""
+    return _reflect(p, _MIRROR_Y)
 
 
 def reflect_x(p: Permutomino) -> Permutomino:
-    """Mirror image across the horizontal axis of the bounding box."""
-    if p.word is None:
-        return p
-    height = p.size - 1
-    return Permutomino.from_cells((x, height + 1 - y) for x, y in p.cells)
+    """Mirror image across the horizontal axis of the bounding box (E<->W on the reversed word)."""
+    return _reflect(p, _MIRROR_X)
 
 
 def transpose(p: Permutomino) -> Permutomino:
-    """Reflection across the diagonal x=y."""
-    if p.word is None:
-        return p
-    return Permutomino.from_cells((y, x) for x, y in p.cells)
+    """Reflection across the diagonal x=y (NESW -> WSEN on the reversed word)."""
+    return _reflect(p, _TRANSPOSE)

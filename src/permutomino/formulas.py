@@ -43,16 +43,6 @@ def catalan(n: int) -> int:
     return _as_int(Fraction(comb(2 * n, n), n + 1), "catalan", n)
 
 
-def convex_polyomino(n: int) -> int:
-    """Convex polyominoes with semi-perimeter n+2 (index from 0)."""
-    if n < 0:
-        raise OutOfRange("convex polyomino count needs n >= 0")
-    if n < 2:
-        return (1, 2)[n]
-    m = n - 2
-    return (2 * m + 11) * 4**m - 4 * (2 * m + 1) * comb(2 * m, m)
-
-
 def convex_permutomino(n: int) -> int:
     """Convex permutominoes of size n: 2(m+3)4^(m-2) - (m/2) C(2m,m) at m = n-1."""
     if n < 1:
@@ -203,7 +193,6 @@ def fixed_point_surplus(n: int) -> int:
 
 
 FAMILIES = {
-    "convex-polyomino": convex_polyomino,
     "central-binomial": central_binomial,
     "catalan": catalan,
     "convex": convex_permutomino,

@@ -21,7 +21,7 @@ flag (`boundary.classify`) is set, so callers list a size once and filter it.
 """
 from __future__ import annotations
 
-from .boundary import EMPTY, Permutomino, _trace, from_boundary_word
+from .boundary import EMPTY, Permutomino, _start_at_lowest_leftmost, from_boundary_word
 from .errors import SizeTooLarge
 
 DEFAULT_BOUND = 6
@@ -41,15 +41,12 @@ def _stack_word(intervals: list[tuple[int, int]]) -> str:
     """
     bottoms = [lo for lo, _ in intervals]
     tops = [hi + 1 for _, hi in intervals]
-    word = (
+    return _start_at_lowest_leftmost(
         _steps(bottoms[0], tops[0])
         + "".join("E" + _steps(a, b) for a, b in zip(tops, tops[1:])) + "E"
         + _steps(tops[-1], bottoms[-1])
         + "".join("W" + _steps(a, b) for a, b in zip(bottoms[::-1], bottoms[-2::-1])) + "W"
     )
-    points = _trace(word)
-    start = min(range(len(word)), key=lambda i: (points[i][1], points[i][0]))
-    return word[start:] + word[:start]
 
 
 def _interval_stacks(n: int, convex: bool):

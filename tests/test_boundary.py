@@ -1,3 +1,4 @@
+from collections import defaultdict
 from itertools import permutations, product
 
 import pytest
@@ -7,9 +8,8 @@ from hypothesis import strategies as st
 from permutomino import boundary, oracles, perms
 from permutomino.boundary import (
     ALPHA, BETA, DELTA, GAMMA, EMPTY, LabeledMatrix, Permutomino,
-    boundary_points, from_boundary_word, permutomino_from_matrix,
-    reentrant_matrix, reflect_x, reflect_y, transpose, validate_matrix,
-    vertex_permutations, word_from_cells,
+    from_boundary_word, permutomino_from_matrix, reentrant_matrix,
+    reflect_x, reflect_y, transpose, validate_matrix, word_from_cells,
 )
 from permutomino.errors import (
     InvalidMatrix, NotClosed, NotConvex, NotPermutomino, PermutominoError, SelfIntersecting,
@@ -19,24 +19,22 @@ from permutomino.errors import (
 def test_single_cell():
     p = from_boundary_word("NESW")
     assert p.size == 2
-    assert vertex_permutations(p) == ((1, 2), (2, 1))
-    sal, ree = boundary_points(p)
-    assert len(sal) == 4 and ree == []
+    assert (p.pi1, p.pi2) == ((1, 2), (2, 1))
+    assert len(p.salient) == 4 and p.reentrant == ()
 
 
 def test_l_shape():
     p = from_boundary_word("NENESSWW")
     assert p.size == 3
-    assert vertex_permutations(p) == ((1, 2, 3), (2, 3, 1))
+    assert (p.pi1, p.pi2) == ((1, 2, 3), (2, 3, 1))
     assert p.vertices == ((1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 1))
-    sal, ree = boundary_points(p)
-    assert len(sal) == 5
-    assert ree == [((2, 2), ALPHA)]
+    assert len(p.salient) == 5
+    assert p.reentrant == (((2, 2), ALPHA),)
 
 
 def test_mirror_l_gamma_variant():
     p = permutomino_from_matrix(LabeledMatrix(1, frozenset({(2, 2, GAMMA)})), 3)
-    assert vertex_permutations(p) == ((1, 2, 3), (3, 1, 2))
+    assert (p.pi1, p.pi2) == ((1, 2, 3), (3, 1, 2))
     assert p.reentrant == (((2, 2), GAMMA),)
 
 
@@ -295,7 +293,7 @@ def test_symmetric_implies_involutions():
     for n in range(2, 7):
         for p in oracles.enumerate_convex(n):
             if p.flags["symmetric_xy"]:
-                for q in vertex_permutations(p):
+                for q in (p.pi1, p.pi2):
                     inverse = tuple(q.index(v) + 1 for v in range(1, n + 1))
                     assert q == inverse
     # the converse fails: an involution whose permutomino is not symmetric
@@ -326,3 +324,77 @@ def test_reflections():
             assert reflect_x(reflect_x(p)) == p
             assert reflect_y(p).pi1 == perms.reversal(p.pi2)
             assert reflect_x(p).pi1 == perms.complement(p.pi2)
+
+
+def cell_flags(cells):
+    """Class flags by their cell-set definitions: runs per column and row,
+    N/E reachability from the lowest leftmost cell, monotone column ends, and
+    equality with the transposed cells."""
+    columns, rows = defaultdict(list), defaultdict(list)
+    for x, y in cells:
+        columns[x].append(y)
+        rows[y].append(x)
+    column_convex = all(max(v) - min(v) + 1 == len(v) for v in columns.values())
+    row_convex = all(max(v) - min(v) + 1 == len(v) for v in rows.values())
+    convex = column_convex and row_convex
+    directed = False
+    if convex:
+        root = min(cells, key=lambda c: (c[1], c[0]))
+        seen, frontier = {root}, [root]
+        while frontier:
+            x, y = frontier.pop()
+            for nxt in ((x + 1, y), (x, y + 1)):
+                if nxt in cells and nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        directed = len(seen) == len(cells)
+    parallelogram = False
+    if directed:
+        xs = sorted(columns)
+        bottoms = [min(columns[x]) for x in xs]
+        tops = [max(columns[x]) for x in xs]
+        parallelogram = bottoms == sorted(bottoms) and tops == sorted(tops)
+    return {
+        "column_convex": column_convex, "row_convex": row_convex, "convex": convex,
+        "directed": directed, "parallelogram": parallelogram,
+        "symmetric_xy": cells == {(y, x) for x, y in cells},
+    }
+
+
+def cell_reflections(cells, size):
+    """reflect_y, reflect_x and transpose by mapping the cells of the box and
+    walking the image back to its word."""
+    images = (
+        {(size - x, y) for x, y in cells},
+        {(x, size - y) for x, y in cells},
+        {(y, x) for x, y in cells},
+    )
+    return tuple(from_boundary_word(word_from_cells(frozenset(image))) for image in images)
+
+
+def test_path_flags_and_word_reflections_match_the_cells():
+    """Class flags read off the path and reflections that map the word agree
+    with the cell-side definitions on every accepted simple polygon of
+    perimeter <= 18, every convex shape up to size 7 and every column-convex
+    shape up to size 6, and neither fills the cells."""
+    shapes = []
+    for word in closed_words(18):
+        try:
+            shapes.append(from_boundary_word(word))
+        except (ValueError, PermutominoError):
+            continue
+    for n in range(2, 8):
+        shapes += oracles.enumerate_convex(n, bound=7)
+    for n in range(2, 7):
+        shapes += oracles.enumerate_column_convex(n)
+    directed_starts_not_convex = 0
+    for p in shapes:
+        q = Permutomino(p.size, p.word)
+        cells = boundary._cells_from_path(q.path)
+        want = cell_flags(cells)
+        assert q.flags == want, p
+        assert (reflect_y(q), reflect_x(q), transpose(q)) == cell_reflections(cells, p.size), p
+        assert "cells" not in vars(q)
+        directed_starts_not_convex += q.path[0] == (1, 1) and not want["convex"]
+    assert len(shapes) == 203 + 2337 + 1441
+    assert directed_starts_not_convex > 0
