@@ -5,7 +5,8 @@ given as one argument of whitespace- or comma-separated 1-based integers (no
 brackets).  Exit codes: 0 ok; 1 only for a failed `verify` identity; 2 usage
 error (a malformed permutation, a size below 1, a `--max-size` below 2, a
 `--cell-px` below 1, a `--workers` below 1, an `--out` path that cannot be
-written, or any other bad argument) and output that cannot be written,
+written, an `enumerate --by` or `--method` the class does not support (see
+BY_CLASSES), or any other bad argument) and output that cannot be written,
 including a standard output closed by its reader; 3 not realizable; 4 size
 too large, reported before anything is printed (a fiber with more than
 `membership.FREE_FIXED_BOUND` free fixed points among them); 5 outside the
@@ -44,10 +45,12 @@ from .membership import (
     membership_verdict,
 )
 from .perms import envelopes, is_square
-from .render import ascii_art, svg_document, to_jsonable
+from .render import ascii_art, json_document, svg_document
 
 PERM_CLASSES = ("ctilde", "square", "decomposable")
 GEO_CLASSES = ("convex", "directed", "parallelogram", "symmetric", "column-convex")
+# the classes each `enumerate --by` applies to; `--method` applies to convex only
+BY_CLASSES = {"fixed-points": ("convex", "ctilde"), "components": ("square", "decomposable")}
 
 
 @dataclass
@@ -122,9 +125,7 @@ def _emit(texts: list[str], spec: RenderSpec, joiner: str = "\n\n") -> None:
 
 def _render(shapes: list[Permutomino], spec: RenderSpec) -> None:
     if spec.format == "json":
-        payload = [to_jsonable(p) for p in shapes]
-        text = json.dumps(payload[0] if len(payload) == 1 else payload, indent=2)
-        _emit([text], spec)
+        _emit([json_document(shapes)], spec)
     elif spec.format == "svg":
         _emit([svg_document(p, spec.cell_px) for p in shapes], spec)
     else:
@@ -293,9 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("size", type=int_at_least(1))
     e.add_argument("--list", action="store_true", help="list members in stable order")
     e.add_argument("--by", choices=("fixed-points", "components"),
-                   help="stratify the count")
-    e.add_argument("--method", choices=("fibers", "intervals"), default="fibers",
-                   help="convex class only: counting method")
+                   help="stratify the count (fixed-points: convex, ctilde; "
+                        "components: square, decomposable)")
+    e.add_argument("--method", choices=("fibers", "intervals"),
+                   help="convex class only: counting method (default: fibers)")
     e.add_argument("--workers", type=int_at_least(1), default=1,
                    help="ignored; accepted only so that existing command lines keep working")
     e.set_defaults(fn=cmd_enumerate)
@@ -322,8 +324,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unsupported_option(args) -> str | None:
+    """Why an `enumerate` option does not apply to the class, or None."""
+    if args.by is not None and args.klass not in BY_CLASSES[args.by]:
+        return (f"--by {args.by} does not apply to class {args.klass} "
+                f"(only to {' and '.join(BY_CLASSES[args.by])})")
+    if args.method is not None and args.klass != "convex":
+        return f"--method does not apply to class {args.klass} (only to convex)"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "enumerate" and (problem := _unsupported_option(args)):
+        parser.error(problem)
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed standard output fails here, not at exit

@@ -11,10 +11,19 @@ JSON schema (version field "v" = 1):
                  "directed": b, "parallelogram": b, "symmetric_xy": b}}
 
 The boundary string is authoritative; every other field is derived and checked
-on the way back in.  ASCII grids use '#' for a cell and '.' for empty, rows
-printed top to bottom; SVG uses the mathematical orientation (y axis upward),
-cells as rects, salient corners as hollow squares and reentrant corners as
-labeled dots.
+on the way back in.
+
+`json_document` writes the CLI's `--format json` text without building these
+dicts: one object for one shape, a list otherwise (`[]` for none), laid out as
+`json.dumps(..., indent=2)` lays them out.  It only does layout: it knows the
+field order and that vertices and salient corners are [x, y] pairs; ints go
+through `int.__repr__` and strings through `json.dumps`.
+`tests/test_render.py::test_json_document_matches_json_dumps` holds it byte
+for byte to `json.dumps` over `to_jsonable`.
+
+ASCII grids use '#' for a cell and '.' for empty, rows printed top to bottom;
+SVG uses the mathematical orientation (y axis upward), cells as rects, salient
+corners as hollow squares and reentrant corners as labeled dots.
 """
 from __future__ import annotations
 
@@ -38,6 +47,52 @@ def to_jsonable(p: Permutomino) -> dict:
         "reentrant": [{"x": x, "y": y, "label": lab} for (x, y), lab in p.reentrant],
         "classes": dict(p.flags),
     }
+
+
+_LABELS = {label: json.dumps(label) for label in _GLYPH}
+
+
+def _field_list(items: list[str]) -> str:
+    """A shape field's list from its items, each already indented as an item."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
+def _pair_items(points) -> list[str]:
+    return [f"    [\n      {x!r},\n      {y!r}\n    ]" for x, y in points]
+
+
+def _shape_text(p: Permutomino) -> str:
+    """One shape's `to_jsonable` dict as json.dumps(indent=2) writes it."""
+    reentrant = [
+        f'    {{\n      "x": {x!r},\n      "y": {y!r},\n      "label": {_LABELS[label]}\n    }}'
+        for (x, y), label in p.reentrant
+    ]
+    classes = ",\n".join(
+        f'    "{key}": {"true" if value else "false"}' for key, value in p.flags.items()
+    )
+    return (
+        f'{{\n  "v": 1,\n  "size": {p.size!r},\n'
+        f'  "boundary": {"null" if p.word is None else json.dumps(p.word)},\n'
+        f'  "vertices": {_field_list(_pair_items(p.vertices))},\n'
+        f'  "pi1": {_field_list([f"    {v!r}" for v in p.pi1])},\n'
+        f'  "pi2": {_field_list([f"    {v!r}" for v in p.pi2])},\n'
+        f'  "salient": {_field_list(_pair_items(p.salient))},\n'
+        f'  "reentrant": {_field_list(reentrant)},\n'
+        f'  "classes": {{\n{classes}\n  }}\n}}'
+    )
+
+
+def json_document(shapes: list[Permutomino]) -> str:
+    """The shapes as `json.dumps(payload[0] if len(payload) == 1 else payload,
+    indent=2)` over their `to_jsonable` dicts: an object for one shape, else a
+    list (`[]` for none)."""
+    texts = [_shape_text(p) for p in shapes]
+    if len(texts) == 1:
+        return texts[0]
+    if not texts:
+        return "[]"
+    # string leaves are json-escaped, so every newline is the layout's own
+    return "[\n  " + ",\n  ".join(text.replace("\n", "\n  ") for text in texts) + "\n]"
 
 
 def to_json(p: Permutomino, indent: int | None = None) -> str:

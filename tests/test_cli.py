@@ -76,6 +76,40 @@ def test_build_json(capsys):
     assert payload["classes"]["convex"] is True
 
 
+EMPTY_SHAPE_JSON = """{
+  "v": 1,
+  "size": 1,
+  "boundary": null,
+  "vertices": [],
+  "pi1": [
+    1
+  ],
+  "pi2": [
+    1
+  ],
+  "salient": [],
+  "reentrant": [],
+  "classes": {
+    "column_convex": true,
+    "row_convex": true,
+    "convex": true,
+    "directed": true,
+    "parallelogram": true,
+    "symmetric_xy": true
+  }
+}
+"""
+
+
+def test_json_edge_outputs(capsys):
+    code, out, err = run(capsys, "decompose", "2 1", "--render", "--format", "json")
+    assert code == 0 and err == ""
+    assert out.endswith("part 2: (empty)  size 1\n[]\n")  # no non-empty part
+    code, out, err = run(capsys, "build", "1", "--format", "json")
+    assert code == 0 and err == ""
+    assert out == EMPTY_SHAPE_JSON
+
+
 def test_build_out_files(tmp_path, capsys):
     target = tmp_path / "shape.svg"
     code, out, _ = run(capsys, "build", "1 2 3", "--format", "svg", "--out", str(target))
@@ -185,6 +219,22 @@ USAGE_ERRORS = [
     ((), ("build", "2 1 3", "--out", "/nonexistent/x.txt"), "no such directory"),
     ((), ("decompose", "3 4 1 2", "--render", "--out", "/nonexistent/x.txt"),
      "no such directory"),
+    ((), ("enumerate", "convex", "7", "--by", "components"), "does not apply to class convex"),
+    ((), ("enumerate", "square", "9", "--by", "fixed-points"), "does not apply to class square"),
+    ((), ("enumerate", "ctilde", "5", "--by", "components"), "does not apply to class ctilde"),
+    ((), ("enumerate", "decomposable", "5", "--by", "fixed-points"),
+     "does not apply to class decomposable"),
+    ((), ("enumerate", "directed", "5", "--by", "fixed-points"), "does not apply to class directed"),
+    ((), ("enumerate", "parallelogram", "5", "--by", "components"),
+     "does not apply to class parallelogram"),
+    ((), ("enumerate", "symmetric", "5", "--by", "fixed-points"), "does not apply to class symmetric"),
+    ((), ("enumerate", "column-convex", "5", "--by", "components"),
+     "does not apply to class column-convex"),
+    ((), ("enumerate", "square", "5", "--method", "intervals"), "--method does not apply"),
+    ((), ("enumerate", "ctilde", "5", "--method", "fibers"), "--method does not apply"),
+    ((), ("enumerate", "directed", "5", "--method", "intervals"), "--method does not apply"),
+    ((), ("enumerate", "column-convex", "9", "--list", "--method", "intervals"),
+     "--method does not apply"),
 ]
 
 

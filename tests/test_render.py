@@ -1,15 +1,18 @@
 import json
+import pathlib
+import re
 
 import pytest
 
 from permutomino import oracles
-from permutomino.boundary import EMPTY, from_boundary_word
-from permutomino.membership import canonical_permutomino, fiber
+from permutomino.boundary import EMPTY, Permutomino, from_boundary_word
+from permutomino.membership import canonical_permutomino, fiber, free_fixed_points
 from permutomino.render import (
     ascii_art,
     cells_from_ascii,
     cells_from_svg,
     from_json,
+    json_document,
     svg_document,
     to_json,
     to_jsonable,
@@ -44,6 +47,28 @@ def test_json_rejects_bad_payloads():
     bad = dict(good, pi1=[2, 1])
     with pytest.raises(ValueError):
         from_json(json.dumps(bad))
+
+
+def test_json_document_matches_json_dumps(convex_by_size):
+    def reference(shapes):  # the CLI's encoding before json_document
+        payload = [to_jsonable(p) for p in shapes]
+        return json.dumps(payload[0] if len(payload) == 1 else payload, indent=2)
+
+    perm = (2, 1, 3, 4, 5, 6, 9, 8, 7)
+    assert len(free_fixed_points(perm)) >= 4
+    cases = [[], [EMPTY], [canonical_permutomino((3, 1, 6, 8, 2, 4, 7, 5))]]
+    cases += [convex_by_size(n) for n in range(1, 8)]
+    cases += [oracles.enumerate_column_convex(n) for n in range(1, 7)]  # false flags too
+    cases.append(sorted(fiber(perm), key=Permutomino.sort_key))
+    for shapes in cases:
+        assert json_document(shapes) == reference(shapes)
+
+
+def test_readme_json_example_matches_the_schema():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## JSON schema", 1)[1]
+    example = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    assert json.loads(example) == to_jsonable(from_boundary_word("NENESSWW"))
 
 
 def test_ascii_round_trip():
