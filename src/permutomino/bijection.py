@@ -13,7 +13,8 @@ components are then stacked with the direct difference.  Backward, each
 component is realized by the one shape of its fiber whose reflection has the
 right class: the canonical shape (every free fixed point typed alpha) for a
 first or middle part, and the shape with every free fixed point typed gamma
-for the last part.  No other shape of the fiber is built.
+for the last part.  No other shape of the fiber is built, but for the
+canonical one that checks a last part.
 """
 from __future__ import annotations
 
@@ -22,17 +23,9 @@ from functools import reduce
 from typing import Sequence
 
 from . import perms
-from .boundary import (
-    EMPTY,
-    GAMMA,
-    Permutomino,
-    permutomino_from_matrix,
-    reentrant_matrix,
-    reflect_x,
-    reflect_y,
-)
+from .boundary import EMPTY, Permutomino, reflect_x, reflect_y
 from .errors import Indecomposable, InvalidSequence, NotSquare
-from .membership import canonical_permutomino, free_fixed_values
+from .membership import free_fixed_values, shapes_over
 
 
 @dataclass(frozen=True)
@@ -82,22 +75,17 @@ def sequence_to_permutation(seq: PermutominoSequence | Sequence[Permutomino]) ->
     k = len(parts)
     components = [component_of(p, last=(i == k - 1)) for i, p in enumerate(parts)]
     result = reduce(perms.direct_difference, components)
-    assert perms.is_square(result) and len(perms.decompose(result)) == k
+    if not perms.is_square(result) or len(perms.decompose(result)) != k:
+        raise AssertionError(f"parts stack to {result}, not a square with {k} components")
     return result
 
 
 def _unique_part(component: tuple[int, ...], last: bool, middle: bool) -> Permutomino:
     if component == (1,):
         return EMPTY
-    shape = canonical_permutomino(component)
-    if last:
-        free = free_fixed_values(component)
-        if free:
-            retyped = reentrant_matrix(shape).retyped({(f, f): GAMMA for f in free})
-            shape = permutomino_from_matrix(retyped, len(component))
-        part = reflect_x(shape)
-    else:
-        part = reflect_y(shape)
+    gamma = free_fixed_values(component) if last else ()
+    shape = shapes_over(component, [gamma])[0]
+    part = reflect_x(shape) if last else reflect_y(shape)
     wanted = "parallelogram" if middle else "directed"
     if not part.flags[wanted]:
         raise AssertionError(f"no {wanted} permutomino for component {component}")

@@ -14,7 +14,7 @@ NW -> delta; the reentrant corners of a convex permutomino of size n form a
 permutation matrix on {2..n-1} in these four symbols.
 
 The boundary path is the only shape representation reasoned with here: the
-class flags are read off its edges and points, and a reflection maps the word
+class flags are read off its word and points, and a reflection maps the word
 letter by letter.  The cell set is built only to draw a shape.
 
 The size-1 permutomino is the empty one: no boundary, pi1 = pi2 = (1) by
@@ -41,6 +41,8 @@ _REENTRANT_LABEL = {("E", "N"): ALPHA, ("S", "E"): BETA, ("W", "S"): GAMMA, ("N"
 _MIRROR_Y = str.maketrans("NS", "SN")
 _MIRROR_X = str.maketrans("EW", "WE")
 _TRANSPOSE = str.maketrans("NESW", "WSEN")
+_DROP_VERTICAL = str.maketrans("", "", "NS")
+_DROP_HORIZONTAL = str.maketrans("", "", "EW")
 
 
 def _trace(word: str) -> list[tuple[int, int]]:
@@ -61,10 +63,6 @@ def _start_at_lowest_leftmost(word: str) -> str:
     points = _trace(word)
     start = min(range(len(word)), key=lambda i: (points[i][1], points[i][0]))
     return word[start:] + word[:start]
-
-
-def _reflected_word(word: str, letters: dict[int, int]) -> str:
-    return _start_at_lowest_leftmost(word[::-1].translate(letters))
 
 
 def _corners(points: Sequence[tuple[int, int]], word: str):
@@ -281,15 +279,15 @@ def from_boundary_word(word: str) -> Permutomino:
 
 
 def classify(p: Permutomino) -> dict[str, bool]:
-    """Class flags read off the boundary path of a size-n permutomino.
+    """Class flags read off the boundary word and path of a size-n permutomino.
 
-    column_convex: every cell column 1..n-1 is crossed by exactly two
-    horizontal edges; row_convex: every cell row 1..n-1 by exactly two
-    vertical edges.  directed: convex, and the walk starts at (1, 1), so the
-    shape holds the bounding box's south-west cell.  parallelogram: directed,
-    and (n, n) is on the path.  symmetric_xy: the transposed word is the word.
-    The flags always satisfy parallelogram => directed => convex.  The empty
-    permutomino gets every flag.
+    column_convex: each cell column is crossed by two horizontal edges, so the
+    abscissa is cyclically unimodal and, as the walk starts at its lowest
+    leftmost point, the E/W letters read W*E*W*; row_convex: likewise, the
+    N/S letters read N*S*.  directed: convex, and the walk starts at (1, 1).
+    parallelogram: directed, and (n, n) is on the path.  symmetric_xy: the
+    transposed word (reversed, NESW -> WSEN, started where the leftmost lowest
+    point lands) is the word.  The empty permutomino gets every flag.
     """
     if p.word is None:
         return {
@@ -297,20 +295,16 @@ def classify(p: Permutomino) -> dict[str, bool]:
             "directed": True, "parallelogram": True, "symmetric_xy": True,
         }
     n = p.size
+    word = p.word
     path = p.path
-    horizontal = [0] * (n + 1)  # edges crossing each cell column
-    vertical = [0] * (n + 1)  # and each cell row
-    for (x1, y1), (x2, y2) in zip(path, path[1:]):
-        if y1 == y2:
-            horizontal[min(x1, x2)] += 1
-        else:
-            vertical[min(y1, y2)] += 1
-    column_convex = all(c == 2 for c in horizontal[1:n])
-    row_convex = all(c == 2 for c in vertical[1:n])
+    column_convex = "W" not in word.translate(_DROP_VERTICAL).strip("W")
+    row_convex = "N" not in word.translate(_DROP_HORIZONTAL).lstrip("N")
     convex = column_convex and row_convex
     directed = convex and path[0] == (1, 1)
     parallelogram = directed and (n, n) in path
-    symmetric_xy = _reflected_word(p.word, _TRANSPOSE) == p.word
+    transposed = word[::-1].translate(_TRANSPOSE)
+    start = len(word) - path.index(min(path))
+    symmetric_xy = transposed[start:] + transposed[:start] == word
     return {
         "column_convex": column_convex,
         "row_convex": row_convex,
@@ -491,7 +485,7 @@ def permutomino_from_matrix(matrix: LabeledMatrix, size: int) -> Permutomino:
 def _reflect(p: Permutomino, letters: dict[int, int]) -> Permutomino:
     if p.word is None:
         return p
-    return from_boundary_word(_reflected_word(p.word, letters))
+    return from_boundary_word(_start_at_lowest_leftmost(p.word[::-1].translate(letters)))
 
 
 def reflect_y(p: Permutomino) -> Permutomino:

@@ -246,7 +246,8 @@ def cmd_verify(args) -> int:
 def cmd_decompose(args) -> int:
     p = parse_permutation(args.perm)
     seq = permutation_to_sequence(p)
-    assert sequence_to_permutation(seq) == p
+    if sequence_to_permutation(seq) != p:
+        raise AssertionError(f"no round trip for {p}")
     print(f"components: {len(seq)}")
     for i, part in enumerate(seq, start=1):
         kind = "directed convex" if i in (1, len(seq)) else "parallelogram"

@@ -94,14 +94,15 @@ def fiber_sum(by_free_fixed_points: dict[int, int]) -> int:
 def convex_via_fibers(n: int) -> list[Permutomino]:
     """Materialize every convex permutomino of size n through the fibers.
 
-    Walks the square permutations, keeps the realizable ones and expands each
-    fiber; the result is sorted by (pi1, boundary word) like the oracle listings.
+    Walks the square permutations, keeps the realizable (indecomposable)
+    ones and expands each fiber; the result is sorted by (pi1, boundary word)
+    like the oracle listings.
     """
     if n > FIBER_BOUND:
         raise SizeTooLarge(f"fiber listing is bounded at size {FIBER_BOUND}, got {n}")
     out: list[Permutomino] = []
     for p in square_permutations(n):
-        if is_associated(p):
+        if is_indecomposable(p):
             out.extend(fiber(p))
     out.sort(key=Permutomino.sort_key)
     return out

@@ -5,13 +5,13 @@ iff its lower envelope is lower unimodal and p is indecomposable.  When it is,
 the whole fiber of permutominoes over p has size 2^|F(p)| where F(p) is the set
 of free fixed points: fixed points on the strictly increasing part of the upper
 envelope, other than 1 and n.  Each choice of alpha/gamma typing for the free
-fixed points gives one permutomino of the fiber.
+fixed points gives one permutomino of the fiber, built from the envelopes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import perms
 from .boundary import (
@@ -19,13 +19,13 @@ from .boundary import (
     GAMMA,
     Permutomino,
     from_boundary_word,
-    permutomino_from_matrix,
     reentrant_matrix,
 )
 from .errors import NotAssociated, SizeTooLarge
 
 # a fiber has 2^|F(p)| shapes; `build --all` at the bound (4096 shapes) takes
-# ~4 s and ~210 MB on a 2-vCPU VM, and each free fixed point more doubles both
+# ~1.8 s and ~210 MB as SVG (~1.3 s and ~65 MB as ASCII) on a 2-vCPU VM, and
+# each free fixed point more doubles both
 FREE_FIXED_BOUND = 12
 
 OK = "ok"
@@ -127,28 +127,85 @@ def free_fixed_values(p: Sequence[int]) -> list[int]:
 def canonical_permutomino(p: Sequence[int]) -> Permutomino:
     """The fiber representative with every free fixed point typed alpha.
 
-    Built as four boundary chains: the north-then-east climb through the
+    Raises NotAssociated when p fails the membership test; p = (1) gives the
+    empty permutomino.
+    """
+    return shapes_over(p, [()])[0]
+
+
+def fiber(p: Sequence[int]) -> set[Permutomino]:
+    """All convex permutominoes whose odd-vertex permutation is p.
+
+    Exactly 2^|F(p)| of them: for each subset of the free fixed points, the
+    shape with the subset typed gamma, its points moved from the rising upper
+    chain to the climbing lower one.  Raises NotAssociated when p is not
+    realizable, and SizeTooLarge, before any shape is built, when |F(p)| is
+    above FREE_FIXED_BOUND.
+    """
+    p = perms.as_perm(p)
+    free = free_fixed_values(p)
+    if len(free) > FREE_FIXED_BOUND and is_associated(p):
+        raise SizeTooLarge(f"a fiber has 2^{len(free)} shapes; fibers are bounded at "
+                           f"{FREE_FIXED_BOUND} free fixed points")
+    subsets = (chosen for k in range(len(free) + 1) for chosen in combinations(free, k))
+    out = set(shapes_over(p, subsets))
+    if len(out) != 2 ** len(free):
+        raise AssertionError(f"fiber of {p} has {len(out)} shapes, not 2^{len(free)}")
+    return out
+
+
+def shapes_over(p: Sequence[int], gamma_sets: Iterable[Sequence[int]]) -> list[Permutomino]:
+    """For each set G of free fixed points, the convex permutomino over p with
+    G typed gamma and the rest alpha, from one membership test.
+
+    G empty gives four boundary chains: the north-then-east climb through the
     increasing upper envelope (A to B), south-then-east through its decreasing
     part (B to C), and the mirrored walks through the lower envelope (C to D
-    to A).  Raises NotAssociated when p fails the membership test; p = (1)
-    gives the empty permutomino.
+    to A).  Typing f gamma moves (f, f) from A..B into D..C.  Raises
+    NotAssociated when p is not realizable, and AssertionError unless each
+    shape is convex over p and, for G not empty, its corner matrix is the
+    canonical one with G retyped gamma.
     """
     p = perms.as_perm(p)
     verdict = membership_verdict(p)
     if not verdict.member:
         raise NotAssociated(f"{p} is not realizable ({verdict.reason})")
     n = len(p)
-    if n == 1:
-        return EMPTY
-
     env = perms.envelopes(p)
-    rising = perms.extrema(p, "lr-max").entries  # A .. B along the upper envelope
-    falling = perms.extrema(p, "rl-max").entries  # B .. C
+    upper = env.upper.entries
+    top = next(i for i, (_, v) in enumerate(upper) if v == n)
+    falling = upper[top:]  # B .. C along the upper envelope
     low = env.lower.entries
     pivot = next(i for i, (_, v) in enumerate(low) if v == 1)
     sinking = low[: pivot + 1]  # A .. D along the lower envelope
-    climbing = low[pivot:]  # D .. C
 
+    def build(gamma: Sequence[int]) -> Permutomino:
+        rising = [e for e in upper[: top + 1] if e[0] not in gamma]  # A .. B
+        climbing = sorted(low[pivot:] + tuple((f, f) for f in gamma))  # D .. C
+        word = _chain_word(sinking, rising, falling, climbing)
+        shape = from_boundary_word(word)
+        if shape.pi1 != p or not shape.is_convex:
+            raise AssertionError(f"chain word {word!r} is not a convex permutomino over {p}")
+        return shape
+
+    canonical = build(()) if n > 1 else EMPTY
+    base = None
+    out = []
+    for gamma in gamma_sets:
+        if not gamma:
+            out.append(canonical)
+            continue
+        shape = build(gamma)
+        if base is None:
+            base = reentrant_matrix(canonical)
+        if reentrant_matrix(shape) != base.retyped({(f, f): GAMMA for f in gamma}):
+            raise AssertionError(f"{shape!r} does not type {gamma} gamma over {p}")
+        out.append(shape)
+    return out
+
+
+def _chain_word(sinking, rising, falling, climbing) -> str:
+    """The boundary word through the four chains, from D (the lowest leftmost point) heading N."""
     parts: list[str] = []
     # D up to A through the decreasing lower entries, right to left
     for (lpos, lval), (rpos, rval) in zip(reversed(sinking[:-1]), reversed(sinking[1:])):
@@ -162,36 +219,4 @@ def canonical_permutomino(p: Sequence[int]) -> Permutomino:
     # C down to D through the increasing lower entries, right to left
     for (lpos, lval), (rpos, rval) in zip(reversed(climbing[:-1]), reversed(climbing[1:])):
         parts.append("S" * (rval - lval) + "W" * (rpos - lpos))
-
-    result = from_boundary_word("".join(parts))
-    assert result.pi1 == p and result.is_convex
-    return result
-
-
-def fiber(p: Sequence[int]) -> set[Permutomino]:
-    """All convex permutominoes whose odd-vertex permutation is p.
-
-    Exactly 2^|F(p)| of them: the canonical matrix with each subset of the free
-    fixed points retyped from alpha to gamma, rebuilt from the matrix.  Raises
-    NotAssociated when p is not realizable, and SizeTooLarge, before any shape
-    is built, when |F(p)| is above FREE_FIXED_BOUND.
-    """
-    p = perms.as_perm(p)
-    if len(p) == 1:
-        return {EMPTY}
-    free = free_fixed_values(p)
-    if len(free) > FREE_FIXED_BOUND and is_associated(p):
-        raise SizeTooLarge(f"a fiber has 2^{len(free)} shapes; fibers are bounded at "
-                           f"{FREE_FIXED_BOUND} free fixed points")
-    canonical = canonical_permutomino(p)
-    if not free:
-        return {canonical}
-    base = reentrant_matrix(canonical)
-    size = len(p)
-    out = set()
-    for k in range(len(free) + 1):
-        for chosen in combinations(free, k):
-            retyped = base.retyped({(f, f): GAMMA for f in chosen})
-            out.add(permutomino_from_matrix(retyped, size))
-    assert len(out) == 2 ** len(free)
-    return out
+    return "".join(parts)

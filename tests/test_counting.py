@@ -58,8 +58,8 @@ def test_counts_above_the_scan_bound_match_the_closed_forms(n):
 
 
 def test_fiber_listing_matches_oracle():
-    for n in range(1, 7):
-        assert counting.convex_via_fibers(n) == oracles.enumerate_convex(n)
+    for n in range(1, 8):
+        assert counting.convex_via_fibers(n) == oracles.enumerate_convex(n, bound=7)
 
 
 def test_perm_listing_stable():

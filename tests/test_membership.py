@@ -1,8 +1,22 @@
+import os
+import pathlib
+import subprocess
+import sys
+from itertools import combinations
+
 import pytest
 
 from conftest import all_perms
 from permutomino import membership, oracles, perms
-from permutomino.boundary import ALPHA, DELTA, EMPTY, LabeledMatrix, reentrant_matrix
+from permutomino.boundary import (
+    ALPHA,
+    DELTA,
+    EMPTY,
+    GAMMA,
+    LabeledMatrix,
+    permutomino_from_matrix,
+    reentrant_matrix,
+)
 from permutomino.errors import NotAssociated, SizeTooLarge
 from permutomino.membership import (
     canonical_permutomino,
@@ -90,15 +104,61 @@ def test_fiber_bound_is_checked_before_any_shape_is_built(monkeypatch):
     class Built(Exception):
         pass
 
-    def refuse(p):
+    def refuse(p, gamma_sets):
         raise Built
 
-    monkeypatch.setattr(membership, "canonical_permutomino", refuse)
+    monkeypatch.setattr(membership, "shapes_over", refuse)
     at_bound = tuple(range(1, membership.FREE_FIXED_BOUND + 3))  # free: 2..n-1
     with pytest.raises(Built):
         fiber(at_bound)
     with pytest.raises(SizeTooLarge):
         fiber(at_bound + (len(at_bound) + 1,))
+
+
+def test_fiber_matches_the_matrix_route():
+    """Each fiber shape built from the chains equals the one rebuilt from the
+    canonical corner matrix with its subset of free fixed points retyped gamma."""
+    shapes = 0
+    for n in range(2, 9):
+        for p in perms.square_permutations(n):
+            if not is_associated(p):
+                continue
+            base = reentrant_matrix(canonical_permutomino(p))
+            free = membership.free_fixed_values(p)
+            want = {
+                permutomino_from_matrix(base.retyped({(f, f): GAMMA for f in chosen}), n)
+                for k in range(len(free) + 1)
+                for chosen in combinations(free, k)
+            }
+            assert fiber(p) == want, p
+            shapes += len(want)
+    assert shapes == 10805
+
+
+def test_shape_checks_hold_under_python_O():
+    """The post-checks of the shape layer are raises, not asserts: with the
+    word validator swapped for one that returns a wrong shape, `python -O`
+    still refuses it."""
+    script = """
+import sys
+from permutomino import boundary, membership
+if not sys.flags.optimize:
+    sys.exit("not run under -O")
+membership.from_boundary_word = lambda word: boundary.from_boundary_word("NENESSWW")
+try:
+    membership.canonical_permutomino((2, 1, 3, 4, 5))
+except AssertionError as exc:
+    print("refused:", exc)
+else:
+    sys.exit("accepted a wrong shape")
+"""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("refused:")
 
 
 def test_fiber_law_and_membership():
