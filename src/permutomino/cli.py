@@ -9,9 +9,10 @@ written, an `enumerate --by` or `--method` the class does not support (see
 BY_CLASSES), or any other bad argument) and output that cannot be written,
 including a standard output closed by its reader; 3 not realizable; 4 size
 too large, reported before anything is printed (a fiber with more than
-`membership.FREE_FIXED_BOUND` free fixed points among them); 5 outside the
-bijection's domain.  An `--out` path whose directory does not exist is
-rejected before anything is printed or written.
+`membership.FREE_FIXED_BOUND` free fixed points among them, and a `verify
+--max-size` above `counting.COUNT_BOUND`, rejected before any count); 5
+outside the bijection's domain.  An `--out` path whose directory does not
+exist is rejected before anything is printed or written.
 Counts are computed without a scan, up to size `counting.COUNT_BOUND`;
 permutation listings stop at `counting.SCAN_BOUND`.  `--workers` is ignored; it
 is still accepted only so that existing command lines keep working.

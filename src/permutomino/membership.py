@@ -66,7 +66,12 @@ def membership_verdict(p: Sequence[int]) -> MembershipVerdict:
     For n = 1 the answer is yes (the empty permutomino).
     """
     p = perms.as_perm(p)
-    witness = _unimodality_witness(perms.envelopes(p).lower.entries)
+    return _verdict(p, perms.envelopes(p))
+
+
+def _verdict(p: tuple[int, ...], env: perms.Envelopes) -> MembershipVerdict:
+    """membership_verdict for p, given its envelopes."""
+    witness = _unimodality_witness(env.lower.entries)
     if witness is not None:
         return MembershipVerdict(False, NOT_UNIMODAL, witness)
     splits = perms.split_points(p)
@@ -167,11 +172,11 @@ def shapes_over(p: Sequence[int], gamma_sets: Iterable[Sequence[int]]) -> list[P
     canonical one with G retyped gamma.
     """
     p = perms.as_perm(p)
-    verdict = membership_verdict(p)
+    env = perms.envelopes(p)
+    verdict = _verdict(p, env)
     if not verdict.member:
         raise NotAssociated(f"{p} is not realizable ({verdict.reason})")
     n = len(p)
-    env = perms.envelopes(p)
     upper = env.upper.entries
     top = next(i for i, (_, v) in enumerate(upper) if v == n)
     falling = upper[top:]  # B .. C along the upper envelope

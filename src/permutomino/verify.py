@@ -1,9 +1,11 @@
 """Cross-checks every counting identity against independent enumeration.
 
-Each identity becomes one report row with a status: 'pass', 'fail' (with the
-first offending left/right values), or 'discrepant' for the two closed forms
-that are known not to match the definitional quantities as printed (only
-checked when strict_paper is set, and deliberately not a failure).
+The identities are a table of rows: a name, a range of sizes and check(n),
+which returns (lhs, rhs), or (lhs, rhs, shown) when the detail names the terms.
+One runner, _run, makes each row a report entry: 'pass', or 'fail' with both
+values at the first size where lhs != rhs.  A printed row (strict_paper only)
+checks a closed form exactly as the paper prints it, where a mismatch is
+expected: it lists its first three mismatches as 'discrepant', not a failure.
 """
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from . import counting, formulas, oracles
+from .errors import SizeTooLarge
 
 
 @dataclass
@@ -51,29 +54,32 @@ class VerificationReport:
         }
 
 
-def _check(report: VerificationReport, name: str, sizes: str, pairs) -> None:
-    """pairs yields (n, lhs, rhs, detail); the row fails on the first mismatch."""
+def _run(name: str, sizes: range, check, printed: bool = False) -> Entry:
+    """Evaluate one row over its sizes (see the module docstring)."""
     start = time.monotonic()
-    status, detail = "pass", ""
-    for n, lhs, rhs, shown in pairs:
-        detail = shown
+    status, detail, mismatches = "pass", "", []
+    for n in sizes:
+        lhs, rhs, *shown = check(n)
+        if printed:
+            if lhs != rhs:
+                mismatches.append(f"n={n}: printed {lhs} vs definitional {rhs}")
+            continue
+        detail = shown[0] if shown else f"n={n}: {lhs} = {rhs}"
         if lhs != rhs:
-            status = "fail"
-            detail = f"n={n}: {lhs} != {rhs} ({shown})"
+            status, detail = "fail", f"n={n}: {lhs} != {rhs} ({detail})"
             break
-    report.entries.append(Entry(name, sizes, status, detail, time.monotonic() - start))
+    if mismatches:
+        status, detail = "discrepant", "; ".join(mismatches[:3])
+    sizes_text = f"{sizes.start}..{sizes[-1]}"
+    return Entry(name, sizes_text, status, detail, time.monotonic() - start)
 
 
-def _discrepancy(report: VerificationReport, name: str, sizes: str, pairs) -> None:
-    """Like _check but a mismatch is expected: mismatch -> discrepant, match -> pass."""
-    start = time.monotonic()
-    mismatches = []
-    for n, lhs, rhs in pairs:
-        if lhs != rhs:
-            mismatches.append(f"n={n}: printed {lhs} vs definitional {rhs}")
-    status = "discrepant" if mismatches else "pass"
-    detail = "; ".join(mismatches[:3])
-    report.entries.append(Entry(name, sizes, status, detail, time.monotonic() - start))
+def _printed(form, n: int):
+    """A closed form as printed; a non-integer value is shown, not raised."""
+    try:
+        return form(n)
+    except formulas.NonIntegerResult as exc:
+        return f"non-integer ({exc})"
 
 
 def sequence_class_count(n: int, k: int, directed_counts, parallelogram_counts) -> int:
@@ -107,150 +113,79 @@ def _compositions(n: int, k: int):
 def verify_identities(max_size: int, strict_paper: bool = False) -> VerificationReport:
     """Run every identity up to max_size (interval-oracle rows up to the oracle's bound).
 
-    The oracle lists the convex permutominoes of each size once; the directed,
+    Each size is counted and listed by the oracle once; the directed,
     parallelogram and symmetric rows count class flags over that listing.
+    Raises SizeTooLarge before any count when max_size > counting.COUNT_BOUND.
     """
     if max_size < 2:
         raise ValueError("max_size must be at least 2")
-    report = VerificationReport(max_size, strict_paper)
-    sizes_all = range(1, max_size + 1)
-    sizes_from2 = range(2, max_size + 1)
-    geo_max = min(max_size, oracles.DEFAULT_BOUND)
-    sizes_geo = range(1, geo_max + 1)
+    if max_size > counting.COUNT_BOUND:
+        raise SizeTooLarge(f"counts are bounded at size {counting.COUNT_BOUND}, got {max_size}")
+    every, from2 = range(1, max_size + 1), range(2, max_size + 1)
+    geo = range(1, min(max_size, oracles.DEFAULT_BOUND) + 1)
 
-    stats = {n: counting.scan_stats(n) for n in sizes_all}
+    stats = {n: counting.scan_stats(n) for n in every}
+    q = {n: s["square"] for n, s in stats.items()}
+    b = {n: sum(v for k, v in s["components"].items() if k >= 2) for n, s in stats.items()}
+    ctilde = {n: sum(s["ctilde_by_fixed"]) for n, s in stats.items()}
+    convex = {n: sum(v << k for k, v in enumerate(s["ctilde_by_fixed"]))
+              for n, s in stats.items()}
+    inter = {n: s["both_ways"] for n, s in stats.items()}
+    rising = {n: s["assoc_first_lt_last"] for n, s in stats.items()}
 
-    def q(n):
-        return stats[n]["square"]
+    shapes = {n: oracles.enumerate_convex(n) for n in geo}
+    directed, parallelogram, symmetric = (
+        {n: sum(p.flags[flag] for p in shapes[n]) for n in geo}
+        for flag in ("directed", "parallelogram", "symmetric_xy"))
 
-    def b(n):
-        return sum(v for k, v in stats[n]["components"].items() if k >= 2)
+    def bijection(n):
+        """The first k where |decomposable with k components| != |T_{n,k}|, else k = n."""
+        for k in range(2, n + 1):
+            lhs = stats[n]["components"].get(k, 0)
+            rhs = sequence_class_count(n, k, directed, parallelogram)
+            if lhs != rhs or k == n:
+                return lhs, rhs, f"n={n},k={k}: {lhs} = {rhs}"
 
-    def ctilde(n):
-        return sum(stats[n]["ctilde_by_fixed"])
-
-    def convex(n):
-        return sum(v << k for k, v in enumerate(stats[n]["ctilde_by_fixed"]))
-
-    def inter(n):
-        return stats[n]["both_ways"]
-
-    _check(
-        report, "convex = sum of 2^k over free-fixed-point classes (closed form)",
-        f"1..{max_size}",
-        ((n, convex(n), formulas.convex_permutomino(n),
-          f"n={n}: {convex(n)} = {formulas.convex_permutomino(n)}") for n in sizes_all),
-    )
-    shapes = {n: oracles.enumerate_convex(n) for n in sizes_geo}
-    _check(
-        report, "convex: fiber sum vs interval oracle", f"1..{geo_max}",
-        ((n, convex(n), len(shapes[n]), f"n={n}: {convex(n)} = {len(shapes[n])}")
-         for n in sizes_geo),
-    )
-    _check(
-        report, "ctilde closed form (exact rational factor)", f"1..{max_size}",
-        ((n, ctilde(n), formulas.ctilde(n), f"n={n}: {ctilde(n)} = {formulas.ctilde(n)}")
-         for n in sizes_all),
-    )
-    _check(
-        report, "ctilde = square - decomposable", f"2..{max_size}",
-        ((n, ctilde(n), q(n) - b(n), f"n={n}: {ctilde(n)} = {q(n)} - {b(n)}")
-         for n in sizes_from2),
-    )
-    _check(
-        report, "square closed form", f"1..{max_size}",
-        ((n, q(n), formulas.square_perms(n), f"n={n}: {q(n)} = {formulas.square_perms(n)}")
-         for n in sizes_all),
-    )
-    _check(
-        report, "decomposable closed form", f"2..{max_size}",
-        ((n, b(n), formulas.decomposable_square(n),
-          f"n={n}: {b(n)} = {formulas.decomposable_square(n)}") for n in sizes_from2),
-    )
-    _check(
-        report, "square = both vertex classes united", f"2..{max_size}",
-        ((n, q(n), 2 * ctilde(n) - inter(n), f"n={n}: {q(n)} = 2*{ctilde(n)} - {inter(n)}")
-         for n in sizes_from2),
-    )
-    _check(
-        report, "intersection = square - 2*decomposable", f"2..{max_size}",
-        ((n, inter(n), q(n) - 2 * b(n), f"n={n}: {inter(n)} = {q(n)} - 2*{b(n)}")
-         for n in sizes_from2),
-    )
-    _check(
-        report, "realizable with rising ends = half the squares", f"2..{max_size}",
-        ((n, 2 * stats[n]["assoc_first_lt_last"], q(n),
-          f"n={n}: 2*{stats[n]['assoc_first_lt_last']} = {q(n)}") for n in sizes_from2),
-    )
-    _check(
-        report, "one-direction surplus (definitional closed combination)", f"2..{max_size}",
-        ((n, ctilde(n) - q(n) // 2, formulas.asym_surplus(n),
-          f"n={n}: {ctilde(n) - q(n) // 2} = {formulas.asym_surplus(n)}") for n in sizes_from2),
-    )
-    _check(
-        report, "square = convex + central binomial", f"2..{max_size}",
-        ((n, q(n), convex(n) + comb(2 * (n - 2), n - 2),
-          f"n={n}: {q(n)} = {convex(n)} + {comb(2 * (n - 2), n - 2)}") for n in sizes_from2),
-    )
-    _check(
-        report, "convex = realizable + free-fixed-point surplus", f"2..{max_size}",
-        ((n, convex(n), ctilde(n) + formulas.fixed_point_surplus(n),
-          f"n={n}: {convex(n)} = {ctilde(n)} + {formulas.fixed_point_surplus(n)}")
-         for n in sizes_from2),
-    )
-
-    def flag_counts(flag):
-        return {n: sum(p.flags[flag] for p in shapes[n]) for n in sizes_geo}
-
-    directed_counts = flag_counts("directed")
-    parallelogram_counts = flag_counts("parallelogram")
-    symmetric_counts = flag_counts("symmetric_xy")
-    _check(
-        report, "directed convex oracle vs closed form", f"1..{geo_max}",
-        ((n, directed_counts[n], formulas.directed_convex(n),
-          f"n={n}: {directed_counts[n]} = {formulas.directed_convex(n)}")
-         for n in sizes_geo),
-    )
-    _check(
-        report, "parallelogram oracle vs catalan", f"1..{geo_max}",
-        ((n, parallelogram_counts[n], formulas.parallelogram(n),
-          f"n={n}: {parallelogram_counts[n]} = {formulas.parallelogram(n)}")
-         for n in sizes_geo),
-    )
-    _check(
-        report, "symmetric oracle vs closed form", f"1..{geo_max}",
-        ((n, symmetric_counts[n], formulas.symmetric(n),
-          f"n={n}: {symmetric_counts[n]} = {formulas.symmetric(n)}")
-         for n in sizes_geo),
-    )
-
-    def bijection_pairs():
-        for n in range(2, geo_max + 1):
-            by_k = stats[n]["components"]
-            for k in range(2, n + 1):
-                lhs = by_k.get(k, 0)
-                rhs = sequence_class_count(n, k, directed_counts, parallelogram_counts)
-                yield (n, lhs, rhs, f"n={n},k={k}: {lhs} = {rhs}")
-
-    _check(report, "decomposable classes match permutomino sequences", f"2..{geo_max}",
-           bijection_pairs())
-
+    rows = [
+        ("convex = sum of 2^k over free-fixed-point classes (closed form)", every,
+         lambda n: (convex[n], formulas.convex_permutomino(n))),
+        ("convex: fiber sum vs interval oracle", geo, lambda n: (convex[n], len(shapes[n]))),
+        ("ctilde closed form (exact rational factor)", every,
+         lambda n: (ctilde[n], formulas.ctilde(n))),
+        ("ctilde = square - decomposable", from2,
+         lambda n: (ctilde[n], q[n] - b[n], f"n={n}: {ctilde[n]} = {q[n]} - {b[n]}")),
+        ("square closed form", every, lambda n: (q[n], formulas.square_perms(n))),
+        ("decomposable closed form", from2, lambda n: (b[n], formulas.decomposable_square(n))),
+        ("square = both vertex classes united", from2,
+         lambda n: (q[n], 2 * ctilde[n] - inter[n],
+                    f"n={n}: {q[n]} = 2*{ctilde[n]} - {inter[n]}")),
+        ("intersection = square - 2*decomposable", from2,
+         lambda n: (inter[n], q[n] - 2 * b[n], f"n={n}: {inter[n]} = {q[n]} - 2*{b[n]}")),
+        ("realizable with rising ends = half the squares", from2,
+         lambda n: (2 * rising[n], q[n], f"n={n}: 2*{rising[n]} = {q[n]}")),
+        ("one-direction surplus (definitional closed combination)", from2,
+         lambda n: (ctilde[n] - q[n] // 2, formulas.asym_surplus(n))),
+        ("square = convex + central binomial", from2,
+         lambda n: (q[n], convex[n] + (c := comb(2 * (n - 2), n - 2)),
+                    f"n={n}: {q[n]} = {convex[n]} + {c}")),
+        ("convex = realizable + free-fixed-point surplus", from2,
+         lambda n: (convex[n], ctilde[n] + (surplus := formulas.fixed_point_surplus(n)),
+                    f"n={n}: {convex[n]} = {ctilde[n]} + {surplus}")),
+        ("directed convex oracle vs closed form", geo,
+         lambda n: (directed[n], formulas.directed_convex(n))),
+        ("parallelogram oracle vs catalan", geo,
+         lambda n: (parallelogram[n], formulas.parallelogram(n))),
+        ("symmetric oracle vs closed form", geo,
+         lambda n: (symmetric[n], formulas.symmetric(n))),
+        ("decomposable classes match permutomino sequences", range(2, geo.stop), bijection),
+    ]
+    printed_rows = [
+        ("one-direction surplus closed form as printed", from2,
+         lambda n: (_printed(formulas.half_diff_printed, n), formulas.asym_surplus(n))),
+        ("intersection closed form as printed", from2,
+         lambda n: (_printed(formulas.intersection_printed, n), q[n] - 2 * b[n])),
+    ]
+    entries = [_run(*row) for row in rows]
     if strict_paper:
-        def printed(fn, n):
-            try:
-                return fn(n)
-            except formulas.NonIntegerResult as exc:
-                return f"non-integer ({exc})"
-
-        _discrepancy(
-            report, "one-direction surplus closed form as printed", f"2..{max_size}",
-            ((n, printed(formulas.half_diff_printed, n), formulas.asym_surplus(n))
-             for n in sizes_from2),
-        )
-        _discrepancy(
-            report, "intersection closed form as printed", f"2..{max_size}",
-            ((n, printed(formulas.intersection_printed, n), q(n) - 2 * b(n))
-             for n in sizes_from2),
-        )
-
-    return report
+        entries += [_run(*row, printed=True) for row in printed_rows]
+    return VerificationReport(max_size, strict_paper, entries)

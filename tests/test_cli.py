@@ -184,6 +184,13 @@ def test_verify_scans_each_size_once(capsys, monkeypatch):
     assert code == 0 and sizes == [1, 2, 3, 4, 5, 6]
 
 
+def test_verify_checks_the_count_bound_before_counting(capsys, monkeypatch):
+    sizes = scan_spy(monkeypatch)
+    code, out, err = run(capsys, "verify", "--max-size", "1000")
+    assert code == 4 and out == "" and sizes == []
+    assert len(err.splitlines()) == 1 and "1000" in err
+
+
 def oracle_spy(monkeypatch):
     """Record the size of every oracles.enumerate_convex call."""
     sizes = []
@@ -416,6 +423,23 @@ def test_shape_output_is_pinned(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == SHAPE_DIGESTS[argv]
+
+
+# sha256 of `verify --max-size 8 --strict-paper`, recorded before the identities
+# became a row table; size 8 spans both the count rows and the oracle rows (to 6).
+# The --json digest drops the per-row "elapsed" lines, which vary from run to run.
+VERIFY_DIGESTS = {
+    (): "5b09f3ac566d1400095fc93ee6abd823932db565a65ee08b2b78a9674a353ebc",
+    ("--json",): "729d54fe162b07c49fe0bc51cf6ac1539a880b6960a05052fd8905d05a7da483",
+}
+
+
+@pytest.mark.parametrize("extra", VERIFY_DIGESTS, ids=("text", "json"))
+def test_verify_output_is_pinned(capsys, extra):
+    code, out, err = run(capsys, "verify", "--max-size", "8", "--strict-paper", *extra)
+    assert code == 0 and err == ""
+    kept = "".join(line for line in out.splitlines(keepends=True) if '"elapsed":' not in line)
+    assert hashlib.sha256(kept.encode()).hexdigest() == VERIFY_DIGESTS[extra]
 
 
 def test_verify_text_and_json(capsys):

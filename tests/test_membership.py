@@ -115,6 +115,21 @@ def test_fiber_bound_is_checked_before_any_shape_is_built(monkeypatch):
         fiber(at_bound + (len(at_bound) + 1,))
 
 
+def test_each_fiber_computes_the_envelopes_once(monkeypatch):
+    calls = []
+    real = perms.envelopes
+
+    def spy(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(perms, "envelopes", spy)
+    for p in [(2, 1, 3, 4, 5), (2, 1, 3, 4, 7, 6, 5), (1, 2), (1,)]:
+        calls.clear()
+        fiber(p)
+        assert calls == [p]
+
+
 def test_fiber_matches_the_matrix_route():
     """Each fiber shape built from the chains equals the one rebuilt from the
     canonical corner matrix with its subset of free fixed points retyped gamma."""

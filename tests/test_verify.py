@@ -1,6 +1,37 @@
 import pytest
 
+from permutomino import formulas, verify
+from permutomino.cli import main
 from permutomino.verify import sequence_class_count, verify_identities
+
+
+def square_fault(monkeypatch):
+    """Make the square closed form 2 too large at n = 5."""
+    real = formulas.square_perms
+    monkeypatch.setattr(formulas, "square_perms", lambda n: real(n) + 2 * (n == 5))
+
+
+def bijection_fault(monkeypatch):
+    """Make |T_{5,3}| 1 too large."""
+    real = verify.sequence_class_count
+
+    def faulty(n, k, directed_counts, parallelogram_counts):
+        return real(n, k, directed_counts, parallelogram_counts) + ((n, k) == (5, 3))
+
+    monkeypatch.setattr(verify, "sequence_class_count", faulty)
+
+
+# the rows each fault fails, with their details; every other row passes
+FAULTS = {
+    square_fault: {
+        "square closed form": "n=5: 104 != 106 (n=5: 104 = 106)",
+        "one-direction surplus (definitional closed combination)":
+            "n=5: 10 != 11 (n=5: 10 = 11)",
+    },
+    bijection_fault: {
+        "decomposable classes match permutomino sequences": "n=5: 11 != 12 (n=5,k=3: 11 = 12)",
+    },
+}
 
 
 def test_all_identities_pass_to_size_five():
@@ -49,3 +80,14 @@ def test_sequence_class_count_matches_generating_identity():
 def test_max_size_validation():
     with pytest.raises(ValueError):
         verify_identities(1)
+
+
+@pytest.mark.parametrize("fault", FAULTS, ids=("square", "bijection"))
+def test_a_fault_fails_exactly_its_rows(capsys, monkeypatch, fault):
+    fault(monkeypatch)
+    report = verify_identities(6)
+    assert not report.ok
+    assert {e.name: e.detail for e in report.entries if e.status == "fail"} == FAULTS[fault]
+    assert all(e.status == "pass" for e in report.entries if e.name not in FAULTS[fault])
+    assert main(["verify", "--max-size", "6"]) == 1
+    assert "FAILURES present" in capsys.readouterr().out
