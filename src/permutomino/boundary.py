@@ -76,51 +76,6 @@ def _corners(points: Sequence[tuple[int, int]], word: str):
     return out
 
 
-def word_from_cells(cells: frozenset[tuple[int, int]]) -> str:
-    """Serialize a hole-free cell set to its clockwise boundary word.
-
-    The walk keeps the interior on its right and starts at the lowest leftmost
-    boundary point, so the first letter is N.  Raises ValueError if the cells do
-    not bound a single simple curve (disconnected set or interior hole).
-    """
-    if not cells:
-        raise ValueError("empty cell set has no boundary")
-    outgoing: dict[tuple[int, int], dict[str, tuple[int, int]]] = defaultdict(dict)
-    for (x, y) in cells:
-        if (x - 1, y) not in cells:
-            outgoing[(x, y)]["N"] = (x, y + 1)
-        if (x, y + 1) not in cells:
-            outgoing[(x, y + 1)]["E"] = (x + 1, y + 1)
-        if (x + 1, y) not in cells:
-            outgoing[(x + 1, y + 1)]["S"] = (x + 1, y)
-        if (x, y - 1) not in cells:
-            outgoing[(x + 1, y)]["W"] = (x, y)
-    total_edges = sum(len(d) for d in outgoing.values())
-    start = min(outgoing, key=lambda pt: (pt[1], pt[0]))
-    # right-turn preference keeps the walk on the outer boundary at pinch points
-    prefer = {
-        "N": "ENW", "E": "SEN", "S": "WSE", "W": "NWS",
-    }
-    letters = []
-    point = start
-    heading = "N"
-    while True:
-        choices = outgoing[point]
-        for letter in prefer[heading]:
-            if letter in choices:
-                break
-        else:
-            raise ValueError("boundary walk stuck; cells do not bound a simple curve")
-        point = choices.pop(letter)
-        letters.append(letter)
-        heading = letter
-        if point == start:
-            break
-    if len(letters) != total_edges:
-        raise ValueError("cells are disconnected or enclose a hole")
-    return "".join(letters)
-
-
 def _cells_from_path(points: Sequence[tuple[int, int]]) -> frozenset[tuple[int, int]]:
     """Cells enclosed by a simple closed rectilinear path (parity fill by row)."""
     vertical = defaultdict(set)  # abscissa -> cell rows covered by a vertical edge

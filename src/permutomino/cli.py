@@ -105,17 +105,16 @@ def parse_permutation(text: str) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _emit(texts: list[str], spec: RenderSpec, joiner: str = "\n\n") -> None:
+def _emit(texts: list[str], spec: RenderSpec) -> None:
     if spec.out is None:
-        print(joiner.join(texts))
+        print("\n\n".join(texts))
         return
     if len(texts) == 1:
         paths = [spec.out]
     else:
-        stem, dot, ext = spec.out.rpartition(".")
-        if not dot:
-            stem, ext = spec.out, "out"
-        paths = [f"{stem}-{i}.{ext}" for i in range(1, len(texts) + 1)]
+        # shape.svg -> shape-1.svg, ...; a name without an extension gets .out
+        stem, ext = os.path.splitext(spec.out)
+        paths = [f"{stem}-{i}{ext or '.out'}" for i in range(1, len(texts) + 1)]
     try:
         for path, text in zip(paths, texts):
             with open(path, "w", encoding="utf-8") as fh:

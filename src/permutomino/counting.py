@@ -1,8 +1,9 @@
 """Permutation counts and permutomino listings, built on the kernels.
 
 Every permutation count reads _kernels.count_stats, which counts over the
-square generator's states, so counts go up to COUNT_BOUND without visiting a
-permutation.  The square agreement check walks all of S_n in this process.
+square generator's states in one table shared by every size, so counts go up
+to COUNT_BOUND without visiting a permutation.  The square agreement check
+walks all of S_n in this process.
 Permutation listings filter the square generator, since every listed
 permutation class is a subset of the square permutations.  Geometric listings
 come from the interval oracle: column-convex from its own enumerator, every
@@ -13,12 +14,12 @@ so a count does not load it.
 from __future__ import annotations
 
 from . import _kernels
+from ._kernels import COUNT_BOUND
 from .boundary import Permutomino
 from .errors import SizeTooLarge
 from .membership import fiber, is_associated, is_associated_pi2
 from .perms import is_indecomposable, square_permutations
 
-COUNT_BOUND = 30  # _kernels.count_stats(30) takes 0.2-0.4 s, (40) 1.3-1.6 s
 SCAN_BOUND = 10  # square_agreement walks S_10's ~3.6M permutations; listings stop here too
 FIBER_BOUND = 7  # convex_via_fibers materializes 1836 shapes at size 7
 
@@ -33,14 +34,10 @@ CLASS_FLAGS = {
 
 def scan_stats(n: int, workers: int = 1) -> dict:
     """The statistics of the square permutations of size n (see
-    _kernels.scan_stats for the fields), counted by _kernels.count_stats.
+    _kernels.count_stats for the fields and the bounds).
 
     workers is accepted for callers that pass it and changes nothing.
     """
-    if n > COUNT_BOUND:
-        raise SizeTooLarge(f"counts are bounded at size {COUNT_BOUND}, got {n}")
-    if n < 1:
-        raise ValueError("size must be at least 1")
     return _kernels.count_stats(n)
 
 
@@ -51,16 +48,19 @@ def square_agreement(n: int) -> dict:
     return _kernels.square_agreement(n)
 
 
-def count_ctilde(n: int) -> dict:
-    """{'total': |realizable pi1 set|, 'by_free_fixed_points': {k: count}}."""
-    stats = scan_stats(n)
-    by_k = {k: v for k, v in enumerate(stats["ctilde_by_fixed"]) if v}
+def count_ctilde(n: int, stats: dict | None = None) -> dict:
+    """{'total': |realizable pi1 set|, 'by_free_fixed_points': {k: count}}.
+
+    stats, in this function and the two below, is scan_stats(n) when the
+    caller already holds it.
+    """
+    by_k = {k: v for k, v in enumerate((stats or scan_stats(n))["ctilde_by_fixed"]) if v}
     return {"total": sum(by_k.values()), "by_free_fixed_points": by_k}
 
 
-def count_square(n: int) -> dict:
+def count_square(n: int, stats: dict | None = None) -> dict:
     """{'square': Q, 'decomposable': B, 'by_components': {k>=2: count}}."""
-    stats = scan_stats(n)
+    stats = stats or scan_stats(n)
     by_k = {k: v for k, v in sorted(stats["components"].items()) if k >= 2}
     return {
         "square": stats["square"],
@@ -69,7 +69,7 @@ def count_square(n: int) -> dict:
     }
 
 
-def count_convex(n: int, method: str = "fibers") -> int:
+def count_convex(n: int, method: str = "fibers", stats: dict | None = None) -> int:
     """Number of convex permutominoes of size n.
 
     method 'fibers' sums 2^k over the realizable permutations with k free
@@ -77,7 +77,7 @@ def count_convex(n: int, method: str = "fibers") -> int:
     (bounded at size 6).
     """
     if method == "fibers":
-        return fiber_sum(count_ctilde(n)["by_free_fixed_points"])
+        return fiber_sum(count_ctilde(n, stats)["by_free_fixed_points"])
     if method == "intervals":
         from . import oracles
 

@@ -210,10 +210,3 @@ FAMILIES = {
     "intersection-printed": intersection_printed,
     "fixed-point-surplus": fixed_point_surplus,
 }
-
-
-def closed_form(family: str, n: int) -> int:
-    """Evaluate one closed form exactly; see FAMILIES for the names."""
-    if family not in FAMILIES:
-        raise KeyError(f"unknown family {family!r}; know {sorted(FAMILIES)}")
-    return FAMILIES[family](n)

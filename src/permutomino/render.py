@@ -1,4 +1,4 @@
-"""ASCII, SVG and JSON renderings of permutominoes (and parsers for tests).
+"""ASCII, SVG and JSON renderings of permutominoes.
 
 JSON schema (version field "v" = 1):
 
@@ -28,7 +28,6 @@ corners as hollow squares and reentrant corners as labeled dots.
 from __future__ import annotations
 
 import json
-import re
 
 from .boundary import EMPTY, Permutomino, from_boundary_word
 
@@ -100,10 +99,21 @@ def to_json(p: Permutomino, indent: int | None = None) -> str:
 
 
 def from_jsonable(data: dict) -> Permutomino:
-    """Rebuild from the boundary field and verify the derived fields agree."""
+    """Rebuild from the boundary field and verify the derived fields agree.
+
+    Raises ValueError when data is not a version-1 object whose boundary is a
+    string or null, or when a derived field disagrees; a boundary string that
+    is not a permutomino raises what from_boundary_word raises.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"want a JSON object, got {type(data).__name__}")
     if data.get("v") != 1:
         raise ValueError(f"unsupported schema version {data.get('v')!r}")
+    if "boundary" not in data:
+        raise ValueError("missing field 'boundary'")
     word = data["boundary"]
+    if word is not None and not isinstance(word, str):
+        raise ValueError("field 'boundary' must be a string or null")
     p = EMPTY if word is None else from_boundary_word(word)
     checks = to_jsonable(p)
     for key in ("size", "pi1", "pi2", "vertices", "salient", "reentrant", "classes"):
@@ -124,22 +134,6 @@ def ascii_art(p: Permutomino) -> str:
     for y in range(height, 0, -1):
         rows.append("".join("#" if (x, y) in p.cells else "." for x in range(1, width + 1)))
     return "\n".join(rows)
-
-
-def cells_from_ascii(text: str) -> frozenset[tuple[int, int]]:
-    text = text.strip("\n")
-    if text.strip() == "(empty)":
-        return frozenset()
-    lines = text.splitlines()
-    height = len(lines)
-    cells = set()
-    for row, line in enumerate(lines):
-        for col, ch in enumerate(line):
-            if ch == "#":
-                cells.add((col + 1, height - row))
-            elif ch != ".":
-                raise ValueError(f"unexpected character {ch!r} in ASCII grid")
-    return frozenset(cells)
 
 
 def svg_document(p: Permutomino, cell_px: int = 24) -> str:
@@ -183,10 +177,3 @@ def svg_document(p: Permutomino, cell_px: int = 24) -> str:
             )
     parts.append("</svg>")
     return "\n".join(parts)
-
-
-def cells_from_svg(text: str) -> frozenset[tuple[int, int]]:
-    cells = set()
-    for match in re.finditer(r'<rect class="cell" data-x="(\d+)" data-y="(\d+)"', text):
-        cells.add((int(match.group(1)), int(match.group(2))))
-    return frozenset(cells)

@@ -124,12 +124,13 @@ def verify_identities(max_size: int, strict_paper: bool = False) -> Verification
     every, from2 = range(1, max_size + 1), range(2, max_size + 1)
     geo = range(1, min(max_size, oracles.DEFAULT_BOUND) + 1)
 
+    # each size is counted once; the counts are read as `enumerate` reads them
     stats = {n: counting.scan_stats(n) for n in every}
-    q = {n: s["square"] for n, s in stats.items()}
-    b = {n: sum(v for k, v in s["components"].items() if k >= 2) for n, s in stats.items()}
-    ctilde = {n: sum(s["ctilde_by_fixed"]) for n, s in stats.items()}
-    convex = {n: sum(v << k for k, v in enumerate(s["ctilde_by_fixed"]))
-              for n, s in stats.items()}
+    square = {n: counting.count_square(n, stats[n]) for n in every}
+    q = {n: s["square"] for n, s in square.items()}
+    b = {n: s["decomposable"] for n, s in square.items()}
+    ctilde = {n: counting.count_ctilde(n, stats[n])["total"] for n in every}
+    convex = {n: counting.count_convex(n, stats=stats[n]) for n in every}
     inter = {n: s["both_ways"] for n, s in stats.items()}
     rising = {n: s["assoc_first_lt_last"] for n, s in stats.items()}
 
@@ -141,7 +142,7 @@ def verify_identities(max_size: int, strict_paper: bool = False) -> Verification
     def bijection(n):
         """The first k where |decomposable with k components| != |T_{n,k}|, else k = n."""
         for k in range(2, n + 1):
-            lhs = stats[n]["components"].get(k, 0)
+            lhs = square[n]["by_components"].get(k, 0)
             rhs = sequence_class_count(n, k, directed, parallelogram)
             if lhs != rhs or k == n:
                 return lhs, rhs, f"n={n},k={k}: {lhs} = {rhs}"

@@ -1,4 +1,3 @@
-from collections import defaultdict
 from itertools import permutations, product
 
 import pytest
@@ -9,11 +8,12 @@ from permutomino import boundary, oracles, perms
 from permutomino.boundary import (
     ALPHA, BETA, DELTA, GAMMA, EMPTY, LabeledMatrix, Permutomino,
     from_boundary_word, permutomino_from_matrix, reentrant_matrix,
-    reflect_x, reflect_y, transpose, validate_matrix, word_from_cells,
+    reflect_x, reflect_y, transpose, validate_matrix,
 )
 from permutomino.errors import (
     InvalidMatrix, NotClosed, NotConvex, NotPermutomino, PermutominoError, SelfIntersecting,
 )
+from references import cell_flags, cell_reflections, reference_size, word_from_cells
 
 
 def test_single_cell():
@@ -74,51 +74,6 @@ def closed_words(max_len):
 
     walk(0, 1)
     return words
-
-
-def _runs(values):
-    """Number of maximal runs of consecutive integers."""
-    ordered = sorted(values)
-    if not ordered:
-        return 0
-    return 1 + sum(1 for a, b in zip(ordered, ordered[1:]) if b != a + 1)
-
-
-def reference_size(word):
-    """Size of the permutomino a word encodes, by the validator that fills the
-    cells, checks the word against them and counts sides as runs of edges."""
-    points = boundary._trace(word)
-    if points[-1] != points[0]:
-        raise NotClosed(f"path ends at {points[-1]}, not back at the start")
-    interior_points = points[:-1]
-    if len(set(interior_points)) != len(interior_points):
-        seen = set()
-        for pt in interior_points:
-            if pt in seen:
-                raise SelfIntersecting(f"boundary revisits {pt}")
-            seen.add(pt)
-    if word[0] != "N" or min(interior_points, key=lambda p: (p[1], p[0])) != points[0]:
-        raise ValueError("word must start at the lowest leftmost point and head N (clockwise)")
-    min_x = min(x for x, _ in points)
-    min_y = min(y for _, y in points)
-    points = [(x - min_x + 1, y - min_y + 1) for x, y in points]
-    cells = boundary._cells_from_path(points)
-    if not cells:
-        raise NotClosed("degenerate path encloses no cells")
-    if word_from_cells(cells) != word:
-        raise ValueError("word is not the clockwise boundary of its own interior")
-    vertical, horizontal = {}, {}
-    for (x1, y1), (x2, y2) in zip(points, points[1:]):
-        if x1 == x2:
-            vertical.setdefault(x1, set()).add(min(y1, y2))
-        else:
-            horizontal.setdefault(y1, set()).add(min(x1, x2))
-    for axis, edges in (("x", vertical), ("y", horizontal)):
-        for c in range(1, max(edges) + 1):
-            count = _runs(edges.get(c, ()))
-            if count != 1:
-                raise NotPermutomino(axis, c, count)
-    return max(vertical)
 
 
 def test_validator_matches_the_cell_round_trip_on_every_short_word():
@@ -324,52 +279,6 @@ def test_reflections():
             assert reflect_x(reflect_x(p)) == p
             assert reflect_y(p).pi1 == perms.reversal(p.pi2)
             assert reflect_x(p).pi1 == perms.complement(p.pi2)
-
-
-def cell_flags(cells):
-    """Class flags by their cell-set definitions: runs per column and row,
-    N/E reachability from the lowest leftmost cell, monotone column ends, and
-    equality with the transposed cells."""
-    columns, rows = defaultdict(list), defaultdict(list)
-    for x, y in cells:
-        columns[x].append(y)
-        rows[y].append(x)
-    column_convex = all(max(v) - min(v) + 1 == len(v) for v in columns.values())
-    row_convex = all(max(v) - min(v) + 1 == len(v) for v in rows.values())
-    convex = column_convex and row_convex
-    directed = False
-    if convex:
-        root = min(cells, key=lambda c: (c[1], c[0]))
-        seen, frontier = {root}, [root]
-        while frontier:
-            x, y = frontier.pop()
-            for nxt in ((x + 1, y), (x, y + 1)):
-                if nxt in cells and nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        directed = len(seen) == len(cells)
-    parallelogram = False
-    if directed:
-        xs = sorted(columns)
-        bottoms = [min(columns[x]) for x in xs]
-        tops = [max(columns[x]) for x in xs]
-        parallelogram = bottoms == sorted(bottoms) and tops == sorted(tops)
-    return {
-        "column_convex": column_convex, "row_convex": row_convex, "convex": convex,
-        "directed": directed, "parallelogram": parallelogram,
-        "symmetric_xy": cells == {(y, x) for x, y in cells},
-    }
-
-
-def cell_reflections(cells, size):
-    """reflect_y, reflect_x and transpose by mapping the cells of the box and
-    walking the image back to its word."""
-    images = (
-        {(size - x, y) for x, y in cells},
-        {(x, size - y) for x, y in cells},
-        {(y, x) for x, y in cells},
-    )
-    return tuple(from_boundary_word(word_from_cells(frozenset(image))) for image in images)
 
 
 def test_path_flags_and_word_reflections_match_the_cells():

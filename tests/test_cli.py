@@ -10,7 +10,7 @@ import pytest
 from permutomino import counting, oracles
 from permutomino.cli import main, parse_permutation
 from permutomino.errors import ParseError
-from permutomino.render import cells_from_ascii
+from references import cells_from_ascii
 
 
 def run(capsys, *argv):
@@ -123,6 +123,13 @@ def test_build_out_files(tmp_path, capsys):
                      "--out", str(tmp_path / "fiber.svg"))
     assert code == 0
     assert len(sorted(tmp_path.glob("fiber-*.svg"))) == 4  # numbered files per shape
+    # only the file name's own extension is split off, and a name without one gets .out
+    (tmp_path / "x.d").mkdir()
+    for out, first in [("x.d/shape", "x.d/shape-1.out"), (".hidden", ".hidden-1.out")]:
+        code, _, err = run(capsys, "build", "1 2 3 4", "--all", "--out", str(tmp_path / out))
+        assert code == 0 and err == ""
+        assert (tmp_path / first).read_text().count("#") > 0
+        assert len(list(tmp_path.glob(first.replace("-1.", "-*.")))) == 4
 
 
 def test_enumerate_counts(capsys):

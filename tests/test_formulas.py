@@ -1,7 +1,8 @@
 import pytest
 
 from permutomino import formulas
-from permutomino.formulas import NonIntegerResult, OutOfRange, closed_form
+from permutomino.formulas import NonIntegerResult, OutOfRange
+from references import closed_form
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,40 @@
-"""The kernels: the scan against a fold over S_n with definitions of its own,
-and the state-counting kernel against the scan."""
+"""The kernels: the generator fold against a fold over S_n with definitions
+of its own, and the state-counting kernel against the generator fold."""
 import pytest
 
 from conftest import all_perms
 from permutomino import _kernels, perms
-from permutomino._kernels import BACKEND
+from permutomino._kernels import BACKEND, COUNT_BOUND
+from permutomino.errors import SizeTooLarge
+from permutomino.membership import free_fixed_values
+from permutomino.perms import is_indecomposable, reversal, split_points, square_permutations
+
+
+def scan_stats(n: int) -> dict:
+    """The count_stats dict of size n, by one pass over the square
+    permutations the generator yields, with the library's predicates."""
+    square = 0
+    components: dict[int, int] = {}
+    by_fixed = [0] * max(n - 1, 1)
+    both_ways = 0
+    first_lt_last = 0
+    for p in square_permutations(n):
+        square += 1
+        comps = len(split_points(p)) + 1
+        components[comps] = components.get(comps, 0) + 1
+        if comps == 1:
+            by_fixed[len(free_fixed_values(p))] += 1
+            if is_indecomposable(reversal(p)):
+                both_ways += 1
+            if p[0] < p[n - 1]:
+                first_lt_last += 1
+    return {
+        "square": square,
+        "components": components,
+        "ctilde_by_fixed": by_fixed,
+        "both_ways": both_ways,
+        "assoc_first_lt_last": first_lt_last,
+    }
 
 
 def components(p):
@@ -51,15 +81,30 @@ def reference_stats(n):
 # test ids carry the backend name the benchmark records
 @pytest.mark.parametrize("n", range(1, 8), ids=lambda n: f"{BACKEND}-{n}")
 def test_scan_matches_library_fold(n):
-    assert _kernels.scan_stats(n) == reference_stats(n)
+    assert scan_stats(n) == reference_stats(n)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_count_stats_matches_the_generator_fold(n):
-    counted, folded = _kernels.count_stats(n), _kernels.scan_stats(n)
+    counted, folded = _kernels.count_stats(n), scan_stats(n)
     assert counted.keys() == folded.keys()
     for field in folded:
         assert counted[field] == folded[field], field
+
+
+def test_smaller_sizes_read_the_table_a_larger_size_filled():
+    _kernels.count_stats(12)
+    filled = _kernels._walk.cache_info().currsize
+    for n in range(1, 13):
+        _kernels.count_stats(n)
+    assert _kernels._walk.cache_info().currsize == filled
+
+
+def test_count_stats_refuses_sizes_the_packing_width_cannot_hold():
+    with pytest.raises(SizeTooLarge):
+        _kernels.count_stats(COUNT_BOUND + 1)
+    with pytest.raises(ValueError):
+        _kernels.count_stats(0)
 
 
 def test_agreement_counts_are_square_counts():

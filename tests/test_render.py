@@ -9,14 +9,13 @@ from permutomino.boundary import EMPTY, Permutomino, from_boundary_word
 from permutomino.membership import canonical_permutomino, fiber, free_fixed_points
 from permutomino.render import (
     ascii_art,
-    cells_from_ascii,
-    cells_from_svg,
     from_json,
     json_document,
     svg_document,
     to_json,
     to_jsonable,
 )
+from references import cells_from_ascii, cells_from_svg
 
 
 def test_json_round_trip_samples(convex_by_size):
@@ -47,6 +46,9 @@ def test_json_rejects_bad_payloads():
     bad = dict(good, pi1=[2, 1])
     with pytest.raises(ValueError):
         from_json(json.dumps(bad))
+    for text in ("[]", "3", '{"v": 1}', '{"v": 1, "boundary": 5}'):
+        with pytest.raises(ValueError):
+            from_json(text)
 
 
 def test_json_document_matches_json_dumps(convex_by_size):
