@@ -378,22 +378,17 @@ def validate_matrix(matrix: LabeledMatrix, size: int) -> None:
             raise InvalidMatrix("diagonal", f"delta ({x},{y}) above x+y={size + 1}")
 
 
-def permutomino_from_matrix(matrix: LabeledMatrix, size: int) -> Permutomino:
-    """The unique convex permutomino whose labeled reentrant points equal the matrix.
+def corner_word(alphas, betas, gammas, deltas, n: int) -> str:
+    """The boundary word of the convex permutomino of size n with these
+    reentrant points, each list of (x, y) sorted by abscissa.
 
-    Inverse of :func:`reentrant_matrix`.  The boundary is rebuilt as four
-    corner-to-corner chains threaded through the labeled points; the special
-    corners are pinned by the matrix (B sits on top of the leftmost beta
-    column, A at the height of the leftmost delta, and so on, degenerating to
-    (1,1) / (n,n) when a chain is empty).
+    Threads four corner-to-corner chains from D, the lowest leftmost point:
+    up-left through the deltas to A, up-right through the alphas to B, down-right
+    through the betas to C, down-left through the gammas back to D.  The special
+    corners are pinned by the points (B sits on top of the leftmost beta column,
+    A at the height of the leftmost delta, and so on, degenerating to (1,1) /
+    (n,n) when a chain is empty).  Nothing is validated here.
     """
-    validate_matrix(matrix, size)
-    n = size
-    alphas = matrix.by_label(ALPHA)
-    betas = matrix.by_label(BETA)
-    gammas = matrix.by_label(GAMMA)
-    deltas = matrix.by_label(DELTA)
-
     corner_a = (1, deltas[0][1]) if deltas else (1, 1)
     corner_d = (deltas[-1][0], 1) if deltas else (1, 1)
     corner_b = (betas[0][0], n) if betas else (n, n)
@@ -426,8 +421,20 @@ def permutomino_from_matrix(matrix: LabeledMatrix, size: int) -> Permutomino:
         parts.append("S" * (prev[1] - y) + "W" * (prev[0] - x))
         prev = (x, y)
     parts.append("S" * (prev[1] - 1) + "W" * (prev[0] - corner_d[0]))
+    return "".join(parts)
 
-    word = "".join(parts)
+
+def permutomino_from_matrix(matrix: LabeledMatrix, size: int) -> Permutomino:
+    """The unique convex permutomino whose labeled reentrant points equal the matrix.
+
+    Inverse of :func:`reentrant_matrix`: the matrix is validated, its four
+    label classes are threaded by :func:`corner_word`, the one builder of
+    convex boundary words (fibers feed it their corner matrix read off the
+    envelopes), and the word is validated and read back.
+    """
+    validate_matrix(matrix, size)
+    word = corner_word(matrix.by_label(ALPHA), matrix.by_label(BETA),
+                       matrix.by_label(GAMMA), matrix.by_label(DELTA), size)
     try:
         result = from_boundary_word(word)
     except Exception as exc:  # conditions above should make this unreachable

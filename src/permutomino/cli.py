@@ -41,7 +41,7 @@ from .errors import (
 from .membership import (
     canonical_permutomino,
     fiber,
-    free_fixed_points,
+    free_fixed_values,
     is_associated_pi2,
     membership_verdict,
 )
@@ -151,7 +151,7 @@ def cmd_classify(args) -> int:
         print(f"odd-vertex realizable: no (lower envelope rises at {a} then falls: {b} > {c})")
     print(f"even-vertex realizable: {'yes' if is_associated_pi2(p) else 'no'}")
     if verdict.member:
-        free = sorted(free_fixed_points(p))
+        free = free_fixed_values(p)
         print(f"free fixed points: {' '.join(map(str, free)) if free else '(none)'}")
         print(f"fiber size: {2 ** len(free)}")
     else:

@@ -17,7 +17,7 @@ from . import _kernels
 from ._kernels import COUNT_BOUND
 from .boundary import Permutomino
 from .errors import SizeTooLarge
-from .membership import fiber, is_associated, is_associated_pi2
+from .membership import fiber, is_associated
 from .perms import is_indecomposable, square_permutations
 
 SCAN_BOUND = 10  # square_agreement walks S_10's ~3.6M permutations; listings stop here too
@@ -130,7 +130,6 @@ def perm_listing(class_name: str, n: int) -> list[tuple[int, ...]]:
         raise SizeTooLarge(f"permutation listings are bounded at size {SCAN_BOUND}, got {n}")
     preds = {
         "ctilde": is_associated,
-        "ctilde-prime": is_associated_pi2,
         "square": lambda p: True,
         "decomposable": lambda p: not is_indecomposable(p),
     }

@@ -5,7 +5,9 @@ iff its lower envelope is lower unimodal and p is indecomposable.  When it is,
 the whole fiber of permutominoes over p has size 2^|F(p)| where F(p) is the set
 of free fixed points: fixed points on the strictly increasing part of the upper
 envelope, other than 1 and n.  Each choice of alpha/gamma typing for the free
-fixed points gives one permutomino of the fiber, built from the envelopes.
+fixed points gives one permutomino of the fiber: its corner matrix is read off
+the envelopes, the chosen points are retyped gamma, and boundary.corner_word,
+the one builder of convex boundary words, threads it.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ from .boundary import (
     EMPTY,
     GAMMA,
     Permutomino,
+    corner_word,
     from_boundary_word,
     reentrant_matrix,
 )
@@ -47,19 +50,6 @@ class MembershipVerdict:
     witness: tuple | int | None = None
 
 
-def _unimodality_witness(entries: Sequence[tuple[int, int]]):
-    """Three entries v_a < v_b > v_c at increasing indices, or None if unimodal."""
-    values = [v for _, v in entries]
-    ascent = None
-    for i in range(len(values) - 1):
-        if ascent is None:
-            if values[i] < values[i + 1]:
-                ascent = i
-        elif values[i] > values[i + 1]:
-            return (entries[ascent], entries[i], entries[i + 1])
-    return None
-
-
 def membership_verdict(p: Sequence[int]) -> MembershipVerdict:
     """Full membership test for 'p is pi1 of some convex permutomino'.
 
@@ -71,9 +61,9 @@ def membership_verdict(p: Sequence[int]) -> MembershipVerdict:
 
 def _verdict(p: tuple[int, ...], env: perms.Envelopes) -> MembershipVerdict:
     """membership_verdict for p, given its envelopes."""
-    witness = _unimodality_witness(env.lower.entries)
+    witness = perms.lower_unimodal_break(env.lower.values)
     if witness is not None:
-        return MembershipVerdict(False, NOT_UNIMODAL, witness)
+        return MembershipVerdict(False, NOT_UNIMODAL, tuple(env.lower.entries[i] for i in witness))
     splits = perms.split_points(p)
     if splits:
         return MembershipVerdict(False, DECOMPOSABLE, min(splits))
@@ -163,13 +153,16 @@ def shapes_over(p: Sequence[int], gamma_sets: Iterable[Sequence[int]]) -> list[P
     """For each set G of free fixed points, the convex permutomino over p with
     G typed gamma and the rest alpha, from one membership test.
 
-    G empty gives four boundary chains: the north-then-east climb through the
-    increasing upper envelope (A to B), south-then-east through its decreasing
-    part (B to C), and the mirrored walks through the lower envelope (C to D
-    to A).  Typing f gamma moves (f, f) from A..B into D..C.  Raises
-    NotAssociated when p is not realizable, and AssertionError unless each
-    shape is convex over p and, for G not empty, its corner matrix is the
-    canonical one with G retyped gamma.
+    The shape is its corner matrix, read off the envelopes and threaded by
+    boundary.corner_word.  For G empty that is the canonical matrix: alpha at
+    the interior entries of the rising upper envelope, gamma at those of the
+    climbing lower envelope, beta at (left position, right value) of each
+    consecutive pair on the falling upper envelope, delta at (right position,
+    left value) of each consecutive pair on the sinking lower envelope.  Typing
+    f gamma moves (f, f) from the alphas to the gammas.  Raises NotAssociated
+    when p is not realizable, and AssertionError unless each shape is convex
+    over p and, for G not empty, its corner matrix is the canonical one with G
+    retyped gamma.
     """
     p = perms.as_perm(p)
     env = perms.envelopes(p)
@@ -179,18 +172,19 @@ def shapes_over(p: Sequence[int], gamma_sets: Iterable[Sequence[int]]) -> list[P
     n = len(p)
     upper = env.upper.entries
     top = next(i for i, (_, v) in enumerate(upper) if v == n)
-    falling = upper[top:]  # B .. C along the upper envelope
     low = env.lower.entries
     pivot = next(i for i, (_, v) in enumerate(low) if v == 1)
-    sinking = low[: pivot + 1]  # A .. D along the lower envelope
+    alphas = upper[1:top]
+    betas = [(x, y) for (x, _), (_, y) in zip(upper[top:], upper[top + 1:])]
+    gammas = low[pivot + 1:-1]
+    deltas = [(x, y) for (_, y), (x, _) in zip(low[:pivot], low[1:pivot + 1])]
 
     def build(gamma: Sequence[int]) -> Permutomino:
-        rising = [e for e in upper[: top + 1] if e[0] not in gamma]  # A .. B
-        climbing = sorted(low[pivot:] + tuple((f, f) for f in gamma))  # D .. C
-        word = _chain_word(sinking, rising, falling, climbing)
+        word = corner_word([e for e in alphas if e[0] not in gamma], betas,
+                           sorted(gammas + tuple((f, f) for f in gamma)), deltas, n)
         shape = from_boundary_word(word)
         if shape.pi1 != p or not shape.is_convex:
-            raise AssertionError(f"chain word {word!r} is not a convex permutomino over {p}")
+            raise AssertionError(f"corner word {word!r} is not a convex permutomino over {p}")
         return shape
 
     canonical = build(()) if n > 1 else EMPTY
@@ -207,21 +201,3 @@ def shapes_over(p: Sequence[int], gamma_sets: Iterable[Sequence[int]]) -> list[P
             raise AssertionError(f"{shape!r} does not type {gamma} gamma over {p}")
         out.append(shape)
     return out
-
-
-def _chain_word(sinking, rising, falling, climbing) -> str:
-    """The boundary word through the four chains, from D (the lowest leftmost point) heading N."""
-    parts: list[str] = []
-    # D up to A through the decreasing lower entries, right to left
-    for (lpos, lval), (rpos, rval) in zip(reversed(sinking[:-1]), reversed(sinking[1:])):
-        parts.append("N" * (lval - rval) + "W" * (rpos - lpos))
-    # A up to B through the increasing upper entries
-    for (lpos, lval), (rpos, rval) in zip(rising, rising[1:]):
-        parts.append("N" * (rval - lval) + "E" * (rpos - lpos))
-    # B down to C through the decreasing upper entries
-    for (lpos, lval), (rpos, rval) in zip(falling, falling[1:]):
-        parts.append("S" * (lval - rval) + "E" * (rpos - lpos))
-    # C down to D through the increasing lower entries, right to left
-    for (lpos, lval), (rpos, rval) in zip(reversed(climbing[:-1]), reversed(climbing[1:])):
-        parts.append("S" * (rval - lval) + "W" * (rpos - lpos))
-    return "".join(parts)

@@ -31,10 +31,6 @@ def as_perm(values: Iterable[int]) -> tuple[int, ...]:
     return p
 
 
-def identity(n: int) -> tuple[int, ...]:
-    return tuple(range(1, n + 1))
-
-
 def reversal(p: Sequence[int]) -> tuple[int, ...]:
     """The reversal: value at position i becomes the value at position n+1-i."""
     return tuple(p[::-1])
@@ -195,14 +191,22 @@ def envelopes(p: Sequence[int]) -> Envelopes:
     )
 
 
+def lower_unimodal_break(values: Sequence[int]) -> tuple[int, int, int] | None:
+    """None iff the (distinct) values strictly decrease then strictly increase;
+    otherwise the indices a < b < c of the first ascent and the first descent
+    after it, so values[a] < values[b] > values[c]."""
+    i, last = 0, len(values) - 1
+    while i < last and values[i] > values[i + 1]:
+        i += 1
+    ascent = i
+    while i < last and values[i] < values[i + 1]:
+        i += 1
+    return None if i >= last else (ascent, i, i + 1)
+
+
 def is_lower_unimodal(values: Sequence[int]) -> bool:
     """True iff the (distinct) values strictly decrease then strictly increase."""
-    i = 0
-    while i + 1 < len(values) and values[i] > values[i + 1]:
-        i += 1
-    while i + 1 < len(values) and values[i] < values[i + 1]:
-        i += 1
-    return i + 1 >= len(values)
+    return lower_unimodal_break(values) is None
 
 
 def is_upper_unimodal(values: Sequence[int]) -> bool:

@@ -422,10 +422,15 @@ SHAPE_DIGESTS = {
         "219aaafedd041918e97a46a7818d864b3826007cc1414c6abfb605dd0879f37c",
     ("enumerate", "convex", "6", "--list"):
         "2d474f0cef1364fb2074591ffd12fe4c342ec0b90184b4a73b5b3193a20928c8",
+    # recorded while fibers threaded their own chain words: every part kind of
+    # the bijection, the last one built with all its free fixed points gamma
+    ("decompose", "16 15 18 19 17 14 12 13 9 7 11 10 8 3 1 6 5 2 4", "--render", "--format", "json"):
+        "34ae33f16c7d60a2d19406b11827f725249431a7bd8c2e7b4919f55c1b6ce53b",
 }
 
 
-@pytest.mark.parametrize("argv", SHAPE_DIGESTS, ids=("build-json", "build-svg", "enumerate-list"))
+@pytest.mark.parametrize("argv", SHAPE_DIGESTS,
+                         ids=("build-json", "build-svg", "enumerate-list", "decompose-json"))
 def test_shape_output_is_pinned(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""

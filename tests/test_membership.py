@@ -150,6 +150,23 @@ def test_fiber_matches_the_matrix_route():
     assert shapes == 10805
 
 
+def test_fibers_do_not_validate_matrices(monkeypatch):
+    """Fibers share the corner-word builder with permutomino_from_matrix, but
+    not its per-shape matrix validation."""
+    from permutomino import bijection, boundary
+
+    def refuse(*args):
+        raise AssertionError("matrix route called")
+
+    monkeypatch.setattr(boundary, "validate_matrix", refuse)
+    monkeypatch.setattr(boundary, "permutomino_from_matrix", refuse)
+    assert len(fiber((2, 1, 3, 4, 7, 6, 5))) == 4
+    assert canonical_permutomino((1, 2, 3, 4, 5)).pi1 == (1, 2, 3, 4, 5)
+    seq = bijection.permutation_to_sequence((16, 15, 18, 19, 17, 14, 12, 13, 9, 7,
+                                              11, 10, 8, 3, 1, 6, 5, 2, 4))
+    assert len(seq) == 5
+
+
 def test_shape_checks_hold_under_python_O():
     """The post-checks of the shape layer are raises, not asserts: with the
     word validator swapped for one that returns a wrong shape, `python -O`
