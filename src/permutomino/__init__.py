@@ -6,64 +6,47 @@ permutation, converts between permutominoes and their labeled reentrant-corner
 matrices, realizes the bijection between decomposable square permutations and
 sequences of directed-convex/parallelogram permutominoes, and cross-verifies
 every closed-form count against exhaustive enumeration.
-"""
-from .boundary import (
-    EMPTY,
-    LabeledMatrix,
-    Permutomino,
-    classify,
-    from_boundary_word,
-    permutomino_from_matrix,
-    reentrant_matrix,
-    reflect_x,
-    reflect_y,
-    transpose,
-)
-from .bijection import (
-    PermutominoSequence,
-    permutation_to_sequence,
-    sequence_to_permutation,
-)
-from .membership import (
-    FreeFixedPoints,
-    MembershipVerdict,
-    canonical_permutomino,
-    fiber,
-    free_fixed_points,
-    is_associated,
-    is_associated_pi2,
-    membership_verdict,
-)
-from .perms import (
-    Envelopes,
-    Subsequence,
-    as_perm,
-    complement,
-    contains_pattern,
-    decompose,
-    direct_difference,
-    envelopes,
-    extrema,
-    is_lower_unimodal,
-    is_square,
-    is_square_by_patterns,
-    is_upper_unimodal,
-    reversal,
-    split_points,
-    square_permutations,
-)
 
+The names in __all__ are read lazily from their home modules, which _HOMES
+maps them to: `import permutomino` loads no submodule, and `permutomino.fiber`
+(or `from permutomino import fiber`) imports permutomino.membership on first
+use and returns its `fiber`.  So a command-line job loads only the modules it
+runs.
+"""
 __version__ = "0.1.0"
 
-__all__ = [
-    "EMPTY", "LabeledMatrix", "Permutomino", "PermutominoSequence",
-    "FreeFixedPoints", "MembershipVerdict", "Envelopes", "Subsequence",
-    "as_perm", "canonical_permutomino", "classify",
-    "complement", "contains_pattern", "decompose", "direct_difference",
-    "envelopes", "extrema", "fiber", "free_fixed_points", "from_boundary_word",
-    "is_associated", "is_associated_pi2", "is_lower_unimodal", "is_square",
-    "is_square_by_patterns", "is_upper_unimodal", "membership_verdict",
-    "permutation_to_sequence", "permutomino_from_matrix", "reentrant_matrix",
-    "reflect_x", "reflect_y", "reversal", "sequence_to_permutation",
-    "split_points", "square_permutations", "transpose",
-]
+# public name -> the submodule that defines it
+_HOMES = {
+    **dict.fromkeys((
+        "EMPTY", "LabeledMatrix", "Permutomino", "classify", "from_boundary_word",
+        "permutomino_from_matrix", "reentrant_matrix", "reflect_x", "reflect_y", "transpose",
+    ), "boundary"),
+    **dict.fromkeys((
+        "PermutominoSequence", "permutation_to_sequence", "sequence_to_permutation",
+    ), "bijection"),
+    **dict.fromkeys((
+        "FreeFixedPoints", "MembershipVerdict", "canonical_permutomino", "fiber",
+        "free_fixed_points", "is_associated", "is_associated_pi2", "membership_verdict",
+    ), "membership"),
+    **dict.fromkeys((
+        "Envelopes", "Subsequence", "as_perm", "complement", "contains_pattern", "decompose",
+        "direct_difference", "envelopes", "extrema", "is_lower_unimodal", "is_square",
+        "is_square_by_patterns", "is_upper_unimodal", "reversal", "split_points",
+        "square_permutations",
+    ), "perms"),
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f".{home}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

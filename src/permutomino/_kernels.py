@@ -9,19 +9,15 @@ rules by counting, so it is not a further characterization of square
 permutations; the independent checks stay the closed forms, the
 envelope-vs-pattern agreement and the interval oracle.  Its reference, a fold
 over the permutations the generator yields, is in tests/test_kernels.py.
-
-square_agreement walks all of S_n, because it has to see the non-squares.  It
-defines no predicate of its own: the envelope square test and the pattern
-square test come from permutomino.perms.
+The module imports no other part of the package but `errors`, so a count
+loads no permutation or shape code.
 """
 from __future__ import annotations
 
 from functools import cache
-from itertools import permutations
 from math import factorial
 
 from .errors import SizeTooLarge
-from .perms import is_square, is_square_by_patterns
 
 BACKEND = "python"
 
@@ -113,20 +109,3 @@ def count_stats(n: int) -> dict:
         "assoc_first_lt_last": rising,
     }
 
-
-def square_agreement(n: int) -> dict:
-    """Compare the envelope route and the pattern route over all of S_n.
-
-    Returns counts from both routes plus the number of disagreements (zero if
-    the two characterizations really coincide).
-    """
-    by_envelope = 0
-    by_patterns = 0
-    disagree = 0
-    for p in permutations(range(1, n + 1)):
-        a = is_square(p)
-        b = is_square_by_patterns(p)
-        by_envelope += a
-        by_patterns += b
-        disagree += a != b
-    return {"by_envelope": by_envelope, "by_patterns": by_patterns, "disagreements": disagree}

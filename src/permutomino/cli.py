@@ -16,19 +16,18 @@ exist is rejected before anything is printed or written.
 Counts are computed without a scan, up to size `counting.COUNT_BOUND`;
 permutation listings stop at `counting.SCAN_BOUND`.  `--workers` is ignored; it
 is still accepted only so that existing command lines keep working.
-`counting` is imported by `enumerate` and `verify` by `verify`, so the other
-subcommands do not load them.
+At import this module loads only argparse, os, sys and `errors`; each
+subcommand imports what it runs at the top of its own body (`render` is
+imported by the shared `_render`, `json` only by `verify --json`), so a job
+loads no module it does not run: a count loads `counting` and `_kernels` but
+no shape module.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import dataclass
 
-from .bijection import permutation_to_sequence, sequence_to_permutation
-from .boundary import Permutomino
 from .errors import (
     Indecomposable,
     InvalidSequence,
@@ -38,27 +37,11 @@ from .errors import (
     ParseError,
     SizeTooLarge,
 )
-from .membership import (
-    canonical_permutomino,
-    fiber,
-    free_fixed_values,
-    is_associated_pi2,
-    membership_verdict,
-)
-from .perms import envelopes, is_square
-from .render import ascii_art, json_document, svg_document
 
 PERM_CLASSES = ("ctilde", "square", "decomposable")
 GEO_CLASSES = ("convex", "directed", "parallelogram", "symmetric", "column-convex")
 # the classes each `enumerate --by` applies to; `--method` applies to convex only
 BY_CLASSES = {"fixed-points": ("convex", "ctilde"), "components": ("square", "decomposable")}
-
-
-@dataclass
-class RenderSpec:
-    format: str = "ascii"  # ascii | svg | json
-    cell_px: int = 24
-    out: str | None = None  # path; None means standard output
 
 
 def int_at_least(low: int):
@@ -105,15 +88,16 @@ def parse_permutation(text: str) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _emit(texts: list[str], spec: RenderSpec) -> None:
-    if spec.out is None:
+def _emit(texts: list[str], out: str | None) -> None:
+    """Print texts, or write them to out (one numbered file each when several)."""
+    if out is None:
         print("\n\n".join(texts))
         return
     if len(texts) == 1:
-        paths = [spec.out]
+        paths = [out]
     else:
         # shape.svg -> shape-1.svg, ...; a name without an extension gets .out
-        stem, ext = os.path.splitext(spec.out)
+        stem, ext = os.path.splitext(out)
         paths = [f"{stem}-{i}{ext or '.out'}" for i in range(1, len(texts) + 1)]
     try:
         for path, text in zip(paths, texts):
@@ -123,25 +107,31 @@ def _emit(texts: list[str], spec: RenderSpec) -> None:
         raise OutputError(f"{exc.filename}: {exc.strerror}") from None
 
 
-def _render(shapes: list[Permutomino], spec: RenderSpec) -> None:
-    if spec.format == "json":
-        _emit([json_document(shapes)], spec)
-    elif spec.format == "svg":
-        _emit([svg_document(p, spec.cell_px) for p in shapes], spec)
+def _render(shapes: list, args) -> None:
+    """Render shapes as args.format asks (with args.cell_px) to args.out."""
+    from .render import ascii_art, json_document, svg_document
+
+    if args.format == "json":
+        _emit([json_document(shapes)], args.out)
+    elif args.format == "svg":
+        _emit([svg_document(p, args.cell_px) for p in shapes], args.out)
     else:
-        _emit([ascii_art(p) for p in shapes], spec)
+        _emit([ascii_art(p) for p in shapes], args.out)
 
 
 def cmd_classify(args) -> int:
+    from . import membership
+    from .perms import envelopes, is_square
+
     p = parse_permutation(args.perm)
     env = envelopes(p)
-    verdict = membership_verdict(p)
+    verdict = membership._verdict(p, env)
     print(f"permutation: {' '.join(map(str, p))}  (n={len(p)})")
     print(f"upper envelope: {' '.join(map(str, env.upper.values))}"
           f"  at positions {' '.join(map(str, env.upper.positions))}")
     print(f"lower envelope: {' '.join(map(str, env.lower.values))}"
           f"  at positions {' '.join(map(str, env.lower.positions))}")
-    print(f"square: {'yes' if is_square(p) else 'no'}")
+    print(f"square: {'yes' if is_square(p, env) else 'no'}")
     if verdict.member:
         print("odd-vertex realizable: yes")
     elif verdict.reason == "decomposable":
@@ -149,9 +139,9 @@ def cmd_classify(args) -> int:
     else:
         a, b, c = verdict.witness
         print(f"odd-vertex realizable: no (lower envelope rises at {a} then falls: {b} > {c})")
-    print(f"even-vertex realizable: {'yes' if is_associated_pi2(p) else 'no'}")
+    print(f"even-vertex realizable: {'yes' if membership.is_associated_pi2(p) else 'no'}")
     if verdict.member:
-        free = free_fixed_values(p)
+        free = membership.free_fixed_values(p)
         print(f"free fixed points: {' '.join(map(str, free)) if free else '(none)'}")
         print(f"fiber size: {2 ** len(free)}")
     else:
@@ -161,13 +151,15 @@ def cmd_classify(args) -> int:
 
 
 def cmd_build(args) -> int:
+    from .boundary import Permutomino
+    from .membership import canonical_permutomino, fiber
+
     p = parse_permutation(args.perm)
-    spec = RenderSpec(format=args.format, cell_px=args.cell_px, out=args.out)
     if args.all:
         shapes = sorted(fiber(p), key=Permutomino.sort_key)
     else:
         shapes = [canonical_permutomino(p)]
-    _render(shapes, spec)
+    _render(shapes, args)
     return 0
 
 
@@ -233,6 +225,8 @@ def cmd_verify(args) -> int:
 
     report = verify.verify_identities(args.max_size, strict_paper=args.strict_paper)
     if args.json:
+        import json
+
         print(json.dumps(report.as_dict(), indent=2))
     else:
         for e in report.entries:
@@ -244,6 +238,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .bijection import permutation_to_sequence, sequence_to_permutation
+
     p = parse_permutation(args.perm)
     seq = permutation_to_sequence(p)
     if sequence_to_permutation(seq) != p:
@@ -257,8 +253,7 @@ def cmd_decompose(args) -> int:
             print(f"part {i}: size {part.size}  {kind}  boundary {part.word}  "
                   f"pi2={' '.join(map(str, part.pi2))}")
     if args.render:
-        spec = RenderSpec(format=args.format, cell_px=args.cell_px, out=args.out)
-        _render([part for part in seq if part.size > 1], spec)
+        _render([part for part in seq if part.size > 1], args)
     return 0
 
 

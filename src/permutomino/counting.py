@@ -8,17 +8,16 @@ Permutation listings filter the square generator, since every listed
 permutation class is a subset of the square permutations.  Geometric listings
 come from the interval oracle: column-convex from its own enumerator, every
 other class from the convex listing filtered by the class flag that
-CLASS_FLAGS names.  The oracle is imported by the two functions that call it,
-so a count does not load it.
+CLASS_FLAGS names.  The oracle and the permutation and shape modules are
+imported by the functions that call them, so a count loads none of them.
 """
 from __future__ import annotations
 
+from itertools import permutations
+
 from . import _kernels
 from ._kernels import COUNT_BOUND
-from .boundary import Permutomino
 from .errors import SizeTooLarge
-from .membership import fiber, is_associated
-from .perms import is_indecomposable, square_permutations
 
 SCAN_BOUND = 10  # square_agreement walks S_10's ~3.6M permutations; listings stop here too
 FIBER_BOUND = 7  # convex_via_fibers materializes 1836 shapes at size 7
@@ -42,10 +41,27 @@ def scan_stats(n: int, workers: int = 1) -> dict:
 
 
 def square_agreement(n: int) -> dict:
-    """Envelope route vs pattern route over all of S_n."""
+    """Compare the envelope route and the pattern route over all of S_n.
+
+    Returns counts from both routes plus the number of disagreements (zero if
+    the two characterizations really coincide).  It walks all of S_n, because
+    it has to see the non-squares, and defines no predicate of its own: both
+    square tests come from permutomino.perms.
+    """
+    from .perms import is_square, is_square_by_patterns
+
     if n > SCAN_BOUND:
         raise SizeTooLarge(f"scans are bounded at size {SCAN_BOUND}, got {n}")
-    return _kernels.square_agreement(n)
+    by_envelope = 0
+    by_patterns = 0
+    disagree = 0
+    for p in permutations(range(1, n + 1)):
+        a = is_square(p)
+        b = is_square_by_patterns(p)
+        by_envelope += a
+        by_patterns += b
+        disagree += a != b
+    return {"by_envelope": by_envelope, "by_patterns": by_patterns, "disagreements": disagree}
 
 
 def count_ctilde(n: int, stats: dict | None = None) -> dict:
@@ -91,13 +107,17 @@ def fiber_sum(by_free_fixed_points: dict[int, int]) -> int:
     return sum(v << k for k, v in by_free_fixed_points.items())
 
 
-def convex_via_fibers(n: int) -> list[Permutomino]:
+def convex_via_fibers(n: int) -> list:
     """Materialize every convex permutomino of size n through the fibers.
 
     Walks the square permutations, keeps the realizable (indecomposable)
     ones and expands each fiber; the result is sorted by (pi1, boundary word)
     like the oracle listings.
     """
+    from .boundary import Permutomino
+    from .membership import fiber
+    from .perms import is_indecomposable, square_permutations
+
     if n > FIBER_BOUND:
         raise SizeTooLarge(f"fiber listing is bounded at size {FIBER_BOUND}, got {n}")
     out: list[Permutomino] = []
@@ -108,7 +128,7 @@ def convex_via_fibers(n: int) -> list[Permutomino]:
     return out
 
 
-def listing(class_name: str, n: int) -> list[Permutomino]:
+def listing(class_name: str, n: int) -> list:
     """Stable listing of a permutomino class (geometry-backed classes only)."""
     from . import oracles
 
@@ -126,6 +146,9 @@ def perm_listing(class_name: str, n: int) -> list[tuple[int, ...]]:
     Every class here is a subset of the square permutations, so the listing
     filters the square generator rather than S_n.
     """
+    from .membership import is_associated
+    from .perms import is_indecomposable, square_permutations
+
     if n > SCAN_BOUND:
         raise SizeTooLarge(f"permutation listings are bounded at size {SCAN_BOUND}, got {n}")
     preds = {

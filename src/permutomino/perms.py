@@ -267,8 +267,14 @@ FORBIDDEN_PATTERNS: frozenset[tuple[int, ...]] = frozenset(
 _FORBIDDEN_RANKS = frozenset(tuple(v - 1 for v in pat) for pat in FORBIDDEN_PATTERNS)
 
 
-def is_square(p: Sequence[int]) -> bool:
-    """True iff the lower envelope of p is lower unimodal."""
+def is_square(p: Sequence[int], env: Envelopes | None = None) -> bool:
+    """True iff the lower envelope of p is lower unimodal.
+
+    env is envelopes(p) when the caller already holds it; otherwise only the
+    lower envelope's positions are computed.
+    """
+    if env is not None:
+        return is_lower_unimodal(env.lower.values)
     return is_lower_unimodal([p[i] for i in _envelope_positions(p)[1]])
 
 

@@ -347,18 +347,73 @@ def modules_after(code: str) -> set[str]:
     return set(out.rpartition("modules:")[2].split())
 
 
+# the permutation and shape modules: only the subcommands that run them load them
+SHAPE_MODULES = {f"permutomino.{name}"
+                 for name in ("boundary", "membership", "perms", "bijection", "render")}
 NOT_AT_IMPORT = (
     "concurrent.futures", "multiprocessing", "xml.sax", "urllib.request", "http.client",
-    "email", "permutomino.counting", "permutomino.verify", "permutomino.formulas",
-    "permutomino.oracles", "permutomino._kernels",
+    "email", "dataclasses", "json", "permutomino.counting", "permutomino.verify",
+    "permutomino.formulas", "permutomino.oracles", "permutomino._kernels", *SHAPE_MODULES,
 )
 
 
+def package_modules(names: set[str]) -> set[str]:
+    return {name for name in names if name.partition(".")[0] == "permutomino"}
+
+
 def test_each_job_imports_only_what_it_runs():
+    assert package_modules(modules_after("import permutomino")) == {"permutomino"}
     assert modules_after("import permutomino.cli").isdisjoint(NOT_AT_IMPORT)
-    loaded = modules_after('from permutomino.cli import main\nmain(["enumerate", "square", "5"])')
-    assert "permutomino.counting" in loaded
-    assert loaded.isdisjoint({"permutomino.verify", "permutomino.formulas"})
+    loaded = modules_after('from permutomino.cli import main\n'
+                           'main(["enumerate", "square", "9", "--by", "components"])')
+    assert package_modules(loaded) == {"permutomino", "permutomino.cli", "permutomino.errors",
+                                       "permutomino.counting", "permutomino._kernels"}
+    assert "dataclasses" not in loaded
+    loaded = modules_after('from permutomino.cli import main\nmain(["verify", "--max-size", "4"])')
+    assert {"permutomino.verify", "permutomino.counting", "permutomino.oracles"} <= loaded
+    assert loaded.isdisjoint(SHAPE_MODULES - {"permutomino.boundary"})
+
+
+def test_census_job_as_run_from_the_command_line_imports_no_shape_module():
+    argv = ("enumerate", "square", "9", "--by", "components", "--workers", "2")
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "permutomino.cli", *argv],
+                          env=subprocess_env(), capture_output=True, text=True, check=True)
+    assert proc.stdout == CENSUS[argv[1:5]]
+    # importtime rows: "import time: self [us] | cumulative | imported package"
+    imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    # `-m` runs cli as __main__, so it is not among the imported modules
+    assert package_modules(imported) == {"permutomino", "permutomino.errors",
+                                         "permutomino.counting", "permutomino._kernels"}
+    assert "dataclasses" not in imported
+
+
+def test_package_names_are_their_home_modules_objects():
+    import importlib
+
+    import permutomino
+
+    star: dict = {}
+    exec("from permutomino import *", star)
+    for name in permutomino.__all__:
+        value = getattr(permutomino, name)
+        home = importlib.import_module(value.__module__)
+        assert getattr(home, name) is value is star[name], name
+        assert name in dir(permutomino)
+    with pytest.raises(AttributeError):
+        permutomino.no_such_name
+
+
+def test_classify_scans_each_envelope_once(capsys, monkeypatch):
+    from permutomino import perms
+
+    calls = []
+    scan = perms._envelope_positions
+    monkeypatch.setattr(perms, "_envelope_positions", lambda p: calls.append(p) or scan(p))
+    code, out, _ = run(capsys, "classify", "2 1 3 4 7 6 5")
+    assert code == 0 and "square: yes" in out and "even-vertex realizable: no" in out
+    # p for the printout, the verdict and the square line; its reversal for pi2
+    assert calls == [(2, 1, 3, 4, 7, 6, 5), (5, 6, 7, 4, 3, 1, 2)]
 
 
 CENSUS = {

@@ -3,7 +3,7 @@ of its own, and the state-counting kernel against the generator fold."""
 import pytest
 
 from conftest import all_perms
-from permutomino import _kernels, perms
+from permutomino import _kernels, counting, perms
 from permutomino._kernels import BACKEND, COUNT_BOUND
 from permutomino.errors import SizeTooLarge
 from permutomino.membership import free_fixed_values
@@ -109,6 +109,6 @@ def test_count_stats_refuses_sizes_the_packing_width_cannot_hold():
 
 def test_agreement_counts_are_square_counts():
     for n, q in [(1, 1), (2, 2), (3, 6), (4, 24), (5, 104), (6, 464)]:
-        out = _kernels.square_agreement(n)
+        out = counting.square_agreement(n)
         assert out["by_envelope"] == out["by_patterns"] == q
         assert out["disagreements"] == 0
