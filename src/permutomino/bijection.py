@@ -84,7 +84,7 @@ def _unique_part(component: tuple[int, ...], last: bool, middle: bool) -> Permut
     if component == (1,):
         return EMPTY
     gamma = free_fixed_values(component) if last else ()
-    shape = shapes_over(component, [gamma])[0]
+    shape = next(shapes_over(component, [gamma]))
     part = reflect_x(shape) if last else reflect_y(shape)
     wanted = "parallelogram" if middle else "directed"
     if not part.flags[wanted]:

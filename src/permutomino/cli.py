@@ -14,13 +14,17 @@ too large, reported before anything is printed (a fiber with more than
 outside the bijection's domain.  An `--out` path whose directory does not
 exist is rejected before anything is printed or written.
 Counts are computed without a scan, up to size `counting.COUNT_BOUND`;
-permutation listings stop at `counting.SCAN_BOUND`.  `--workers` is ignored; it
-is still accepted only so that existing command lines keep working.
+permutation listings stop at `counting.SCAN_BOUND`.  `build --all` and
+`enumerate convex --list` write each shape as soon as it is built (fibers come
+in output order), so their memory does not grow with the fiber or the
+listing.  A `decompose --render` with no part to draw prints nothing in ASCII
+or SVG, and with `--out` writes no file and says so on stderr.  `--workers` is
+ignored; it is still accepted only so that existing command lines keep working.
 At import this module loads only argparse, os, sys and `errors`; each
-subcommand imports what it runs at the top of its own body (`render` is
-imported by the shared `_render`, `json` only by `verify --json`), so a job
-loads no module it does not run: a count loads `counting` and `_kernels` but
-no shape module.
+subcommand imports what it runs at the top of its own body (`render`, whose
+`write` sends shapes to stdout or `--out`, by `build` and `decompose
+--render`; `json` only by `verify --json`), so a job loads no module it does
+not run: a count loads `counting` and `_kernels` but no shape module.
 """
 from __future__ import annotations
 
@@ -88,37 +92,6 @@ def parse_permutation(text: str) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _emit(texts: list[str], out: str | None) -> None:
-    """Print texts, or write them to out (one numbered file each when several)."""
-    if out is None:
-        print("\n\n".join(texts))
-        return
-    if len(texts) == 1:
-        paths = [out]
-    else:
-        # shape.svg -> shape-1.svg, ...; a name without an extension gets .out
-        stem, ext = os.path.splitext(out)
-        paths = [f"{stem}-{i}{ext or '.out'}" for i in range(1, len(texts) + 1)]
-    try:
-        for path, text in zip(paths, texts):
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-    except OSError as exc:
-        raise OutputError(f"{exc.filename}: {exc.strerror}") from None
-
-
-def _render(shapes: list, args) -> None:
-    """Render shapes as args.format asks (with args.cell_px) to args.out."""
-    from .render import ascii_art, json_document, svg_document
-
-    if args.format == "json":
-        _emit([json_document(shapes)], args.out)
-    elif args.format == "svg":
-        _emit([svg_document(p, args.cell_px) for p in shapes], args.out)
-    else:
-        _emit([ascii_art(p) for p in shapes], args.out)
-
-
 def cmd_classify(args) -> int:
     from . import membership
     from .perms import envelopes, is_square
@@ -151,15 +124,12 @@ def cmd_classify(args) -> int:
 
 
 def cmd_build(args) -> int:
-    from .boundary import Permutomino
     from .membership import canonical_permutomino, fiber
+    from .render import write
 
     p = parse_permutation(args.perm)
-    if args.all:
-        shapes = sorted(fiber(p), key=Permutomino.sort_key)
-    else:
-        shapes = [canonical_permutomino(p)]
-    _render(shapes, args)
+    shapes = fiber(p) if args.all else [canonical_permutomino(p)]
+    write(shapes, args.format, args.cell_px, args.out)
     return 0
 
 
@@ -253,7 +223,9 @@ def cmd_decompose(args) -> int:
             print(f"part {i}: size {part.size}  {kind}  boundary {part.word}  "
                   f"pi2={' '.join(map(str, part.pi2))}")
     if args.render:
-        _render([part for part in seq if part.size > 1], args)
+        from .render import write
+
+        write([part for part in seq if part.size > 1], args.format, args.cell_px, args.out)
     return 0
 
 

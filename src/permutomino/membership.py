@@ -12,8 +12,7 @@ the one builder of convex boundary words, threads it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import perms
 from .boundary import (
@@ -26,9 +25,10 @@ from .boundary import (
 )
 from .errors import NotAssociated, SizeTooLarge
 
-# a fiber has 2^|F(p)| shapes; `build --all` at the bound (4096 shapes) takes
-# ~1.8 s and ~210 MB as SVG (~1.3 s and ~65 MB as ASCII) on a 2-vCPU VM, and
-# each free fixed point more doubles both
+# a fiber has 2^|F(p)| shapes, built and written one at a time, so this bounds
+# time, not memory: `build --all` at the bound (4096 shapes) takes ~1.9 s as
+# SVG, ~1.0 s as JSON and ~1.2 s as ASCII on a 2-vCPU VM, in ~18 MB whatever
+# the fiber size, and each free fixed point more doubles the time
 FREE_FIXED_BOUND = 12
 
 OK = "ok"
@@ -70,6 +70,13 @@ def _verdict(p: tuple[int, ...], env: perms.Envelopes) -> MembershipVerdict:
     return MembershipVerdict(True, OK)
 
 
+def _require_member(p: tuple[int, ...], env: perms.Envelopes) -> None:
+    """Raise NotAssociated unless p, with envelopes env, is realizable."""
+    verdict = _verdict(p, env)
+    if not verdict.member:
+        raise NotAssociated(f"{p} is not realizable ({verdict.reason})")
+
+
 def is_associated(p: Sequence[int]) -> bool:
     """True iff p is the odd-vertex permutation of some convex permutomino."""
     return membership_verdict(p).member
@@ -98,9 +105,7 @@ class FreeFixedPoints:
 
 def free_fixed_points(p: Sequence[int]) -> FreeFixedPoints:
     p = perms.as_perm(p)
-    verdict = membership_verdict(p)
-    if not verdict.member:
-        raise NotAssociated(f"{p} is not realizable ({verdict.reason})")
+    _require_member(p, perms.envelopes(p))
     return FreeFixedPoints(frozenset(free_fixed_values(p)))
 
 
@@ -125,33 +130,81 @@ def canonical_permutomino(p: Sequence[int]) -> Permutomino:
     Raises NotAssociated when p fails the membership test; p = (1) gives the
     empty permutomino.
     """
-    return shapes_over(p, [()])[0]
+    return next(shapes_over(p, [()]))
 
 
-def fiber(p: Sequence[int]) -> set[Permutomino]:
-    """All convex permutominoes whose odd-vertex permutation is p.
+def fiber(p: Sequence[int]) -> Fiber:
+    """All convex permutominoes whose odd-vertex permutation is p, in output
+    order (by boundary word, so by `Permutomino.sort_key`).
 
     Exactly 2^|F(p)| of them: for each subset of the free fixed points, the
     shape with the subset typed gamma, its points moved from the rising upper
     chain to the climbing lower one.  Raises NotAssociated when p is not
-    realizable, and SizeTooLarge, before any shape is built, when |F(p)| is
-    above FREE_FIXED_BOUND.
+    realizable, and SizeTooLarge when |F(p)| is above FREE_FIXED_BOUND, here,
+    before any shape is built; the shapes are built as the result is iterated.
     """
     p = perms.as_perm(p)
+    env = perms.envelopes(p)
+    _require_member(p, env)
     free = free_fixed_values(p)
-    if len(free) > FREE_FIXED_BOUND and is_associated(p):
+    if len(free) > FREE_FIXED_BOUND:
         raise SizeTooLarge(f"a fiber has 2^{len(free)} shapes; fibers are bounded at "
                            f"{FREE_FIXED_BOUND} free fixed points")
-    subsets = (chosen for k in range(len(free) + 1) for chosen in combinations(free, k))
-    out = set(shapes_over(p, subsets))
-    if len(out) != 2 ** len(free):
-        raise AssertionError(f"fiber of {p} has {len(out)} shapes, not 2^{len(free)}")
-    return out
+    return Fiber(p, tuple(free), env)
 
 
-def shapes_over(p: Sequence[int], gamma_sets: Iterable[Sequence[int]]) -> list[Permutomino]:
+class Fiber:
+    """The fiber over a realizable p: sized, and built anew, one shape at a
+    time, by each iteration.
+
+    Subset m = 0 .. 2^k - 1 of the k free fixed points types f gamma when f's
+    bit is 1, the smallest free fixed point being the most significant bit;
+    in that order the words come out increasing.  An iteration raises
+    AssertionError unless each word is greater than the one before it and
+    there are 2^k shapes in all.
+    """
+
+    def __init__(self, p: tuple[int, ...], free: tuple[int, ...], env: perms.Envelopes):
+        self.p = p
+        self.free = free
+        self._env = env
+
+    def __len__(self) -> int:
+        return 1 << len(self.free)
+
+    def __iter__(self) -> Iterator[Permutomino]:
+        free = self.free
+        top = len(free) - 1
+        subsets = ([f for i, f in enumerate(free) if m >> (top - i) & 1]
+                   for m in range(len(self)))
+        count = 0
+        word = None
+        for shape in _shapes(self.p, self._env, subsets):
+            if count and not shape.word > word:
+                raise AssertionError(f"fiber of {self.p}: {shape.word!r} does not follow {word!r}")
+            word = shape.word
+            count += 1
+            yield shape
+        if count != len(self):
+            raise AssertionError(f"fiber of {self.p} has {count} shapes, not {len(self)}")
+
+
+def shapes_over(p: Sequence[int], gamma_sets: Iterable[Sequence[int]]) -> Iterator[Permutomino]:
     """For each set G of free fixed points, the convex permutomino over p with
-    G typed gamma and the rest alpha, from one membership test.
+    G typed gamma and the rest alpha, from one membership test.  Raises
+    NotAssociated at the call when p is not realizable; the shapes are built
+    as the result is iterated, by the builder that fibers use.
+    """
+    p = perms.as_perm(p)
+    env = perms.envelopes(p)
+    _require_member(p, env)
+    return _shapes(p, env, gamma_sets)
+
+
+def _shapes(p: tuple[int, ...], env: perms.Envelopes,
+            gamma_sets: Iterable[Sequence[int]]) -> Iterator[Permutomino]:
+    """shapes_over for a realizable p with envelopes env, without the
+    membership test.
 
     The shape is its corner matrix, read off the envelopes and threaded by
     boundary.corner_word.  For G empty that is the canonical matrix: alpha at
@@ -159,16 +212,10 @@ def shapes_over(p: Sequence[int], gamma_sets: Iterable[Sequence[int]]) -> list[P
     climbing lower envelope, beta at (left position, right value) of each
     consecutive pair on the falling upper envelope, delta at (right position,
     left value) of each consecutive pair on the sinking lower envelope.  Typing
-    f gamma moves (f, f) from the alphas to the gammas.  Raises NotAssociated
-    when p is not realizable, and AssertionError unless each shape is convex
-    over p and, for G not empty, its corner matrix is the canonical one with G
-    retyped gamma.
+    f gamma moves (f, f) from the alphas to the gammas.  Raises AssertionError
+    unless each shape is convex over p and, for G not empty, its corner matrix
+    is the canonical one with G retyped gamma.
     """
-    p = perms.as_perm(p)
-    env = perms.envelopes(p)
-    verdict = _verdict(p, env)
-    if not verdict.member:
-        raise NotAssociated(f"{p} is not realizable ({verdict.reason})")
     n = len(p)
     upper = env.upper.entries
     top = next(i for i, (_, v) in enumerate(upper) if v == n)
@@ -189,15 +236,13 @@ def shapes_over(p: Sequence[int], gamma_sets: Iterable[Sequence[int]]) -> list[P
 
     canonical = build(()) if n > 1 else EMPTY
     base = None
-    out = []
     for gamma in gamma_sets:
         if not gamma:
-            out.append(canonical)
+            yield canonical
             continue
         shape = build(gamma)
         if base is None:
             base = reentrant_matrix(canonical)
         if reentrant_matrix(shape) != base.retyped({(f, f): GAMMA for f in gamma}):
             raise AssertionError(f"{shape!r} does not type {gamma} gamma over {p}")
-        out.append(shape)
-    return out
+        yield shape

@@ -15,21 +15,31 @@ on the way back in.
 
 `json_document` writes the CLI's `--format json` text without building these
 dicts: one object for one shape, a list otherwise (`[]` for none), laid out as
-`json.dumps(..., indent=2)` lays them out.  It only does layout: it knows the
-field order and that vertices and salient corners are [x, y] pairs; ints go
-through `int.__repr__` and strings through `json.dumps`.
+`json.dumps(..., indent=2)` lays them out.  It joins what `json_chunks`
+writes, one shape at a time, which is how the CLI streams a fiber.  It only
+does layout: it knows the field order and that vertices and salient corners
+are [x, y] pairs; ints go through `int.__repr__` and strings through
+`json.dumps`.
 `tests/test_render.py::test_json_document_matches_json_dumps` holds it byte
 for byte to `json.dumps` over `to_jsonable`.
 
 ASCII grids use '#' for a cell and '.' for empty, rows printed top to bottom;
 SVG uses the mathematical orientation (y axis upward), cells as rects, salient
 corners as hollow squares and reentrant corners as labeled dots.
+
+`write` sends the CLI's renderings to stdout or to `--out` files, each shape as
+soon as it is drawn, so a streamed fiber is never held whole.
 """
 from __future__ import annotations
 
 import json
+import os
+import sys
+from itertools import chain, count
+from typing import Iterable, Iterator
 
 from .boundary import EMPTY, Permutomino, from_boundary_word
+from .errors import OutputError
 
 _GLYPH = {"alpha": "α", "beta": "β", "gamma": "γ", "delta": "δ"}  # none needs XML escaping
 
@@ -81,17 +91,34 @@ def _shape_text(p: Permutomino) -> str:
     )
 
 
-def json_document(shapes: list[Permutomino]) -> str:
+def json_chunks(shapes: Iterable[Permutomino]) -> Iterator[str]:
+    """The text of `json_document(shapes)` in pieces, one shape's at a time.
+
+    Each shape is written as soon as it is drawn from shapes; the writer looks
+    one shape ahead to tell the one-object case from the list.
+    """
+    shapes = iter(shapes)
+    first = next(shapes, None)
+    if first is None:
+        yield "[]"
+        return
+    second = next(shapes, None)
+    if second is None:
+        yield _shape_text(first)
+        return
+    opening = "[\n  "
+    for p in chain((first, second), shapes):
+        # string leaves are json-escaped, so every newline is the layout's own
+        yield opening + _shape_text(p).replace("\n", "\n  ")
+        opening = ",\n  "
+    yield "\n]"
+
+
+def json_document(shapes: Iterable[Permutomino]) -> str:
     """The shapes as `json.dumps(payload[0] if len(payload) == 1 else payload,
     indent=2)` over their `to_jsonable` dicts: an object for one shape, else a
     list (`[]` for none)."""
-    texts = [_shape_text(p) for p in shapes]
-    if len(texts) == 1:
-        return texts[0]
-    if not texts:
-        return "[]"
-    # string leaves are json-escaped, so every newline is the layout's own
-    return "[\n  " + ",\n  ".join(text.replace("\n", "\n  ") for text in texts) + "\n]"
+    return "".join(json_chunks(shapes))
 
 
 def to_json(p: Permutomino, indent: int | None = None) -> str:
@@ -177,3 +204,46 @@ def svg_document(p: Permutomino, cell_px: int = 24) -> str:
             )
     parts.append("</svg>")
     return "\n".join(parts)
+
+
+def write(shapes: Iterable[Permutomino], fmt: str, cell_px: int, out: str | None) -> None:
+    """Render shapes as fmt ('ascii', 'svg' with cells cell_px wide, or 'json')
+    to out, each shape as soon as it is drawn from shapes.
+
+    JSON is one document; ASCII and SVG are one document per shape, printed
+    separated by blank lines or, with out, written to out itself when there is
+    one and to numbered files (shape.svg -> shape-1.svg, ...) when there are
+    several.  With no document nothing is printed and no file is written.
+    """
+    if fmt == "json":
+        documents = iter([json_chunks(shapes)])
+    elif fmt == "svg":
+        documents = ([svg_document(p, cell_px)] for p in shapes)
+    else:
+        documents = ([ascii_art(p)] for p in shapes)
+    first = next(documents, None)
+    if first is None:
+        if out is not None:
+            print(f"no shape to render: {out} not written", file=sys.stderr)
+        return
+    if out is None:
+        sys.stdout.writelines(first)
+        for pieces in documents:
+            sys.stdout.write("\n\n")
+            sys.stdout.writelines(pieces)
+        sys.stdout.write("\n")
+        return
+    second = next(documents, None)  # one ahead: is out the file itself?
+    if second is None:
+        paths, documents = [out], [first]
+    else:
+        # a name without an extension gets .out
+        stem, ext = os.path.splitext(out)
+        paths = (f"{stem}-{i}{ext or '.out'}" for i in count(1))
+        documents = chain((first, second), documents)
+    try:
+        for path, pieces in zip(paths, documents):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.writelines(pieces)
+    except OSError as exc:
+        raise OutputError(f"{exc.filename}: {exc.strerror}") from None

@@ -1,9 +1,12 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -550,3 +553,47 @@ def test_decompose_render(capsys):
     code, out, _ = run(capsys, "decompose", "3 4 1 2", "--render")
     assert code == 0
     assert "#" in out
+
+
+@pytest.mark.parametrize("fmt", ["ascii", "svg"])
+def test_decompose_render_with_no_nonempty_part(tmp_path, capsys, fmt):
+    """Parts of size 1 are not drawn: nothing is printed after the part lines,
+    and with --out no file is written and stderr says so."""
+    code, out, err = run(capsys, "decompose", "3 2 1", "--render", "--format", fmt)
+    assert code == 0 and err == ""
+    assert out.endswith("part 3: (empty)  size 1\n")
+    target = tmp_path / "parts.out"
+    code, out, err = run(capsys, "decompose", "3 2 1", "--render", "--format", fmt,
+                         "--out", str(target))
+    assert code == 0 and out.endswith("part 3: (empty)  size 1\n")
+    assert len(err.splitlines()) == 1 and "not written" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+class _Sink(io.TextIOBase):
+    """A standard output that keeps nothing but the number of shapes written."""
+
+    def __init__(self):
+        self.shapes = 0
+
+    def write(self, text):
+        self.shapes += text.count('"v": 1')
+        return len(text)
+
+
+def test_build_all_streams_one_shape_at_a_time():
+    """A fiber of 1,024 shapes (about 3 MB of JSON) is written shape by shape:
+    the traced peak stays far below the size of the document."""
+    perm = " ".join(map(str, range(1, 13)))  # 10 free fixed points
+    with contextlib.redirect_stdout(_Sink()):
+        assert main(["build", "1 2 3 4", "--all", "--format", "json"]) == 0  # imports
+    sink = _Sink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(["build", perm, "--all", "--format", "json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.shapes == 1024
+    assert peak < 3 * 2**20, f"peak {peak / 2**20:.2f} MiB"

@@ -14,6 +14,7 @@ from permutomino.boundary import (
     EMPTY,
     GAMMA,
     LabeledMatrix,
+    Permutomino,
     permutomino_from_matrix,
     reentrant_matrix,
 )
@@ -94,23 +95,24 @@ def test_canonical_types_free_fixed_points_alpha():
 
 
 def test_fiber_examples():
-    assert len(fiber((2, 1, 3, 4, 5))) == 4
-    assert len(fiber((2, 1, 3, 4, 7, 6, 5))) == 4
-    assert fiber((1,)) == {EMPTY}
-    assert len(fiber((1, 2))) == 1
+    for p, size in [((2, 1, 3, 4, 5), 4), ((2, 1, 3, 4, 7, 6, 5), 4), ((1, 2), 1)]:
+        shapes = fiber(p)
+        assert len(shapes) == size
+        assert len(set(shapes)) == size  # builds and checks every shape
+    assert list(fiber((1,))) == [EMPTY]
 
 
 def test_fiber_bound_is_checked_before_any_shape_is_built(monkeypatch):
     class Built(Exception):
         pass
 
-    def refuse(p, gamma_sets):
+    def refuse(*args):
         raise Built
 
-    monkeypatch.setattr(membership, "shapes_over", refuse)
+    monkeypatch.setattr(membership, "_shapes", refuse)
     at_bound = tuple(range(1, membership.FREE_FIXED_BOUND + 3))  # free: 2..n-1
     with pytest.raises(Built):
-        fiber(at_bound)
+        list(fiber(at_bound))
     with pytest.raises(SizeTooLarge):
         fiber(at_bound + (len(at_bound) + 1,))
 
@@ -126,7 +128,8 @@ def test_each_fiber_computes_the_envelopes_once(monkeypatch):
     monkeypatch.setattr(perms, "envelopes", spy)
     for p in [(2, 1, 3, 4, 5), (2, 1, 3, 4, 7, 6, 5), (1, 2), (1,)]:
         calls.clear()
-        fiber(p)
+        shapes = fiber(p)
+        assert list(shapes) == list(shapes)  # each pass builds the shapes again
         assert calls == [p]
 
 
@@ -145,7 +148,7 @@ def test_fiber_matches_the_matrix_route():
                 for k in range(len(free) + 1)
                 for chosen in combinations(free, k)
             }
-            assert fiber(p) == want, p
+            assert list(fiber(p)) == sorted(want, key=Permutomino.sort_key), p
             shapes += len(want)
     assert shapes == 10805
 
@@ -160,7 +163,7 @@ def test_fibers_do_not_validate_matrices(monkeypatch):
 
     monkeypatch.setattr(boundary, "validate_matrix", refuse)
     monkeypatch.setattr(boundary, "permutomino_from_matrix", refuse)
-    assert len(fiber((2, 1, 3, 4, 7, 6, 5))) == 4
+    assert len(list(fiber((2, 1, 3, 4, 7, 6, 5)))) == 4
     assert canonical_permutomino((1, 2, 3, 4, 5)).pi1 == (1, 2, 3, 4, 5)
     seq = bijection.permutation_to_sequence((16, 15, 18, 19, 17, 14, 12, 13, 9, 7,
                                               11, 10, 8, 3, 1, 6, 5, 2, 4))
@@ -210,7 +213,7 @@ def test_fiber_law_and_membership():
 def test_fiber_union_equals_oracle(n, convex_by_size):
     from permutomino.counting import convex_via_fibers
 
-    assert convex_via_fibers(n) == convex_by_size(n)
+    assert list(convex_via_fibers(n)) == convex_by_size(n)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -250,3 +253,43 @@ def test_every_permutation_has_a_column_convex_permutomino():
             covered.add(p.pi1)
             covered.add(p.pi2)
         assert covered == set(all_perms(n))
+
+
+def test_fibers_come_in_word_order():
+    """Every realizable p up to size 10 with a free fixed point (a fiber of one
+    shape has no order) yields its shapes by strictly increasing word."""
+    fibers = 0
+    for n in range(3, 11):
+        for p in perms.square_permutations(n):
+            if not membership.free_fixed_values(p) or not is_associated(p):
+                continue
+            words = [shape.word for shape in fiber(p)]
+            assert words == sorted(set(words)), p
+            fibers += 1
+    assert fibers == 15600
+
+
+def _class_readings(shape):
+    """The directed, parallelogram and symmetric_xy flags as read off pi1."""
+    p = shape.pi1
+    n = len(p)
+    involution = all(p[v - 1] == i for i, v in enumerate(p, start=1))
+    return {
+        "directed": p[0] == 1,
+        "parallelogram": p[0] == 1 and p[-1] == n,
+        "symmetric_xy": involution and not membership.free_fixed_values(p),
+    }
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_class_flags_read_off_pi1(n, convex_by_size):
+    """directed iff pi1(1) = 1; parallelogram iff also pi1(n) = n; symmetric_xy
+    iff pi1 is an involution with no free fixed point: over the streamed fiber
+    listing, and over the interval oracle's up to size 6."""
+    from permutomino.counting import convex_via_fibers
+
+    listings = [convex_via_fibers(n)] + ([convex_by_size(n)] if n <= 6 else [])
+    for shapes in listings:
+        for shape in shapes:
+            readings = _class_readings(shape)
+            assert {k: shape.flags[k] for k in readings} == readings, shape

@@ -64,6 +64,7 @@ def test_json_document_matches_json_dumps(convex_by_size):
     cases.append(sorted(fiber(perm), key=Permutomino.sort_key))
     for shapes in cases:
         assert json_document(shapes) == reference(shapes)
+        assert json_document(iter(shapes)) == reference(shapes)  # one pass, one ahead
 
 
 def test_readme_json_example_matches_the_schema():
