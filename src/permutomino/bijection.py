@@ -18,7 +18,6 @@ canonical one that checks a last part.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
@@ -28,14 +27,33 @@ from .errors import Indecomposable, InvalidSequence, NotSquare
 from .membership import free_fixed_values, shapes_over
 
 
-@dataclass(frozen=True)
 class PermutominoSequence:
-    """An ordered tuple of k >= 2 parts with the end/middle class constraints."""
+    """An ordered tuple of k >= 2 parts with the end/middle class constraints,
+    checked on construction.
 
-    parts: tuple[Permutomino, ...]
+    Read-only; equal, and hashed alike, when the parts are equal.
+    """
 
-    def __post_init__(self):
-        validate_sequence(self.parts)
+    def __init__(self, parts: tuple[Permutomino, ...]):
+        validate_sequence(parts)
+        self.__dict__["parts"] = parts
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
+
+    def __repr__(self) -> str:
+        return f"PermutominoSequence(parts={self.parts!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def total_size(self) -> int:

@@ -13,9 +13,11 @@ typed by their two-letter factor: EN -> alpha, SE -> beta, WS -> gamma,
 NW -> delta; the reentrant corners of a convex permutomino of size n form a
 permutation matrix on {2..n-1} in these four symbols.
 
-The boundary path is the only shape representation reasoned with here: the
-class flags are read off its word and points, and a reflection maps the word
-letter by letter.  The cell set is built only to draw a shape.
+The boundary word is the only shape representation reasoned with here.  It is
+validated in one walk that also gives its corners, and a permutomino keeps
+those corners: pi1, pi2 and the class flags are read off them and the word, and
+a reflection maps the word letter by letter.  The lattice path and the cell
+set are traced only to draw a shape.
 
 The size-1 permutomino is the empty one: no boundary, pi1 = pi2 = (1) by
 convention.
@@ -23,9 +25,10 @@ convention.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from itertools import accumulate, compress
+from operator import ne
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import InvalidMatrix, NotClosed, NotConvex, NotPermutomino, SelfIntersecting
 
@@ -58,10 +61,32 @@ def _trace(word: str) -> list[tuple[int, int]]:
     return points
 
 
+def _walk(word: str) -> list[int]:
+    """The points the word reaches after each of its letters, starting from the
+    origin, each point (x, y) coded as y * (2L + 1) + x for a word of length L.
+
+    Every |x| <= L, so distinct points get distinct codes, the origin is 0, and
+    the codes order the points by (y, x).
+    """
+    width = 2 * len(word) + 1
+    steps = {"N": width, "E": 1, "S": -width, "W": -1}
+    try:
+        return list(accumulate(map(steps.__getitem__, word)))
+    except KeyError:
+        i = next(i for i, letter in enumerate(word) if letter not in steps)
+        raise ValueError(f"boundary letter {word[i]!r} at index {i} (want N/E/S/W)") from None
+
+
+def _point(code: int, length: int) -> tuple[int, int]:
+    """The point (x, y) that _walk codes as code for a word of that length."""
+    y, x = divmod(code + length, 2 * length + 1)
+    return x - length, y
+
+
 def _start_at_lowest_leftmost(word: str) -> str:
-    """The rotation of a closed word that starts at its lowest leftmost point."""
-    points = _trace(word)
-    start = min(range(len(word)), key=lambda i: (points[i][1], points[i][0]))
+    """The rotation of a closed simple word that starts at its lowest leftmost point."""
+    codes = _walk(word)
+    start = codes.index(min(codes)) + 1  # codes[i] is the point after letter i
     return word[start:] + word[:start]
 
 
@@ -95,18 +120,35 @@ def _cells_from_path(points: Sequence[tuple[int, int]]) -> frozenset[tuple[int, 
     return frozenset(cells)
 
 
-@dataclass(frozen=True)
 class Permutomino:
     """A validated permutomino, identified by its size and boundary word.
 
     ``word`` is None only for the size-1 empty permutomino.  Build instances
-    through :func:`from_boundary_word` or :meth:`empty`; derived data (path,
-    corners, pi1/pi2, class flags) is computed lazily, and so are the cells,
-    which only rendering reads.
+    through :func:`from_boundary_word`, which seeds the corners, or
+    :meth:`empty`; the rest (pi1/pi2, vertices, class flags) is read off the
+    corners lazily, and the path and the cells, which only drawing reads, are
+    traced lazily.  Read-only; equal, and hashed alike, when the sizes and
+    the words are equal.
     """
 
-    size: int
-    word: str | None
+    def __init__(self, size: int, word: str | None):
+        fields = self.__dict__
+        fields["size"] = size
+        fields["word"] = word
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.size == other.size and self.word == other.word
+
+    def __hash__(self) -> int:
+        return hash((self.size, self.word))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @staticmethod
     def empty() -> "Permutomino":
@@ -137,33 +179,28 @@ class Permutomino:
 
     @cached_property
     def vertices(self) -> tuple[tuple[int, int], ...]:
-        return tuple(point for point, _, _ in self.corners)
+        return tuple([point for point, _, _ in self.corners])
 
     @cached_property
     def salient(self) -> tuple[tuple[int, int], ...]:
-        return tuple(pt for pt, a, d in self.corners if (a, d) in _SALIENT_FACTORS)
+        return tuple([pt for pt, a, d in self.corners if (a, d) in _SALIENT_FACTORS])
 
     @cached_property
     def reentrant(self) -> tuple[tuple[tuple[int, int], str], ...]:
-        return tuple(
-            (pt, _REENTRANT_LABEL[(a, d)])
-            for pt, a, d in self.corners
-            if (a, d) in _REENTRANT_LABEL
-        )
+        return tuple([(pt, _REENTRANT_LABEL[a, d]) for pt, a, d in self.corners
+                      if (a, d) in _REENTRANT_LABEL])
 
     @cached_property
     def pi1(self) -> tuple[int, ...]:
         if self.word is None:
             return (1,)
-        odd = sorted(self.vertices[0::2])
-        return tuple(y for _, y in odd)
+        return tuple([y for _, y in sorted(self.vertices[0::2])])
 
     @cached_property
     def pi2(self) -> tuple[int, ...]:
         if self.word is None:
             return (1,)
-        even = sorted(self.vertices[1::2])
-        return tuple(y for _, y in even)
+        return tuple([y for _, y in sorted(self.vertices[1::2])])
 
     @cached_property
     def flags(self) -> dict[str, bool]:
@@ -184,65 +221,73 @@ EMPTY = Permutomino.empty()
 
 
 def from_boundary_word(word: str) -> Permutomino:
-    """Validate a boundary word and build the permutomino it encodes.
+    """Validate a boundary word and build the permutomino it encodes, in one
+    walk of the word (`_walk`), which also gives the corners.
 
     Raises ValueError for a letter outside N/E/S/W, NotClosed, SelfIntersecting,
     ValueError unless the word starts at its lowest leftmost point heading N,
     and NotPermutomino for the first abscissa 1..n, then ordinate 1..n, without
-    exactly one maximal side.  The cells are not rebuilt: such a word traces a
-    clockwise simple polygon, whose interior has no hole and walks back to the
-    word itself (NS, which encloses nothing, is NotClosed).  One maximal side
-    starts at each corner and a simple path neither splits nor joins sides, so
-    the sides are counted at the corners.
+    exactly one maximal side.  With the points coded as `_walk` codes them, the
+    word is closed iff its last point is 0, simple iff its L points are
+    distinct, and starts at its lowest leftmost point iff their minimum is 0.
+    The cells are not rebuilt: such a word traces a clockwise simple polygon,
+    whose interior has no hole and walks back to the word itself (NS, which
+    encloses nothing, is NotClosed).  One maximal side starts at each corner
+    and a simple path neither splits nor joins sides, so the sides are counted
+    at the corners.  The result has its corners seeded; its path is traced
+    only if it is drawn.
     """
     if not word:
         raise ValueError("empty boundary word (the size-1 permutomino has none)")
-    points = _trace(word)
-    if points[-1] != points[0]:
-        raise NotClosed(f"path ends at {points[-1]}, not back at the start")
-    interior_points = points[:-1]
-    if len(set(interior_points)) != len(interior_points):
-        seen = set()
-        for pt in interior_points:
-            if pt in seen:
-                raise SelfIntersecting(f"boundary revisits {pt}")
-            seen.add(pt)
-    if word[0] != "N" or min(interior_points, key=lambda p: (p[1], p[0])) != points[0]:
+    length = len(word)
+    codes = _walk(word)
+    if codes[-1]:
+        raise NotClosed(f"path ends at {_point(codes[-1], length)}, not back at the start")
+    if len(set(codes)) != length:
+        seen = {0}
+        for code in codes:
+            if code in seen:
+                raise SelfIntersecting(f"boundary revisits {_point(code, length)}")
+            seen.add(code)
+    if word[0] != "N" or min(codes) < 0:
         raise ValueError("word must start at the lowest leftmost point and head N (clockwise)")
-    if len(word) < 4:
+    if length < 4:
         raise NotClosed("degenerate path encloses no cells")
 
-    # the start is the lowest point, so only the abscissas need shifting
-    shift = 1 - min(x for x, _ in points)
+    arrive = word[-1] + word[:-1]  # the letter before each letter, cyclically
+    turns = list(compress(range(length), map(ne, arrive, word)))
+    # the corner at turn i is the point reached before letter i (the start for
+    # i = 0, coded codes[-1] = 0); the start is the lowest point, so only the
+    # abscissas shift
+    points = [_point(codes[i - 1], length) for i in turns]
+    shift = 1 - min([x for x, _ in points])
     points = [(x + shift, y + 1) for x, y in points]
-    vertical = [0] * (1 + max(x for x, _ in points))  # maximal sides per abscissa
-    horizontal = [0] * (1 + max(y for _, y in points))  # and per ordinate
-    for i, (x, y) in enumerate(points[:-1]):
-        if word[i] != word[i - 1]:
-            if word[i] in "NS":
-                vertical[x] += 1
-            else:
-                horizontal[y] += 1
-    for axis, counts in (("x", vertical), ("y", horizontal)):
-        for c in range(1, len(counts)):
-            if counts[c] != 1:
-                raise NotPermutomino(axis, c, counts[c])
+    # a simple path turns at every corner, so vertical sides start at the even
+    # corners (the first heads N) and horizontal ones at the odd corners
+    for axis, starts in (("x", [x for x, _ in points[0::2]]), ("y", [y for _, y in points[1::2]])):
+        if sorted(starts) != list(range(1, len(starts) + 1)):
+            for c in range(1, max(starts) + 1):
+                if starts.count(c) != 1:
+                    raise NotPermutomino(axis, c, starts.count(c))
     # sides alternate around the loop, so both axes give the size once they pass
-    result = Permutomino(len(vertical) - 1, word)
-    result.__dict__["path"] = tuple(points)  # seed the cached property
+    result = Permutomino(len(turns) // 2, word)
+    result.__dict__["corners"] = tuple(  # seed the cached property
+        zip(points, map(arrive.__getitem__, turns), map(word.__getitem__, turns)))
     return result
 
 
 def classify(p: Permutomino) -> dict[str, bool]:
-    """Class flags read off the boundary word and path of a size-n permutomino.
+    """Class flags read off the boundary word and corners of a size-n permutomino.
 
     column_convex: each cell column is crossed by two horizontal edges, so the
     abscissa is cyclically unimodal and, as the walk starts at its lowest
     leftmost point, the E/W letters read W*E*W*; row_convex: likewise, the
     N/S letters read N*S*.  directed: convex, and the walk starts at (1, 1).
-    parallelogram: directed, and (n, n) is on the path.  symmetric_xy: the
-    transposed word (reversed, NESW -> WSEN, started where the leftmost lowest
-    point lands) is the word.  The empty permutomino gets every flag.
+    parallelogram: directed, and (n, n) is a corner (a path through the top
+    right corner of the box turns there).  symmetric_xy: the transposed word
+    (reversed, NESW -> WSEN) is a rotation of the word, so the transposed
+    shape is the shape moved within the same box, that is, the shape.  The
+    empty permutomino gets every flag.
     """
     if p.word is None:
         return {
@@ -251,15 +296,13 @@ def classify(p: Permutomino) -> dict[str, bool]:
         }
     n = p.size
     word = p.word
-    path = p.path
+    vertices = p.vertices
     column_convex = "W" not in word.translate(_DROP_VERTICAL).strip("W")
     row_convex = "N" not in word.translate(_DROP_HORIZONTAL).lstrip("N")
     convex = column_convex and row_convex
-    directed = convex and path[0] == (1, 1)
-    parallelogram = directed and (n, n) in path
-    transposed = word[::-1].translate(_TRANSPOSE)
-    start = len(word) - path.index(min(path))
-    symmetric_xy = transposed[start:] + transposed[:start] == word
+    directed = convex and vertices[0] == (1, 1)
+    parallelogram = directed and (n, n) in vertices
+    symmetric_xy = word[::-1].translate(_TRANSPOSE) in word + word
     return {
         "column_convex": column_convex,
         "row_convex": row_convex,
@@ -270,8 +313,7 @@ def classify(p: Permutomino) -> dict[str, bool]:
     }
 
 
-@dataclass(frozen=True)
-class LabeledMatrix:
+class LabeledMatrix(NamedTuple):
     """Reentrant points of a convex permutomino as a labeled permutation matrix.
 
     ``points`` is a frozenset of (x, y, label) with label in alpha/beta/gamma/

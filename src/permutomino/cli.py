@@ -320,8 +320,12 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError as exc:
         # the reader closed standard output: send what is still buffered to
         # devnull, so that the interpreter's final flush cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"cannot write output: standard output: {exc.strerror}", file=sys.stderr)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        try:  # best effort: stderr may be the same closed pipe
+            print(f"cannot write output: standard output: {exc.strerror}", file=sys.stderr)
+        except OSError:
+            os.dup2(devnull, sys.stderr.fileno())
         return 2
     except NotAssociated as exc:
         print(f"not realizable: {exc}", file=sys.stderr)

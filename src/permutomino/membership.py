@@ -11,8 +11,7 @@ the one builder of convex boundary words, threads it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import perms
 from .boundary import (
@@ -26,8 +25,8 @@ from .boundary import (
 from .errors import NotAssociated, SizeTooLarge
 
 # a fiber has 2^|F(p)| shapes, built and written one at a time, so this bounds
-# time, not memory: `build --all` at the bound (4096 shapes) takes ~1.9 s as
-# SVG, ~1.0 s as JSON and ~1.2 s as ASCII on a 2-vCPU VM, in ~18 MB whatever
+# time, not memory: `build --all` at the bound (4096 shapes) takes ~1.5 s as
+# SVG, ~0.9 s as JSON and ~1.3 s as ASCII on a 2-vCPU VM, in ~16 MB whatever
 # the fiber size, and each free fixed point more doubles the time
 FREE_FIXED_BOUND = 12
 
@@ -36,8 +35,7 @@ NOT_UNIMODAL = "lower-envelope-not-unimodal"
 DECOMPOSABLE = "decomposable"
 
 
-@dataclass(frozen=True)
-class MembershipVerdict:
+class MembershipVerdict(NamedTuple):
     """Outcome of the membership test, with a witness on failure.
 
     reason is 'ok', 'lower-envelope-not-unimodal' (witness: three (position,
@@ -90,11 +88,31 @@ def is_associated_pi2(p: Sequence[int]) -> bool:
     return is_associated(perms.reversal(p))
 
 
-@dataclass(frozen=True)
 class FreeFixedPoints:
-    """Values f with p(f) = f on the increasing part of the upper envelope, f not in {1, n}."""
+    """Values f with p(f) = f on the increasing part of the upper envelope, f not in {1, n}.
 
-    points: frozenset[int]
+    Read-only; equal, and hashed alike, when the points are equal.
+    """
+
+    def __init__(self, points: frozenset[int]):
+        self.__dict__["points"] = points
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.points == other.points
+
+    def __hash__(self) -> int:
+        return hash((self.points,))
+
+    def __repr__(self) -> str:
+        return f"FreeFixedPoints(points={self.points!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __len__(self) -> int:
         return len(self.points)

@@ -15,9 +15,8 @@ minimum (the form square_permutations generates from).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 def as_perm(values: Iterable[int]) -> tuple[int, ...]:
@@ -95,11 +94,31 @@ def decompose(p: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(parts)
 
 
-@dataclass(frozen=True)
 class Subsequence:
-    """An index-retaining sublist: ordered (position, value) pairs."""
+    """An index-retaining sublist: ordered (position, value) pairs.
 
-    entries: tuple[tuple[int, int], ...]
+    Read-only; equal, and hashed alike, when the entries are equal.
+    """
+
+    def __init__(self, entries: tuple[tuple[int, int], ...]):
+        self.__dict__["entries"] = entries
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
+
+    def __repr__(self) -> str:
+        return f"Subsequence(entries={self.entries!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def positions(self) -> tuple[int, ...]:
@@ -144,8 +163,7 @@ def extrema(p: Sequence[int], kind: str) -> Subsequence:
     return Subsequence(tuple(out))
 
 
-@dataclass(frozen=True)
-class Envelopes:
+class Envelopes(NamedTuple):
     """The upper/lower envelope decomposition of a permutation.
 
     upper: the maximal upper-unimodal sublist (lr-maxima then rl-maxima, the

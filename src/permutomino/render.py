@@ -18,8 +18,10 @@ dicts: one object for one shape, a list otherwise (`[]` for none), laid out as
 `json.dumps(..., indent=2)` lays them out.  It joins what `json_chunks`
 writes, one shape at a time, which is how the CLI streams a fiber.  It only
 does layout: it knows the field order and that vertices and salient corners
-are [x, y] pairs; ints go through `int.__repr__` and strings through
-`json.dumps`.
+are [x, y] pairs; ints go through `int.__repr__`, and the only strings, the
+validated N/E/S/W word and the four label names, need no escaping, so they
+are quoted as they are.  `json` itself is imported only by `to_json` and
+`from_json`.
 `tests/test_render.py::test_json_document_matches_json_dumps` holds it byte
 for byte to `json.dumps` over `to_jsonable`.
 
@@ -32,7 +34,6 @@ soon as it is drawn, so a streamed fiber is never held whole.
 """
 from __future__ import annotations
 
-import json
 import os
 import sys
 from itertools import chain, count
@@ -58,9 +59,6 @@ def to_jsonable(p: Permutomino) -> dict:
     }
 
 
-_LABELS = {label: json.dumps(label) for label in _GLYPH}
-
-
 def _field_list(items: list[str]) -> str:
     """A shape field's list from its items, each already indented as an item."""
     return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
@@ -73,15 +71,16 @@ def _pair_items(points) -> list[str]:
 def _shape_text(p: Permutomino) -> str:
     """One shape's `to_jsonable` dict as json.dumps(indent=2) writes it."""
     reentrant = [
-        f'    {{\n      "x": {x!r},\n      "y": {y!r},\n      "label": {_LABELS[label]}\n    }}'
+        f'    {{\n      "x": {x!r},\n      "y": {y!r},\n      "label": "{label}"\n    }}'
         for (x, y), label in p.reentrant
     ]
     classes = ",\n".join(
         f'    "{key}": {"true" if value else "false"}' for key, value in p.flags.items()
     )
+    boundary = "null" if p.word is None else f'"{p.word}"'
     return (
         f'{{\n  "v": 1,\n  "size": {p.size!r},\n'
-        f'  "boundary": {"null" if p.word is None else json.dumps(p.word)},\n'
+        f'  "boundary": {boundary},\n'
         f'  "vertices": {_field_list(_pair_items(p.vertices))},\n'
         f'  "pi1": {_field_list([f"    {v!r}" for v in p.pi1])},\n'
         f'  "pi2": {_field_list([f"    {v!r}" for v in p.pi2])},\n'
@@ -122,6 +121,8 @@ def json_document(shapes: Iterable[Permutomino]) -> str:
 
 
 def to_json(p: Permutomino, indent: int | None = None) -> str:
+    import json
+
     return json.dumps(to_jsonable(p), indent=indent)
 
 
@@ -150,6 +151,8 @@ def from_jsonable(data: dict) -> Permutomino:
 
 
 def from_json(text: str) -> Permutomino:
+    import json
+
     return from_jsonable(json.loads(text))
 
 

@@ -10,15 +10,14 @@ expected: it lists its first three mismatches as 'discrepant', not a failure.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from math import comb
+from typing import NamedTuple
 
 from . import counting, formulas, oracles
 from .errors import SizeTooLarge
 
 
-@dataclass
-class Entry:
+class Entry(NamedTuple):
     name: str
     sizes: str
     status: str  # pass | fail | discrepant
@@ -35,11 +34,10 @@ class Entry:
         }
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     max_size: int
     strict_paper: bool
-    entries: list[Entry] = field(default_factory=list)
+    entries: tuple[Entry, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -189,4 +187,4 @@ def verify_identities(max_size: int, strict_paper: bool = False) -> Verification
     entries = [_run(*row) for row in rows]
     if strict_paper:
         entries += [_run(*row, printed=True) for row in printed_rows]
-    return VerificationReport(max_size, strict_paper, entries)
+    return VerificationReport(max_size, strict_paper, tuple(entries))

@@ -79,7 +79,8 @@ def closed_words(max_len):
 def test_validator_matches_the_cell_round_trip_on_every_short_word():
     """Every simple polygon of perimeter <= 18: the same error or the same size
     as the cell-filling reference, and every accepted word is the boundary
-    walk of its own cells, with the seeded path equal to a fresh trace."""
+    walk of its own cells, with the seeded corners equal to the corners of a
+    freshly traced path."""
     words = closed_words(18)
     accepted = 0
     for word in words:
@@ -92,10 +93,32 @@ def test_validator_matches_the_cell_round_trip_on_every_short_word():
             continue
         p = from_boundary_word(word)
         assert p.size == want
-        assert "path" in vars(p) and p.path == Permutomino(p.size, word).path
+        fresh = Permutomino(p.size, word)
+        assert vars(p)["corners"] == tuple(boundary._corners(fresh.path, word))
+        assert p.path == fresh.path
         assert word_from_cells(p.cells) == word
         accepted += 1
     assert len(words) == 18957 and accepted == 203
+
+
+def test_validator_raises_as_the_reference_on_every_word_up_to_length_7():
+    """Every word over N/E/S/W of length <= 7, most of them open, self-crossing
+    or not started at their lowest leftmost point, and words with a bad
+    letter: the same error type and message as the cell-filling reference."""
+    words = ["".join(w) for k in range(1, 8) for w in product("NESW", repeat=k)]
+    words += ["NXSW", "NESWx", "nesw", "NE SW"]
+    accepted = 0
+    for word in words:
+        try:
+            want = reference_size(word)
+        except (ValueError, PermutominoError) as exc:
+            with pytest.raises(type(exc)) as got:
+                from_boundary_word(word)
+            assert type(got.value) is type(exc) and str(got.value) == str(exc), word
+            continue
+        assert from_boundary_word(word).size == want
+        accepted += 1
+    assert len(words) == 21844 + 4 and accepted == 1  # NESW, the one cell
 
 
 def test_word_round_trip_on_oracle_listings():

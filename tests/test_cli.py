@@ -342,6 +342,23 @@ def test_closed_stdout_exits_2_with_one_line():
     assert "Traceback" not in err
 
 
+def test_closed_stdout_and_stderr_on_one_pipe_exit_2():
+    """With both streams on the pipe the reader closed, the one-line message
+    cannot be written either; the exit code is still 2, not 1."""
+    perm = " ".join(map(str, range(1, 13)))
+    with subprocess.Popen(
+        [sys.executable, "-m", "permutomino.cli", "build", perm, "--all", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=subprocess_env(),
+    ) as proc:
+        try:
+            assert len(proc.stdout.read(16)) == 16
+            proc.stdout.close()
+            code = proc.wait(timeout=120)
+        finally:
+            proc.kill()
+    assert code == 2
+
+
 def modules_after(code: str) -> set[str]:
     """The names in sys.modules after a fresh interpreter runs code."""
     script = f"{code}\nimport sys\nprint('modules:', *sys.modules)"
@@ -375,6 +392,19 @@ def test_each_job_imports_only_what_it_runs():
     loaded = modules_after('from permutomino.cli import main\nmain(["verify", "--max-size", "4"])')
     assert {"permutomino.verify", "permutomino.counting", "permutomino.oracles"} <= loaded
     assert loaded.isdisjoint(SHAPE_MODULES - {"permutomino.boundary"})
+    assert "dataclasses" not in loaded
+    # the shape jobs build their values without dataclasses and write JSON without json
+    for argv in (
+        ["build", "1 2 3 4 5", "--all", "--format", "json"],
+        ["build", "3 1 6 8 2 4 7 5", "--format", "svg"],
+        ["classify", "2 1 3 4 7 6 5"],
+        ["decompose", "16 15 18 19 17 14 12 13 9 7 11 10 8 3 1 6 5 2 4", "--render"],
+        ["enumerate", "convex", "7", "--list"],
+        ["enumerate", "symmetric", "4", "--list"],
+    ):
+        loaded = modules_after(f"from permutomino.cli import main\nmain({argv!r})")
+        assert "permutomino.boundary" in loaded, argv
+        assert loaded.isdisjoint({"dataclasses", "json"}), argv
 
 
 def test_census_job_as_run_from_the_command_line_imports_no_shape_module():
