@@ -84,7 +84,8 @@ def _point(code: int, length: int) -> tuple[int, int]:
 
 
 def _start_at_lowest_leftmost(word: str) -> str:
-    """The rotation of a closed simple word that starts at its lowest leftmost point."""
+    """The rotation of a closed simple word that starts at its lowest leftmost
+    point (the reflections map a word to one that starts elsewhere)."""
     codes = _walk(word)
     start = codes.index(min(codes)) + 1  # codes[i] is the point after letter i
     return word[start:] + word[:start]
@@ -118,6 +119,36 @@ def _cells_from_path(points: Sequence[tuple[int, int]]) -> frozenset[tuple[int, 
             if inside:
                 cells.add((x, y))
     return frozenset(cells)
+
+
+class _lazy(cached_property):
+    """A field computed on its first read and stored in the instance's
+    __dict__, where later reads find it.  Unlike cached_property in Python
+    3.11 it takes no lock on that read: two threads may both compute a
+    field, and both get the same value.  It is still a cached_property to
+    code that looks for one, such as the benchmark's tracer, which wraps
+    each lazy field."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
+
+
+def _by_abscissa(corners: Sequence[tuple[tuple[int, int], str, str]]) -> tuple[int, ...]:
+    """The ordinates of corners whose abscissas are 1..len(corners), in abscissa order.
+
+    Validation has checked that the even corners' abscissas are 1..n, and
+    each odd corner ends the vertical side that the even corner before it
+    starts, so the odd corners' abscissas are 1..n as well.
+    """
+    if not corners:
+        return (1,)  # the empty permutomino, by convention
+    ordinates = [0] * len(corners)
+    for (x, y), _, _ in corners:
+        ordinates[x - 1] = y
+    return tuple(ordinates)
 
 
 class Permutomino:
@@ -154,7 +185,7 @@ class Permutomino:
     def empty() -> "Permutomino":
         return Permutomino(1, None)
 
-    @cached_property
+    @_lazy
     def path(self) -> tuple[tuple[int, int], ...]:
         """Lattice points of the boundary walk, in the (1,1)-anchored frame."""
         if self.word is None:
@@ -164,45 +195,41 @@ class Permutomino:
         min_y = min(y for _, y in raw)
         return tuple((x - min_x + 1, y - min_y + 1) for x, y in raw)
 
-    @cached_property
+    @_lazy
     def cells(self) -> frozenset[tuple[int, int]]:
         if self.word is None:
             return frozenset()
         return _cells_from_path(self.path)
 
-    @cached_property
+    @_lazy
     def corners(self) -> tuple[tuple[tuple[int, int], str, str], ...]:
         """(point, arrive-letter, depart-letter) clockwise from the lowest leftmost."""
         if self.word is None:
             return ()
         return tuple(_corners(self.path, self.word))
 
-    @cached_property
+    @_lazy
     def vertices(self) -> tuple[tuple[int, int], ...]:
         return tuple([point for point, _, _ in self.corners])
 
-    @cached_property
+    @_lazy
     def salient(self) -> tuple[tuple[int, int], ...]:
         return tuple([pt for pt, a, d in self.corners if (a, d) in _SALIENT_FACTORS])
 
-    @cached_property
+    @_lazy
     def reentrant(self) -> tuple[tuple[tuple[int, int], str], ...]:
         return tuple([(pt, _REENTRANT_LABEL[a, d]) for pt, a, d in self.corners
                       if (a, d) in _REENTRANT_LABEL])
 
-    @cached_property
+    @_lazy
     def pi1(self) -> tuple[int, ...]:
-        if self.word is None:
-            return (1,)
-        return tuple([y for _, y in sorted(self.vertices[0::2])])
+        return _by_abscissa(self.corners[0::2])
 
-    @cached_property
+    @_lazy
     def pi2(self) -> tuple[int, ...]:
-        if self.word is None:
-            return (1,)
-        return tuple([y for _, y in sorted(self.vertices[1::2])])
+        return _by_abscissa(self.corners[1::2])
 
-    @cached_property
+    @_lazy
     def flags(self) -> dict[str, bool]:
         return classify(self)
 
@@ -257,11 +284,12 @@ def from_boundary_word(word: str) -> Permutomino:
     arrive = word[-1] + word[:-1]  # the letter before each letter, cyclically
     turns = list(compress(range(length), map(ne, arrive, word)))
     # the corner at turn i is the point reached before letter i (the start for
-    # i = 0, coded codes[-1] = 0); the start is the lowest point, so only the
-    # abscissas shift
-    points = [_point(codes[i - 1], length) for i in turns]
-    shift = 1 - min([x for x, _ in points])
-    points = [(x + shift, y + 1) for x, y in points]
+    # i = 0, coded codes[-1] = 0), decoded as (y, x + L); the start is the
+    # lowest point, so only the abscissas shift
+    width = 2 * length + 1
+    coded = [divmod(codes[i - 1] + length, width) for i in turns]
+    shift = 1 - min([x for _, x in coded])
+    points = [(x + shift, y + 1) for y, x in coded]
     # a simple path turns at every corner, so vertical sides start at the even
     # corners (the first heads N) and horizontal ones at the odd corners
     for axis, starts in (("x", [x for x, _ in points[0::2]]), ("y", [y for _, y in points[1::2]])):
@@ -271,7 +299,7 @@ def from_boundary_word(word: str) -> Permutomino:
                     raise NotPermutomino(axis, c, starts.count(c))
     # sides alternate around the loop, so both axes give the size once they pass
     result = Permutomino(len(turns) // 2, word)
-    result.__dict__["corners"] = tuple(  # seed the cached property
+    result.__dict__["corners"] = tuple(  # seed the lazy field
         zip(points, map(arrive.__getitem__, turns), map(word.__getitem__, turns)))
     return result
 

@@ -25,6 +25,11 @@ subcommand imports what it runs at the top of its own body (`render`, whose
 `write` sends shapes to stdout or `--out`, by `build` and `decompose
 --render`; `json` only by `verify --json`), so a job loads no module it does
 not run: a count loads `counting` and `_kernels` but no shape module.
+`main(argv)` runs one command in process and returns its exit code; `run()`,
+the process entry point of the `permutomino` script and `python -m
+permutomino.cli`, calls it, flushes both streams and ends the process with
+`os._exit`, which skips interpreter teardown (every `--out` file is closed
+by then, and nothing registers an exit handler).
 """
 from __future__ import annotations
 
@@ -338,5 +343,23 @@ def main(argv: list[str] | None = None) -> int:
         return 5
 
 
+def run() -> None:
+    """The process entry point: run main, flush both streams and end the
+    process with main's exit code, skipping interpreter teardown.
+
+    main has returned by then, so every `--out` file is closed and no module
+    registers an exit handler; a flush that fails exits 2, as a standard
+    output closed by its reader does.  An exception out of main, argparse's
+    SystemExit included, ends the process the normal way.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        code = 2
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

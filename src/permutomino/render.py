@@ -126,16 +126,28 @@ def to_json(p: Permutomino, indent: int | None = None) -> str:
     return json.dumps(to_jsonable(p), indent=indent)
 
 
+def _same_json(a, b) -> bool:
+    """Equality of JSON values that, unlike ==, tells true from 1 and 1.0 from 1."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_json, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_json(a[k], b[k]) for k in a)
+    return a == b
+
+
 def from_jsonable(data: dict) -> Permutomino:
     """Rebuild from the boundary field and verify the derived fields agree.
 
     Raises ValueError when data is not a version-1 object whose boundary is a
-    string or null, or when a derived field disagrees; a boundary string that
-    is not a permutomino raises what from_boundary_word raises.
+    string or null, or when a derived field disagrees in value or in JSON type
+    (true is not 1, nor 1.0); a boundary string that is not a permutomino
+    raises what from_boundary_word raises.
     """
     if not isinstance(data, dict):
         raise ValueError(f"want a JSON object, got {type(data).__name__}")
-    if data.get("v") != 1:
+    if not _same_json(data.get("v"), 1):
         raise ValueError(f"unsupported schema version {data.get('v')!r}")
     if "boundary" not in data:
         raise ValueError("missing field 'boundary'")
@@ -145,7 +157,7 @@ def from_jsonable(data: dict) -> Permutomino:
     p = EMPTY if word is None else from_boundary_word(word)
     checks = to_jsonable(p)
     for key in ("size", "pi1", "pi2", "vertices", "salient", "reentrant", "classes"):
-        if key in data and data[key] != checks[key]:
+        if key in data and not _same_json(data[key], checks[key]):
             raise ValueError(f"inconsistent JSON field {key!r}")
     return p
 

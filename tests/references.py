@@ -2,8 +2,9 @@
 
 Each function here is a second route to something the library computes, or a
 parser that reads library output back: the cell-side walk, validator, class
-flags and reflections that the boundary path replaced, the ASCII and SVG cell
-parsers, and the closed forms looked up by name.
+flags and reflections that the boundary path replaced, the interval-stack
+generator and rotated stack word that the oracle's recursion replaced, the
+ASCII and SVG cell parsers, and the closed forms looked up by name.
 """
 import re
 from collections import defaultdict
@@ -147,6 +148,71 @@ def cell_reflections(cells, size):
         {(y, x) for x, y in cells},
     )
     return tuple(from_boundary_word(word_from_cells(frozenset(image))) for image in images)
+
+
+def _steps(a: int, b: int) -> str:
+    return "N" * (b - a) + "S" * (a - b)
+
+
+def rotated_stack_word(intervals: list[tuple[int, int]]) -> str:
+    """Clockwise boundary word of a stack of cell intervals (lo, hi): up the
+    left side, along the tops, down the right side and back along the
+    bottoms, then rotated to start at its lowest leftmost point."""
+    bottoms = [lo for lo, _ in intervals]
+    tops = [hi + 1 for _, hi in intervals]
+    return boundary._start_at_lowest_leftmost(
+        _steps(bottoms[0], tops[0])
+        + "".join("E" + _steps(a, b) for a, b in zip(tops, tops[1:])) + "E"
+        + _steps(tops[-1], bottoms[-1])
+        + "".join("W" + _steps(a, b) for a, b in zip(bottoms[::-1], bottoms[-2::-1])) + "W"
+    )
+
+
+def generated_interval_stacks(n: int, convex: bool):
+    """Yield the stacks of cell intervals (lo, hi) over the (n-1)x(n-1) box
+    that are permutominoes, trying every interval at every column.
+
+    Adjacent intervals overlap and exactly one of bottom/top changes between
+    them; an edge at an ordinate must continue the side that ends at the
+    column before, if there is one; a full stack has a side at every ordinate
+    1..n; with convex=True, tops rise then fall and bottoms fall then rise.
+    """
+    side = n - 1
+    stack: list[tuple[int, int]] = []
+    last_edge = [0] * (n + 1)  # ordinate -> abscissa of its latest horizontal edge
+
+    def free(y: int, x: int) -> bool:
+        return last_edge[y] == 0 or last_edge[y] == x - 1
+
+    def extend(x: int, tops_fell: bool, bottoms_rose: bool):
+        if x == n:
+            if all(last_edge[1:n + 1]):
+                yield list(stack)
+            return
+        for lo in range(1, side + 1):
+            if not free(lo, x):
+                continue
+            for hi in range(lo, side + 1):
+                if not free(hi + 1, x):
+                    continue
+                new_tops_fell = new_bottoms_rose = False
+                if stack:
+                    plo, phi = stack[-1]
+                    if lo > phi or hi < plo or (lo != plo) == (hi != phi):
+                        continue
+                    if convex:
+                        if (tops_fell and hi > phi) or (bottoms_rose and lo < plo):
+                            continue
+                        new_tops_fell = tops_fell or hi < phi
+                        new_bottoms_rose = bottoms_rose or lo > plo
+                saved = last_edge[lo], last_edge[hi + 1]
+                last_edge[lo] = last_edge[hi + 1] = x
+                stack.append((lo, hi))
+                yield from extend(x + 1, new_tops_fell, new_bottoms_rose)
+                stack.pop()
+                last_edge[lo], last_edge[hi + 1] = saved
+
+    yield from extend(1, False, False)
 
 
 def cells_from_ascii(text: str) -> frozenset[tuple[int, int]]:

@@ -128,6 +128,18 @@ def test_word_round_trip_on_oracle_listings():
             assert word_from_cells(p.cells) == p.word
 
 
+def test_pi1_and_pi2_are_the_sorted_corner_ordinates():
+    from permutomino.counting import convex_via_fibers
+
+    shapes = [p for n in range(1, 7) for p in oracles.enumerate_column_convex(n)]
+    shapes += [p for n in range(1, 8) for p in convex_via_fibers(n)]
+    for p in shapes:
+        # the corners of the traced path, not the ones validation seeded
+        vertices = [point for point, _, _ in boundary._corners(p.path, p.word or "")]
+        assert p.pi1 == (tuple(y for _, y in sorted(vertices[0::2])) or (1,)), p
+        assert p.pi2 == (tuple(y for _, y in sorted(vertices[1::2])) or (1,)), p
+
+
 @given(st.permutations(list(range(1, 8))))
 def test_word_round_trip_property(values):
     from permutomino.membership import is_associated, canonical_permutomino

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -17,7 +18,11 @@ from references import cells_from_ascii
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """main's exit code, standard output and standard error, in this process."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -359,6 +364,90 @@ def test_closed_stdout_and_stderr_on_one_pipe_exit_2():
     assert code == 2
 
 
+PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+def console_script() -> str:
+    """The target of the `permutomino` console script, module:function."""
+    section = PYPROJECT.read_text().partition("[project.scripts]")[2].partition("\n[")[0]
+    return re.search(r'^permutomino = "([\w.]+:\w+)"$', section, re.M).group(1)
+
+
+def test_the_console_script_runs_the_process_entry_point():
+    assert console_script() == "permutomino.cli:run"
+
+
+def as_a_process(argv, route):
+    """Run the CLI in a new interpreter, through `-m` or as the console script
+    does, with its standard output buffered as it is by default."""
+    if route == "-m":
+        command = [sys.executable, "-m", "permutomino.cli", *argv]
+    else:
+        module, _, function = console_script().partition(":")
+        command = [sys.executable, "-c",
+                   f"import sys\nfrom {module} import {function}\nsys.exit({function}())", *argv]
+    env = subprocess_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("route", ["-m", "console script"])
+@pytest.mark.parametrize("argv, code", [
+    (("enumerate", "convex", "5"), 0),
+    (("enumerate", "convex", "7", "--list"), 0),  # 1,837 lines, more than one buffer
+    (("classify", "1 2 5"), 2),
+    (("enumerate", "convex", "0"), 2),  # argparse exits by SystemExit
+    (("build", "2 1"), 3),
+    (("enumerate", "column-convex", "9"), 4),
+    (("decompose", "1 2 3"), 5),
+])
+def test_a_process_exits_and_writes_as_main_returns(capsys, route, argv, code):
+    proc = as_a_process(argv, route)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
+    assert proc.returncode == code
+
+
+def test_a_process_keeps_what_it_printed_before_an_error(tmp_path, capsys):
+    """The parts are printed, then the one JSON document cannot be written to
+    a directory: exit 2, with the parts still on standard output."""
+    argv = ("decompose", "3 4 1 2", "--render", "--format", "json", "--out", str(tmp_path))
+    proc = as_a_process(argv, "-m")
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
+    assert proc.returncode == 2 and proc.stdout.startswith("components: 2\n")
+    assert len(proc.stderr.splitlines()) == 1 and "cannot write output" in proc.stderr
+
+
+def test_no_package_module_registers_an_exit_handler():
+    """run() ends the process with os._exit, which runs no exit handler."""
+    modules = sorted(path.stem for path in pathlib.Path(counting.__file__).parent.glob("*.py"))
+    script = ("import atexit, contextlib, importlib, io\n"
+              "before = atexit._ncallbacks()\n"
+              f"for name in {modules!r}:\n"
+              "    importlib.import_module('permutomino.' + name)\n"
+              "from permutomino.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    main(['verify', '--max-size', '4', '--json'])\n"
+              "    main(['build', '2 1 3 4 5', '--all', '--format', 'json'])\n"
+              "print(atexit._ncallbacks() - before)")
+    out = subprocess.run([sys.executable, "-c", script], env=subprocess_env(),
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "0\n"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("build", "3 1 6 8 2 4 7 5", "--format", "svg"), "shape.svg"),
+    (("build", "2 1 3 4 5 6 7", "--all", "--format", "json"), "fiber.json"),
+])
+def test_a_process_closes_its_out_file_before_it_exits(tmp_path, capsys, argv, name):
+    (tmp_path / "process").mkdir()
+    (tmp_path / "main").mkdir()
+    proc = as_a_process([*argv, "--out", str(tmp_path / "process" / name)], "-m")
+    assert proc.returncode == 0 and proc.stdout == proc.stderr == ""
+    assert run(capsys, *argv, "--out", str(tmp_path / "main" / name))[0] == 0
+    written = (tmp_path / "process" / name).read_bytes()
+    assert written and written == (tmp_path / "main" / name).read_bytes()
+
+
 def modules_after(code: str) -> set[str]:
     """The names in sys.modules after a fresh interpreter runs code."""
     script = f"{code}\nimport sys\nprint('modules:', *sys.modules)"
@@ -405,6 +494,14 @@ def test_each_job_imports_only_what_it_runs():
         loaded = modules_after(f"from permutomino.cli import main\nmain({argv!r})")
         assert "permutomino.boundary" in loaded, argv
         assert loaded.isdisjoint({"dataclasses", "json"}), argv
+
+
+def test_oracle_jobs_load_no_permutation_side_module():
+    for argv in (["enumerate", "column-convex", "6", "--list"],
+                 ["enumerate", "convex", "6", "--method", "intervals"]):
+        loaded = modules_after(f"from permutomino.cli import main\nmain({argv!r})")
+        assert {"permutomino.oracles", "permutomino.boundary"} <= loaded, argv
+        assert loaded.isdisjoint(SHAPE_MODULES - {"permutomino.boundary"}), argv
 
 
 def test_census_job_as_run_from_the_command_line_imports_no_shape_module():

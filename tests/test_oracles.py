@@ -5,7 +5,7 @@ import pytest
 from permutomino import counting, oracles
 from permutomino.boundary import EMPTY, from_boundary_word
 from permutomino.errors import NotPermutomino, SizeTooLarge
-from references import word_from_cells
+from references import generated_interval_stacks, rotated_stack_word, word_from_cells
 
 
 def test_convex_counts_match_published_terms():
@@ -72,13 +72,35 @@ def test_prune_drops_no_permutomino(n):
     assert {p for p in accepted if p.is_convex} == set(oracles.enumerate_convex(n))
 
 
+def listed_stacks(n, convex):
+    """The oracle's stacks as lists of cell intervals (lo, hi), with their words."""
+    out = []
+
+    def leaf(bottoms, tops):
+        out.append(([(lo, top - 1) for lo, top in zip(bottoms, tops)],
+                    oracles._stack_word(bottoms, tops)))
+
+    oracles._interval_stacks(n, convex, leaf)
+    return out
+
+
 @pytest.mark.parametrize("convex", [True, False])
 def test_generator_yields_only_permutominoes(convex):
     for n in range(2, 7):
-        for stack in oracles._interval_stacks(n, convex):
-            word = oracles._stack_word(stack)
+        for stack, word in listed_stacks(n, convex):
             assert word == word_from_cells(stack_cells(stack))
             assert from_boundary_word(word).size == n
+
+
+@pytest.mark.parametrize("convex, count", [(True, 1836), (False, 12232)])
+def test_stacks_and_words_match_the_reference_generator(convex, count):
+    for n in range(2, 8):
+        expected = sorted((stack, rotated_stack_word(stack))
+                          for stack in generated_interval_stacks(n, convex))
+        assert sorted(listed_stacks(n, convex)) == expected
+    assert len(expected) == count
+    listing = (oracles.enumerate_convex if convex else oracles.enumerate_column_convex)(7, bound=7)
+    assert sorted(p.word for p in listing) == sorted(word for _, word in expected)
 
 
 def test_column_convex_counts():

@@ -46,7 +46,11 @@ def test_json_rejects_bad_payloads():
     bad = dict(good, pi1=[2, 1])
     with pytest.raises(ValueError):
         from_json(json.dumps(bad))
-    for text in ("[]", "3", '{"v": 1}', '{"v": 1, "boundary": 5}'):
+    for text in ("[]", "3", '{"v": 1}', '{"v": 1, "boundary": 5}',
+                 # true == 1 == 1.0 in Python, but not as JSON values
+                 '{"v": true, "boundary": "NESW"}', '{"v": 1.0, "boundary": "NESW"}',
+                 '{"v": 1, "boundary": "NESW", "size": 2.0}',
+                 '{"v": 1, "boundary": null, "pi1": [true]}'):
         with pytest.raises(ValueError):
             from_json(text)
 

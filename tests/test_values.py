@@ -66,3 +66,16 @@ def test_record_reprs():
 def test_a_permutomino_is_no_other_type_of_value():
     assert CELL != (2, "NESW") and CELL != Subsequence((2, "NESW"))
     assert {CELL: 1}[Permutomino(2, "NESW")] == 1
+
+
+def test_a_lazy_field_is_stored_on_its_first_read_and_stays_read_only():
+    p = from_boundary_word("NENESSWW")
+    assert "pi1" not in vars(p)
+    assert p.pi1 == (1, 2, 3)
+    assert "pi1" in vars(p) and p.pi1 is vars(p)["pi1"]
+    for field in ("pi1", "pi2", "flags"):
+        with pytest.raises(AttributeError):
+            setattr(p, field, (1, 2, 3))
+        with pytest.raises(AttributeError):
+            delattr(p, field)
+    assert p.pi1 == (1, 2, 3) and p.pi2 == (2, 3, 1)
