@@ -1,16 +1,17 @@
-"""The counting kernels behind every count.
+"""The square generator's moves and the counting kernels behind every count.
 
-count_stats, which every count reads, returns the per-permutation statistics
-the identities need for size n without visiting a permutation: it counts over
-the states of the depth-first search in permutomino.perms.square_permutations.
-No state's count depends on n, so one memoised table serves every size up to
-COUNT_BOUND and stays filled between calls.  It evaluates the generator's own
-rules by counting, so it is not a further characterization of square
-permutations; the independent checks stay the closed forms, the
-envelope-vs-pattern agreement and the interval oracle.  Its reference, a fold
-over the permutations the generator yields, is in tests/test_kernels.py.
-The module imports no other part of the package but `errors`, so a count
-loads no permutation or shape code.
+moves is the one definition of which values extend a prefix of a square
+permutation, on the states of the depth-first search: perms.square_permutations
+maps each move to its value and count_stats counts over the same children.
+count_stats, which every count reads, returns the statistics the identities
+need for size n without visiting a permutation.  No state's count depends on
+n, so one memoised table serves every size up to COUNT_BOUND and stays filled
+between calls.  It evaluates the generator's own rules by counting, so it is
+not a further characterization of square permutations; the independent checks
+stay the closed forms, the envelope-vs-pattern agreement and the interval
+oracle.  Its reference, a fold over the value-level search in
+tests/references.py, is in tests/test_kernels.py.  The module imports nothing
+from the package but `errors`, so a count loads no permutation or shape code.
 """
 from __future__ import annotations
 
@@ -29,6 +30,23 @@ COUNT_BOUND = 30
 _WIDTH = factorial(COUNT_BOUND).bit_length()
 
 
+def moves(a: int, b: int, g1: int, g2: int) -> list[tuple[int, tuple[int, int, int, int]]]:
+    """The children of state (a, b, g1, g2) (see count_stats) in increasing
+    value order, as (offset, child): offset ranks the value taken among the
+    unused ones (the a below the prefix, the gap, the b above it).  A value
+    extends the prefix iff it is a new minimum or maximum, or an end of the
+    gap that is also the smallest or largest unused value.
+    """
+    gap = g1 + g2
+    children = [(a - j, (a - j, b, g1 + j - 1, g2)) for j in range(a, 0, -1)]  # new minima
+    if gap and a == 0:  # the gap's bottom end, the smallest unused value
+        children.append((0, (a, b, g1 - 1, g2) if g1 else (a, b, g1, g2 - 1)))
+    if gap and b == 0 and (a or gap > 1):  # the gap's top end, the largest unused value
+        children.append((a + gap - 1, (a, b, g1, g2 - 1) if g2 else (a, b, g1 - 1, g2)))
+    children += [(a + gap + j - 1, (a, b - j, g1, g2 + j - 1)) for j in range(1, b + 1)]  # new maxima
+    return children
+
+
 @cache
 def _walk(a: int, b: int, g1: int, g2: int) -> tuple[int, int, int, int]:
     """Over the completions from state (a, b, g1, g2) (see count_stats): the
@@ -39,24 +57,18 @@ def _walk(a: int, b: int, g1: int, g2: int) -> tuple[int, int, int, int]:
     left = a + b + gap
     if left == 0:
         return 1, 1, 1, 0
-    # the generator's moves, each with whether it takes a value above the first
-    moves = [((a, b - j, g1, g2 + j - 1), True) for j in range(1, b + 1)]  # new maxima
-    if gap and b == 0 and (a or gap > 1):  # the largest unused value, in the gap
-        moves.append(((a, b, g1, g2 - 1), True) if g2 else ((a, b, g1 - 1, g2), False))
-    if gap and a == 0:  # the smallest unused value, in the gap
-        moves.append(((a, b, g1 - 1, g2), False) if g1 else ((a, b, g1, g2 - 1), True))
-    moves += [((a - j, b, g1 + j - 1, g2), False) for j in range(1, a + 1)]  # new minima
     reversal_split = a == 0 and gap == 0
-    # the prefix is 1..r, so the first move puts the new maximum r + 1 at
-    # position r + 1: free when 1 < r + 1 < n, that is when left > 1
+    # the prefix is 1..r, so the first move (offset 0) puts the new maximum
+    # r + 1 at position r + 1: free when 1 < r + 1 < n, that is when left > 1
     free_fixed = reversal_split and left > 1
+    above_first = a + g1  # the unused values from this offset on are above the first
     splits = fixed = both_ways = rising = 0
-    for i, (state, above) in enumerate(moves):
-        s, f, w, up = _walk(*state)
+    for offset, child in moves(a, b, g1, g2):
+        s, f, w, up = _walk(*child)
         splits += s
-        fixed += f << _WIDTH if free_fixed and i == 0 else f
+        fixed += f << _WIDTH if free_fixed and offset == 0 else f
         both_ways += w
-        rising += above if left == 1 else up
+        rising += offset >= above_first if left == 1 else up
     if b == 0 and gap == 0:  # a split point
         return splits << _WIDTH, 0, 0, 0
     return splits, fixed, 0 if reversal_split else both_ways, rising
@@ -73,8 +85,8 @@ def count_stats(n: int) -> dict:
       indecomposable (realizable from both vertex classes)
     - assoc_first_lt_last: square indecomposable permutations with p(1) < p(n)
 
-    After the first value f, the moves of square_permutations depend only on
-    four numbers: a and b, the unused values below the prefix's minimum and
+    After the first value f, the moves (see `moves`) depend only on four
+    numbers: a and b, the unused values below the prefix's minimum and
     above its maximum, and the gap of unused values between the two, g1 of
     them below f and g2 above (the gap is consumed only at its ends).  The
     prefix length is r = n - left, left = a + b + g1 + g2, and every field
@@ -85,7 +97,8 @@ def count_stats(n: int) -> dict:
     - the reversal has a split where a == 0 and the gap is empty (the prefix
       holds 1..r); only there can the next new maximum, r + 1, land at
       position r + 1, and it is a free fixed point when 1 < r + 1 < n;
-    - p(1) < p(n) when the last move takes a value above f.
+    - p(1) < p(n) when the last move takes a value above f, that is at an
+      offset of at least a + g1.
 
     The split counts and the free-fixed-point counts are polynomials packed
     into one int, _WIDTH bits per coefficient, so adding two is one int

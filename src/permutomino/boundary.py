@@ -35,7 +35,6 @@ from .errors import InvalidMatrix, NotClosed, NotConvex, NotPermutomino, SelfInt
 ALPHA, BETA, GAMMA, DELTA = "alpha", "beta", "gamma", "delta"
 LABELS = (ALPHA, BETA, GAMMA, DELTA)
 
-_STEP = {"N": (0, 1), "E": (1, 0), "S": (0, -1), "W": (-1, 0)}
 # two-letter boundary factors (arrive, depart) at a corner
 _SALIENT_FACTORS = {("N", "E"), ("E", "S"), ("S", "W"), ("W", "N")}
 _REENTRANT_LABEL = {("E", "N"): ALPHA, ("S", "E"): BETA, ("W", "S"): GAMMA, ("N", "W"): DELTA}
@@ -46,19 +45,6 @@ _MIRROR_X = str.maketrans("EW", "WE")
 _TRANSPOSE = str.maketrans("NESW", "WSEN")
 _DROP_VERTICAL = str.maketrans("", "", "NS")
 _DROP_HORIZONTAL = str.maketrans("", "", "EW")
-
-
-def _trace(word: str) -> list[tuple[int, int]]:
-    """Lattice points visited by the word, starting from (0, 0); length len(word)+1."""
-    x = y = 0
-    points = [(0, 0)]
-    for i, letter in enumerate(word):
-        if letter not in _STEP:
-            raise ValueError(f"boundary letter {letter!r} at index {i} (want N/E/S/W)")
-        dx, dy = _STEP[letter]
-        x, y = x + dx, y + dy
-        points.append((x, y))
-    return points
 
 
 def _walk(word: str) -> list[int]:
@@ -190,10 +176,13 @@ class Permutomino:
         """Lattice points of the boundary walk, in the (1,1)-anchored frame."""
         if self.word is None:
             return ()
-        raw = _trace(self.word)
-        min_x = min(x for x, _ in raw)
-        min_y = min(y for _, y in raw)
-        return tuple((x - min_x + 1, y - min_y + 1) for x, y in raw)
+        length = len(self.word)
+        width = 2 * length + 1
+        # each point decoded as _point decodes it, (y, x + L), then shifted
+        coded = [divmod(code + length, width) for code in (0, *_walk(self.word))]
+        dx = 1 - min([x for _, x in coded])
+        dy = 1 - min([y for y, _ in coded])
+        return tuple([(x + dx, y + dy) for y, x in coded])
 
     @_lazy
     def cells(self) -> frozenset[tuple[int, int]]:

@@ -69,10 +69,12 @@ def int_at_least(low: int):
 
 
 def output_path(text: str) -> str:
-    """argparse type: a file path whose directory exists."""
+    """argparse type: a file path whose directory exists and that is not itself a directory."""
     folder = os.path.dirname(text) or "."
     if not os.path.isdir(folder):
         raise argparse.ArgumentTypeError(f"no such directory: {folder}")
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"is a directory: {text}")
     return text
 
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+from ._kernels import moves
+
 
 def as_perm(values: Iterable[int]) -> tuple[int, ...]:
     """Validate an iterable as a permutation of 1..n and return it as a tuple."""
@@ -303,36 +305,32 @@ def square_permutations(n: int, first: int | None = None) -> Iterator[tuple[int,
     A third characterization, independent of the envelope and pattern routes:
     p is square iff every entry is a left-right or right-left maximum or
     minimum.  So a value may extend a prefix iff it is a new maximum, a new
-    minimum, or the smallest or largest value still unused.  The largest
-    unused value always qualifies, so every prefix extends and the depth-first
-    search visits only square permutations and their prefixes.
+    minimum, or the smallest or largest value still unused (_kernels.moves,
+    where each move's offset picks its value from the unused values).  The
+    largest unused value always qualifies, so every prefix extends and the
+    depth-first search visits only square permutations and their prefixes.
     """
     if n < 1:
         raise ValueError("size must be at least 1")
     if first is not None and not 1 <= first <= n:
         raise ValueError(f"first value must be in 1..{n}, got {first}")
-    # a state is (prefix, its minimum, its maximum, the unused values between them)
+    values = tuple(range(1, n + 1))
     firsts = range(n, 0, -1) if first is None else (first,)
-    todo = [((f,), f, f, ()) for f in firsts]
+    # a node is (prefix, the unused values in increasing order, the moves' state)
+    todo = [((f,), values[: f - 1] + values[f:], (f - 1, n - f, 0, 0)) for f in firsts]
     push = todo.append
+    children = {}  # state -> its moves, largest value first
     while todo:
-        prefix, lo, hi, gap = todo.pop()
-        if len(prefix) == n:
-            yield prefix
+        prefix, unused, state = todo.pop()
+        if len(unused) < 2:  # the last value always extends the prefix
+            yield prefix + unused
             continue
+        kids = children.get(state)
+        if kids is None:
+            kids = children[state] = moves(*state)[::-1]
         # children go on the stack largest first, so they come off in increasing order
-        for v in range(n, hi, -1):  # a new maximum
-            push((prefix + (v,), lo, v, gap + tuple(range(hi + 1, v))))
-        if gap:
-            # below lo or above hi every unused value is a new extremum; inside
-            # the gap only its ends can be the smallest or largest unused value
-            # (a one-value gap is both, and is pushed once)
-            if hi == n and (lo > 1 or len(gap) > 1):
-                push((prefix + (gap[-1],), lo, hi, gap[:-1]))
-            if lo == 1:
-                push((prefix + (gap[0],), lo, hi, gap[1:]))
-        for v in range(lo - 1, 0, -1):  # a new minimum
-            push((prefix + (v,), v, hi, tuple(range(v + 1, lo)) + gap))
+        for offset, child in kids:
+            push((prefix + (unused[offset],), unused[:offset] + unused[offset + 1:], child))
 
 
 def is_square_by_patterns(p: Sequence[int]) -> bool:

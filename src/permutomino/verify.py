@@ -81,31 +81,19 @@ def _printed(form, n: int):
 
 
 def sequence_class_count(n: int, k: int, directed_counts, parallelogram_counts) -> int:
-    """|T_{n,k}|: compositions of n into k part sizes, ends directed, middles
-    parallelogram, size-1 parts the empty permutomino."""
+    """|T_{n,k}|: sequences of k permutominoes of total size n, ends directed,
+    middles parallelogram, size-1 parts the empty permutomino.
 
-    def ways(size: int, middle: bool) -> int:
-        if size == 1:
-            return 1
-        return parallelogram_counts[size] if middle else directed_counts[size]
-
-    total = 0
-    for cut in _compositions(n, k):
-        acc = 1
-        for i, s in enumerate(cut):
-            acc *= ways(s, middle=(0 < i < k - 1))
-        total += acc
-    return total
-
-
-def _compositions(n: int, k: int):
-    if k == 1:
-        if n >= 1:
-            yield (n,)
-        return
-    for first in range(1, n - k + 2):
-        for rest in _compositions(n - first, k - 1):
-            yield (first,) + rest
+    A convolution over part sizes, each at most n - k + 1.
+    """
+    end, middle = [0] * (n + 1), [0] * (n + 1)
+    end[1] = middle[1] = 1
+    for size in range(2, n - k + 2):
+        end[size], middle[size] = directed_counts[size], parallelogram_counts[size]
+    ways = [1] + [0] * n  # ways[t]: sequences of the parts placed so far, of total size t
+    for part in ([end] + [middle] * (k - 2) + [end])[:k]:
+        ways = [sum(ways[t - s] * part[s] for s in range(1, t + 1)) for t in range(n + 1)]
+    return ways[n]
 
 
 def verify_identities(max_size: int, strict_paper: bool = False) -> VerificationReport:

@@ -1,10 +1,13 @@
 """Reference code that only the tests call.
 
 Each function here is a second route to something the library computes, or a
-parser that reads library output back: the cell-side walk, validator, class
-flags and reflections that the boundary path replaced, the interval-stack
-generator and rotated stack word that the oracle's recursion replaced, the
-ASCII and SVG cell parsers, and the closed forms looked up by name.
+parser that reads library output back: the cell-side walk, validator (with its
+own lattice tracer), class flags and reflections that the boundary path
+replaced, the interval-stack generator and rotated stack word that the
+oracle's recursion replaced, the value-level square-permutation search that
+the generator's moves replaced, the composition sum behind the sequence
+counts T_{n,k}, the ASCII and SVG cell parsers, and the closed forms looked up
+by name.
 """
 import re
 from collections import defaultdict
@@ -59,6 +62,22 @@ def word_from_cells(cells: frozenset[tuple[int, int]]) -> str:
     return "".join(letters)
 
 
+STEPS = {"N": (0, 1), "E": (1, 0), "S": (0, -1), "W": (-1, 0)}
+
+
+def traced_points(word):
+    """Lattice points the word visits from (0, 0), len(word) + 1 of them."""
+    x = y = 0
+    points = [(0, 0)]
+    for i, letter in enumerate(word):
+        if letter not in STEPS:
+            raise ValueError(f"boundary letter {letter!r} at index {i} (want N/E/S/W)")
+        dx, dy = STEPS[letter]
+        x, y = x + dx, y + dy
+        points.append((x, y))
+    return points
+
+
 def _runs(values):
     """Number of maximal runs of consecutive integers."""
     ordered = sorted(values)
@@ -70,7 +89,7 @@ def _runs(values):
 def reference_size(word):
     """Size of the permutomino a word encodes, by the validator that fills the
     cells, checks the word against them and counts sides as runs of edges."""
-    points = boundary._trace(word)
+    points = traced_points(word)
     if points[-1] != points[0]:
         raise NotClosed(f"path ends at {points[-1]}, not back at the start")
     interior_points = points[:-1]
@@ -213,6 +232,63 @@ def generated_interval_stacks(n: int, convex: bool):
                 last_edge[lo], last_edge[hi + 1] = saved
 
     yield from extend(1, False, False)
+
+
+def reference_square_permutations(n: int, first: int | None = None):
+    """Yield the square permutations of size n in lexicographic order (only
+    those with p[0] == first, if given), by a depth-first search on values.
+
+    A value may extend a prefix iff it is a new maximum, a new minimum, or an
+    end of the gap of unused values between the prefix's minimum and maximum
+    that is also the smallest or largest unused value.  The library's
+    generator walks the same moves as offsets on abstract states instead.
+    """
+    # a node is (prefix, its minimum, its maximum, the unused values between them)
+    firsts = range(n, 0, -1) if first is None else (first,)
+    todo = [((f,), f, f, ()) for f in firsts]
+    while todo:
+        prefix, lo, hi, gap = todo.pop()
+        if len(prefix) == n:
+            yield prefix
+            continue
+        # children go on the stack largest first, so they come off in increasing order
+        for v in range(n, hi, -1):  # a new maximum
+            todo.append((prefix + (v,), lo, v, gap + tuple(range(hi + 1, v))))
+        if gap:
+            # a one-value gap is both the smallest and the largest, and is pushed once
+            if hi == n and (lo > 1 or len(gap) > 1):
+                todo.append((prefix + (gap[-1],), lo, hi, gap[:-1]))
+            if lo == 1:
+                todo.append((prefix + (gap[0],), lo, hi, gap[1:]))
+        for v in range(lo - 1, 0, -1):  # a new minimum
+            todo.append((prefix + (v,), v, hi, tuple(range(v + 1, lo)) + gap))
+
+
+def composition_class_count(n: int, k: int, directed_counts, parallelogram_counts) -> int:
+    """|T_{n,k}| by a sum over the compositions of n into k part sizes, ends
+    directed, middles parallelogram, size-1 parts the empty permutomino."""
+
+    def ways(size: int, middle: bool) -> int:
+        if size == 1:
+            return 1
+        return parallelogram_counts[size] if middle else directed_counts[size]
+
+    def compositions(n: int, k: int):
+        if k == 1:
+            if n >= 1:
+                yield (n,)
+            return
+        for first in range(1, n - k + 2):
+            for rest in compositions(n - first, k - 1):
+                yield (first,) + rest
+
+    total = 0
+    for cut in compositions(n, k):
+        acc = 1
+        for i, s in enumerate(cut):
+            acc *= ways(s, middle=(0 < i < k - 1))
+        total += acc
+    return total
 
 
 def cells_from_ascii(text: str) -> frozenset[tuple[int, int]]:

@@ -13,7 +13,7 @@ from permutomino.boundary import (
 from permutomino.errors import (
     InvalidMatrix, NotClosed, NotConvex, NotPermutomino, PermutominoError, SelfIntersecting,
 )
-from references import cell_flags, cell_reflections, reference_size, word_from_cells
+from references import STEPS, cell_flags, cell_reflections, reference_size, word_from_cells
 
 
 def test_single_cell():
@@ -60,7 +60,7 @@ def closed_words(max_len):
 
     def walk(x, y):
         left = max_len - len(letters)
-        for letter, (dx, dy) in boundary._STEP.items():
+        for letter, (dx, dy) in STEPS.items():
             nx, ny = x + dx, y + dy
             if (nx, ny) == (0, 0):
                 words.append("".join(letters) + letter)

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -11,7 +12,7 @@ import tracemalloc
 
 import pytest
 
-from permutomino import counting, oracles
+from permutomino import _kernels, counting, oracles
 from permutomino.cli import main, parse_permutation
 from permutomino.errors import ParseError
 from references import cells_from_ascii
@@ -303,10 +304,23 @@ def test_enumerate_size_too_large(capsys):
     assert code == 0 and out == "780156\n"
 
 
+# a file name longer than any file system takes, in a directory that exists:
+# the path passes the argument check and fails only when it is opened
+UNWRITABLE = "x" * 300
+
+
 def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys):
-    code, out, err = run(capsys, "build", "2 1 3", "--out", str(tmp_path))
+    code, out, err = run(capsys, "build", "2 1 3", "--out", str(tmp_path / UNWRITABLE))
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and "cannot write output" in err
+
+
+def test_out_naming_a_directory_is_a_usage_error(tmp_path, capsys):
+    for argv in (("build", "1 2 3"), ("decompose", "3 4 1 2", "--render")):
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert code == 2 and out == "", argv
+        assert len(err.splitlines()) == 1 and f"is a directory: {tmp_path}" in err, argv
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_fiber_bound_leaves_classify_and_single_build(capsys):
@@ -408,9 +422,10 @@ def test_a_process_exits_and_writes_as_main_returns(capsys, route, argv, code):
 
 
 def test_a_process_keeps_what_it_printed_before_an_error(tmp_path, capsys):
-    """The parts are printed, then the one JSON document cannot be written to
-    a directory: exit 2, with the parts still on standard output."""
-    argv = ("decompose", "3 4 1 2", "--render", "--format", "json", "--out", str(tmp_path))
+    """The parts are printed, then the one JSON document cannot be written:
+    exit 2, with the parts still on standard output."""
+    argv = ("decompose", "3 4 1 2", "--render", "--format", "json",
+            "--out", str(tmp_path / UNWRITABLE))
     proc = as_a_process(argv, "-m")
     assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
     assert proc.returncode == 2 and proc.stdout.startswith("components: 2\n")
@@ -482,18 +497,36 @@ def test_each_job_imports_only_what_it_runs():
     assert {"permutomino.verify", "permutomino.counting", "permutomino.oracles"} <= loaded
     assert loaded.isdisjoint(SHAPE_MODULES - {"permutomino.boundary"})
     assert "dataclasses" not in loaded
-    # the shape jobs build their values without dataclasses and write JSON without json
-    for argv in (
-        ["build", "1 2 3 4 5", "--all", "--format", "json"],
-        ["build", "3 1 6 8 2 4 7 5", "--format", "svg"],
-        ["classify", "2 1 3 4 7 6 5"],
-        ["decompose", "16 15 18 19 17 14 12 13 9 7 11 10 8 3 1 6 5 2 4", "--render"],
-        ["enumerate", "convex", "7", "--list"],
-        ["enumerate", "symmetric", "4", "--list"],
+    # the shape jobs load exactly these package modules (perms reads the
+    # generator's moves from _kernels), build their values without
+    # dataclasses and write JSON without json
+    shape = {"permutomino", "permutomino.cli", "permutomino.errors", "permutomino.boundary",
+             "permutomino.perms", "permutomino._kernels", "permutomino.membership"}
+    for argv, modules in (
+        (["build", "1 2 3 4 5", "--all", "--format", "json"], shape | {"permutomino.render"}),
+        (["build", "3 1 6 8 2 4 7 5", "--format", "svg"], shape | {"permutomino.render"}),
+        (["classify", "2 1 3 4 7 6 5"], shape),
+        (["decompose", "16 15 18 19 17 14 12 13 9 7 11 10 8 3 1 6 5 2 4", "--render"],
+         shape | {"permutomino.bijection", "permutomino.render"}),
+        (["enumerate", "convex", "7", "--list"], shape | {"permutomino.counting"}),
+        (["enumerate", "symmetric", "4", "--list"],
+         {"permutomino", "permutomino.cli", "permutomino.errors", "permutomino.boundary",
+          "permutomino._kernels", "permutomino.counting", "permutomino.oracles"}),
     ):
         loaded = modules_after(f"from permutomino.cli import main\nmain({argv!r})")
-        assert "permutomino.boundary" in loaded, argv
+        assert package_modules(loaded) == modules, argv
         assert loaded.isdisjoint({"dataclasses", "json"}), argv
+
+
+def test_the_kernels_import_nothing_from_the_package_but_errors():
+    """A count loads no permutation or shape code: _kernels imports only the
+    standard library and errors, and perms imports the moves from it."""
+    nodes = list(ast.walk(ast.parse(pathlib.Path(_kernels.__file__).read_text())))
+    relative = {node.module for node in nodes if isinstance(node, ast.ImportFrom) and node.level}
+    absolute = {node.module for node in nodes if isinstance(node, ast.ImportFrom) and not node.level}
+    absolute |= {alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names}
+    assert relative == {"errors"}
+    assert not package_modules(absolute)
 
 
 def test_oracle_jobs_load_no_permutation_side_module():

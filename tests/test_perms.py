@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import all_perms
 from permutomino import perms
+from references import reference_square_permutations
 
 BIG = (8, 6, 1, 9, 11, 14, 2, 16, 15, 13, 12, 10, 7, 3, 5, 4)
 
@@ -276,8 +277,12 @@ def test_square_generator_matches_both_filters(n):
     assert list(perms.square_permutations(n)) == by_envelope == by_patterns
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 10))
 def test_square_generator_first_value_blocks(n):
+    """The moves on states give the value-level search's permutations in its
+    order, for every first value, and the blocks concatenate to the whole."""
     blocks = [list(perms.square_permutations(n, first)) for first in range(1, n + 1)]
+    assert blocks == [list(reference_square_permutations(n, first)) for first in range(1, n + 1)]
     assert all(p[0] == first for first, block in enumerate(blocks, 1) for p in block)
-    assert [p for block in blocks for p in block] == list(perms.square_permutations(n))
+    whole = list(perms.square_permutations(n))
+    assert [p for block in blocks for p in block] == whole == list(reference_square_permutations(n))

@@ -3,6 +3,7 @@ import pytest
 from permutomino import formulas, verify
 from permutomino.cli import main
 from permutomino.verify import sequence_class_count, verify_identities
+from references import composition_class_count
 
 
 def square_fault(monkeypatch):
@@ -75,6 +76,15 @@ def test_sequence_class_count_matches_generating_identity():
         directed[a] * directed[4 - a] for a in range(1, 4)
     )
     assert sequence_class_count(3, 3, directed, parallelogram) == 1
+
+
+def test_sequence_class_count_matches_the_composition_sum():
+    directed = {s: formulas.directed_convex(s) for s in range(2, 9)}
+    parallelogram = {s: formulas.parallelogram(s) for s in range(2, 9)}
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            assert sequence_class_count(n, k, directed, parallelogram) == \
+                composition_class_count(n, k, directed, parallelogram), (n, k)
 
 
 def test_max_size_validation():
