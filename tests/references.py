@@ -5,9 +5,9 @@ parser that reads library output back: the cell-side walk, validator (with its
 own lattice tracer), class flags and reflections that the boundary path
 replaced, the interval-stack generator and rotated stack word that the
 oracle's recursion replaced, the value-level square-permutation search that
-the generator's moves replaced, the composition sum behind the sequence
-counts T_{n,k}, the ASCII and SVG cell parsers, and the closed forms looked up
-by name.
+the generator's moves replaced, the upper-unimodal test that every upper
+envelope passes, the composition sum behind the sequence counts T_{n,k}, the
+ASCII and SVG cell parsers, and the closed forms looked up by name.
 """
 import re
 from collections import defaultdict
@@ -262,6 +262,17 @@ def reference_square_permutations(n: int, first: int | None = None):
                 todo.append((prefix + (gap[0],), lo, hi, gap[1:]))
         for v in range(lo - 1, 0, -1):  # a new minimum
             todo.append((prefix + (v,), v, hi, tuple(range(v + 1, lo)) + gap))
+
+
+def is_upper_unimodal(values) -> bool:
+    """True iff the (distinct) values strictly increase then strictly decrease:
+    the shape every upper envelope has."""
+    i = 0
+    while i + 1 < len(values) and values[i] < values[i + 1]:
+        i += 1
+    while i + 1 < len(values) and values[i] > values[i + 1]:
+        i += 1
+    return i + 1 >= len(values)
 
 
 def composition_class_count(n: int, k: int, directed_counts, parallelogram_counts) -> int:

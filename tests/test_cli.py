@@ -258,6 +258,8 @@ USAGE_ERRORS = [
     ((), ("enumerate", "directed", "5", "--method", "intervals"), "--method does not apply"),
     ((), ("enumerate", "column-convex", "9", "--list", "--method", "intervals"),
      "--method does not apply"),
+    ((), ("build", "1 2 3", "--out", ""), "empty path"),
+    ((), ("decompose", "3 4 1 2", "--render", "--out", ""), "empty path"),
 ]
 
 

@@ -10,7 +10,7 @@ from permutomino.membership import canonical_permutomino, fiber, free_fixed_poin
 from permutomino.render import (
     ascii_art,
     from_json,
-    json_document,
+    json_chunks,
     svg_document,
     to_json,
     to_jsonable,
@@ -56,7 +56,7 @@ def test_json_rejects_bad_payloads():
 
 
 def test_json_document_matches_json_dumps(convex_by_size):
-    def reference(shapes):  # the CLI's encoding before json_document
+    def reference(shapes):  # the CLI's encoding before json_chunks
         payload = [to_jsonable(p) for p in shapes]
         return json.dumps(payload[0] if len(payload) == 1 else payload, indent=2)
 
@@ -67,8 +67,8 @@ def test_json_document_matches_json_dumps(convex_by_size):
     cases += [oracles.enumerate_column_convex(n) for n in range(1, 7)]  # false flags too
     cases.append(sorted(fiber(perm), key=Permutomino.sort_key))
     for shapes in cases:
-        assert json_document(shapes) == reference(shapes)
-        assert json_document(iter(shapes)) == reference(shapes)  # one pass, one ahead
+        assert "".join(json_chunks(shapes)) == reference(shapes)
+        assert "".join(json_chunks(iter(shapes))) == reference(shapes)  # one pass, one ahead
 
 
 def test_readme_json_example_matches_the_schema():

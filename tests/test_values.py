@@ -5,7 +5,7 @@ import pytest
 
 from permutomino.bijection import PermutominoSequence
 from permutomino.boundary import ALPHA, EMPTY, GAMMA, LabeledMatrix, Permutomino, from_boundary_word
-from permutomino.membership import FreeFixedPoints, MembershipVerdict, membership_verdict
+from permutomino.membership import MembershipVerdict, membership_verdict
 from permutomino.perms import Envelopes, Subsequence, envelopes
 from permutomino.verify import Entry, VerificationReport
 
@@ -26,8 +26,6 @@ VALUES = {
     "MembershipVerdict": (membership_verdict((3, 1, 2)),
                           MembershipVerdict(False, "decomposable", 1),
                           membership_verdict((1, 2, 3)), "member"),
-    "FreeFixedPoints": (FreeFixedPoints(frozenset({2, 3})), FreeFixedPoints(frozenset({3, 2})),
-                        FreeFixedPoints(frozenset({2})), "points"),
     "PermutominoSequence": (PermutominoSequence((EMPTY, CELL)),
                             PermutominoSequence((EMPTY, Permutomino(2, "NESW"))),
                             PermutominoSequence((CELL, EMPTY)), "parts"),
@@ -60,7 +58,6 @@ def test_record_reprs():
     assert repr(MembershipVerdict(True, "ok")) == \
         "MembershipVerdict(member=True, reason='ok', witness=None)"
     assert repr(Subsequence(((1, 1),))) == "Subsequence(entries=((1, 1),))"
-    assert repr(FreeFixedPoints(frozenset({2}))) == "FreeFixedPoints(points=frozenset({2}))"
 
 
 def test_a_permutomino_is_no_other_type_of_value():
