@@ -22,9 +22,9 @@ from functools import reduce
 from typing import Sequence
 
 from . import perms
-from .boundary import EMPTY, Permutomino, reflect_x, reflect_y
+from .boundary import Permutomino, reflect_x, reflect_y
 from .errors import Indecomposable, InvalidSequence, NotSquare
-from .membership import free_fixed_values, shapes_over
+from .membership import Fiber
 
 
 class PermutominoSequence:
@@ -95,10 +95,8 @@ def sequence_to_permutation(seq: PermutominoSequence | Sequence[Permutomino]) ->
 
 
 def _unique_part(component: tuple[int, ...], last: bool, middle: bool) -> Permutomino:
-    if component == (1,):
-        return EMPTY
-    gamma = free_fixed_values(component) if last else ()
-    shape = next(shapes_over(component, [gamma]))
+    over = Fiber(component)
+    shape = over.shape(over.free if last else ())
     part = reflect_x(shape) if last else reflect_y(shape)
     wanted = "parallelogram" if middle else "directed"
     if not part.flags[wanted]:

@@ -140,12 +140,11 @@ def _by_abscissa(corners: Sequence[tuple[tuple[int, int], str, str]]) -> tuple[i
 class Permutomino:
     """A validated permutomino, identified by its size and boundary word.
 
-    ``word`` is None only for the size-1 empty permutomino.  Build instances
-    through :func:`from_boundary_word`, which seeds the corners, or
-    :meth:`empty`; the rest (pi1/pi2, vertices, class flags) is read off the
-    corners lazily, and the path and the cells, which only drawing reads, are
-    traced lazily.  Read-only; equal, and hashed alike, when the sizes and
-    the words are equal.
+    ``word`` is None only for the size-1 empty permutomino, ``EMPTY``.  Build
+    the others through :func:`from_boundary_word`, which seeds the corners;
+    the rest (pi1/pi2, vertices, class flags) is read off the corners lazily,
+    and the path and the cells, which only drawing reads, are traced lazily.
+    Read-only; equal, and hashed alike, when the sizes and the words are equal.
     """
 
     def __init__(self, size: int, word: str | None):

@@ -51,6 +51,8 @@ def square_agreement(n: int) -> dict:
     """
     from .perms import is_square, is_square_by_patterns
 
+    if n < 1:
+        raise ValueError("size must be at least 1")
     if n > SCAN_BOUND:
         raise SizeTooLarge(f"scans are bounded at size {SCAN_BOUND}, got {n}")
     by_envelope = 0
@@ -114,12 +116,14 @@ def convex_via_fibers(n: int) -> Iterator:
 
     Walks the square permutations, which come in lexicographic order, keeps
     the realizable (indecomposable) ones and streams each fiber, whose shapes
-    come in word order, so nothing is sorted.  The size bound is checked here,
-    before any shape is built.
+    come in word order, so nothing is sorted.  The size is checked here, before
+    any shape is built.
     """
     from .membership import fiber
     from .perms import is_indecomposable, square_permutations
 
+    if n < 1:
+        raise ValueError("size must be at least 1")
     if n > FIBER_BOUND:
         raise SizeTooLarge(f"fiber listing is bounded at size {FIBER_BOUND}, got {n}")
     return (shape for p in square_permutations(n) if is_indecomposable(p) for shape in fiber(p))

@@ -7,11 +7,13 @@ of free fixed points: fixed points on the strictly increasing part of the upper
 envelope, other than 1 and n.  Each choice of alpha/gamma typing for the free
 fixed points gives one permutomino of the fiber: its corner matrix is read off
 the envelopes, the chosen points are retyped gamma, and boundary.corner_word,
-the one builder of convex boundary words, threads it.
+the one builder of convex boundary words, threads it.  `Fiber.shape` is the
+only place that builds such a shape; `fiber`, `canonical_permutomino` and the
+bijection all go through a `Fiber`.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import perms
 from .boundary import (
@@ -68,13 +70,6 @@ def _verdict(p: tuple[int, ...], env: perms.Envelopes) -> MembershipVerdict:
     return MembershipVerdict(True, OK)
 
 
-def _require_member(p: tuple[int, ...], env: perms.Envelopes) -> None:
-    """Raise NotAssociated unless p, with envelopes env, is realizable."""
-    verdict = _verdict(p, env)
-    if not verdict.member:
-        raise NotAssociated(f"{p} is not realizable ({verdict.reason})")
-
-
 def is_associated(p: Sequence[int]) -> bool:
     """True iff p is the odd-vertex permutation of some convex permutomino."""
     return membership_verdict(p).member
@@ -91,9 +86,7 @@ def is_associated_pi2(p: Sequence[int]) -> bool:
 def free_fixed_points(p: Sequence[int]) -> tuple[int, ...]:
     """The free fixed points of a realizable p in increasing order; raises
     NotAssociated when p is not realizable."""
-    p = perms.as_perm(p)
-    _require_member(p, perms.envelopes(p))
-    return tuple(free_fixed_values(p))
+    return Fiber(p).free
 
 
 def free_fixed_values(p: Sequence[int]) -> list[int]:
@@ -117,44 +110,62 @@ def canonical_permutomino(p: Sequence[int]) -> Permutomino:
     Raises NotAssociated when p fails the membership test; p = (1) gives the
     empty permutomino.
     """
-    return next(shapes_over(p, [()]))
+    return Fiber(p).shape(())
 
 
 def fiber(p: Sequence[int]) -> Fiber:
     """All convex permutominoes whose odd-vertex permutation is p, in output
     order (by boundary word, so by `Permutomino.sort_key`).
 
-    Exactly 2^|F(p)| of them: for each subset of the free fixed points, the
-    shape with the subset typed gamma, its points moved from the rising upper
-    chain to the climbing lower one.  Raises NotAssociated when p is not
-    realizable, and SizeTooLarge when |F(p)| is above FREE_FIXED_BOUND, here,
-    before any shape is built; the shapes are built as the result is iterated.
+    Raises NotAssociated when p is not realizable, and SizeTooLarge when
+    |F(p)| is above FREE_FIXED_BOUND, here, before any shape is built; the
+    shapes are built as the result is iterated.
     """
-    p = perms.as_perm(p)
-    env = perms.envelopes(p)
-    _require_member(p, env)
-    free = free_fixed_values(p)
-    if len(free) > FREE_FIXED_BOUND:
-        raise SizeTooLarge(f"a fiber has 2^{len(free)} shapes; fibers are bounded at "
+    over = Fiber(p)
+    if len(over.free) > FREE_FIXED_BOUND:
+        raise SizeTooLarge(f"a fiber has 2^{len(over.free)} shapes; fibers are bounded at "
                            f"{FREE_FIXED_BOUND} free fixed points")
-    return Fiber(p, tuple(free), env)
+    return over
 
 
 class Fiber:
-    """The fiber over a realizable p: sized, and built anew, one shape at a
-    time, by each iteration.
+    """The 2^|F(p)| convex permutominoes over a realizable p, one for each set
+    G of free fixed points typed gamma (the rest alpha), built by `shape(G)`.
 
-    Subset m = 0 .. 2^k - 1 of the k free fixed points types f gamma when f's
-    bit is 1, the smallest free fixed point being the most significant bit;
-    in that order the words come out increasing.  An iteration raises
-    AssertionError unless each word is greater than the one before it and
-    there are 2^k shapes in all.
+    The constructor checks membership once (NotAssociated, with the reason)
+    and keeps the chains of the canonical corner matrix (G empty): alpha at
+    the interior entries of the rising upper envelope, gamma at those of the
+    climbing lower envelope, beta at (left position, right value) of each
+    consecutive pair on the falling upper envelope, delta at (right position,
+    left value) of each consecutive pair on the sinking lower envelope.
+    Typing f gamma moves (f, f) from the alphas to the gammas.
+
+    Iteration builds the shapes one at a time, subset m = 0 .. 2^k - 1 of the
+    k free fixed points typing f gamma when f's bit is 1, the smallest free
+    fixed point being the most significant bit; in that order the words come
+    out increasing.  It raises AssertionError unless each word is greater
+    than the one before it and there are 2^k shapes in all.
     """
 
-    def __init__(self, p: tuple[int, ...], free: tuple[int, ...], env: perms.Envelopes):
+    def __init__(self, p: Sequence[int]):
+        p = perms.as_perm(p)
+        env = perms.envelopes(p)
+        verdict = _verdict(p, env)
+        if not verdict.member:
+            raise NotAssociated(f"{p} is not realizable ({verdict.reason})")
+        n = len(p)
+        upper = env.upper.entries
+        top = next(i for i, (_, v) in enumerate(upper) if v == n)
+        low = env.lower.entries
+        pivot = next(i for i, (_, v) in enumerate(low) if v == 1)
         self.p = p
-        self.free = free
-        self._env = env
+        self.free = tuple(free_fixed_values(p))
+        self._alphas = upper[1:top]
+        self._betas = [(x, y) for (x, _), (_, y) in zip(upper[top:], upper[top + 1:])]
+        self._gammas = low[pivot + 1:-1]
+        self._deltas = [(x, y) for (_, y), (x, _) in zip(low[:pivot], low[1:pivot + 1])]
+        self._canonical = EMPTY if n == 1 else None
+        self._base = None
 
     def __len__(self) -> int:
         return 1 << len(self.free)
@@ -162,74 +173,38 @@ class Fiber:
     def __iter__(self) -> Iterator[Permutomino]:
         free = self.free
         top = len(free) - 1
-        subsets = ([f for i, f in enumerate(free) if m >> (top - i) & 1]
-                   for m in range(len(self)))
-        count = 0
         word = None
-        for shape in _shapes(self.p, self._env, subsets):
-            if count and not shape.word > word:
+        for m in range(len(self)):
+            shape = self.shape([f for i, f in enumerate(free) if m >> (top - i) & 1])
+            if m and not shape.word > word:
                 raise AssertionError(f"fiber of {self.p}: {shape.word!r} does not follow {word!r}")
             word = shape.word
-            count += 1
             yield shape
-        if count != len(self):
-            raise AssertionError(f"fiber of {self.p} has {count} shapes, not {len(self)}")
+        if m + 1 != len(self):
+            raise AssertionError(f"fiber of {self.p} has {m + 1} shapes, not {len(self)}")
 
+    def shape(self, gamma: Sequence[int]) -> Permutomino:
+        """The shape over p with the free fixed points in gamma typed gamma.
 
-def shapes_over(p: Sequence[int], gamma_sets: Iterable[Sequence[int]]) -> Iterator[Permutomino]:
-    """For each set G of free fixed points, the convex permutomino over p with
-    G typed gamma and the rest alpha, from one membership test.  Raises
-    NotAssociated at the call when p is not realizable; the shapes are built
-    as the result is iterated, by the builder that fibers use.
-    """
-    p = perms.as_perm(p)
-    env = perms.envelopes(p)
-    _require_member(p, env)
-    return _shapes(p, env, gamma_sets)
-
-
-def _shapes(p: tuple[int, ...], env: perms.Envelopes,
-            gamma_sets: Iterable[Sequence[int]]) -> Iterator[Permutomino]:
-    """shapes_over for a realizable p with envelopes env, without the
-    membership test.
-
-    The shape is its corner matrix, read off the envelopes and threaded by
-    boundary.corner_word.  For G empty that is the canonical matrix: alpha at
-    the interior entries of the rising upper envelope, gamma at those of the
-    climbing lower envelope, beta at (left position, right value) of each
-    consecutive pair on the falling upper envelope, delta at (right position,
-    left value) of each consecutive pair on the sinking lower envelope.  Typing
-    f gamma moves (f, f) from the alphas to the gammas.  Raises AssertionError
-    unless each shape is convex over p and, for G not empty, its corner matrix
-    is the canonical one with G retyped gamma.
-    """
-    n = len(p)
-    upper = env.upper.entries
-    top = next(i for i, (_, v) in enumerate(upper) if v == n)
-    low = env.lower.entries
-    pivot = next(i for i, (_, v) in enumerate(low) if v == 1)
-    alphas = upper[1:top]
-    betas = [(x, y) for (x, _), (_, y) in zip(upper[top:], upper[top + 1:])]
-    gammas = low[pivot + 1:-1]
-    deltas = [(x, y) for (_, y), (x, _) in zip(low[:pivot], low[1:pivot + 1])]
-
-    def build(gamma: Sequence[int]) -> Permutomino:
-        word = corner_word([e for e in alphas if e[0] not in gamma], betas,
-                           sorted(gammas + tuple((f, f) for f in gamma)), deltas, n)
+        Its corner matrix is threaded by boundary.corner_word and the word
+        validated; raises AssertionError unless the shape is convex over p
+        and, for gamma not empty, its corner matrix is the canonical one (built
+        once per fiber) with gamma retyped.
+        """
+        if not gamma and self._canonical is not None:
+            return self._canonical
+        p = self.p
+        word = corner_word([e for e in self._alphas if e[0] not in gamma], self._betas,
+                           sorted(self._gammas + tuple((f, f) for f in gamma)),
+                           self._deltas, len(p))
         shape = from_boundary_word(word)
         if shape.pi1 != p or not shape.is_convex:
             raise AssertionError(f"corner word {word!r} is not a convex permutomino over {p}")
-        return shape
-
-    canonical = build(()) if n > 1 else EMPTY
-    base = None
-    for gamma in gamma_sets:
         if not gamma:
-            yield canonical
-            continue
-        shape = build(gamma)
-        if base is None:
-            base = reentrant_matrix(canonical)
-        if reentrant_matrix(shape) != base.retyped({(f, f): GAMMA for f in gamma}):
+            self._canonical = shape
+            return shape
+        if self._base is None:
+            self._base = reentrant_matrix(self.shape(()))
+        if reentrant_matrix(shape) != self._base.retyped({(f, f): GAMMA for f in gamma}):
             raise AssertionError(f"{shape!r} does not type {gamma} gamma over {p}")
-        yield shape
+        return shape

@@ -132,11 +132,11 @@ class Subsequence:
 
     @property
     def positions(self) -> tuple[int, ...]:
-        return tuple(pos for pos, _ in self.entries)
+        return tuple([pos for pos, _ in self.entries])
 
     @property
     def values(self) -> tuple[int, ...]:
-        return tuple(val for _, val in self.entries)
+        return tuple([val for _, val in self.entries])
 
 
 class Envelopes(NamedTuple):
@@ -179,9 +179,10 @@ def _envelope_positions(p: Sequence[int]) -> tuple[list[int], list[int]]:
 
 def envelopes(p: Sequence[int]) -> Envelopes:
     upper, lower = _envelope_positions(p)
+    # tuples through lists, as in boundary.from_boundary_word: see the reason there
     return Envelopes(
-        Subsequence(tuple((i + 1, p[i]) for i in upper)),
-        Subsequence(tuple((i + 1, p[i]) for i in lower)),
+        Subsequence(tuple([(i + 1, p[i]) for i in upper])),
+        Subsequence(tuple([(i + 1, p[i]) for i in lower])),
     )
 
 
@@ -228,9 +229,8 @@ def is_square(p: Sequence[int], env: Envelopes | None = None) -> bool:
     return is_lower_unimodal([p[i] for i in _envelope_positions(p)[1]])
 
 
-def square_permutations(n: int, first: int | None = None) -> Iterator[tuple[int, ...]]:
-    """The square permutations of size n in lexicographic order, optionally only
-    those with p[0] == first.
+def square_permutations(n: int) -> Iterator[tuple[int, ...]]:
+    """The square permutations of size n in lexicographic order.
 
     A third characterization, independent of the envelope and pattern routes:
     p is square iff every entry is a left-right or right-left maximum or
@@ -242,12 +242,9 @@ def square_permutations(n: int, first: int | None = None) -> Iterator[tuple[int,
     """
     if n < 1:
         raise ValueError("size must be at least 1")
-    if first is not None and not 1 <= first <= n:
-        raise ValueError(f"first value must be in 1..{n}, got {first}")
     values = tuple(range(1, n + 1))
-    firsts = range(n, 0, -1) if first is None else (first,)
     # a node is (prefix, the unused values in increasing order, the moves' state)
-    todo = [((f,), values[: f - 1] + values[f:], (f - 1, n - f, 0, 0)) for f in firsts]
+    todo = [((f,), values[: f - 1] + values[f:], (f - 1, n - f, 0, 0)) for f in range(n, 0, -1)]
     push = todo.append
     children = {}  # state -> its moves, largest value first
     while todo:

@@ -234,9 +234,9 @@ def generated_interval_stacks(n: int, convex: bool):
     yield from extend(1, False, False)
 
 
-def reference_square_permutations(n: int, first: int | None = None):
-    """Yield the square permutations of size n in lexicographic order (only
-    those with p[0] == first, if given), by a depth-first search on values.
+def reference_square_permutations(n: int):
+    """Yield the square permutations of size n in lexicographic order, by a
+    depth-first search on values.
 
     A value may extend a prefix iff it is a new maximum, a new minimum, or an
     end of the gap of unused values between the prefix's minimum and maximum
@@ -244,8 +244,7 @@ def reference_square_permutations(n: int, first: int | None = None):
     generator walks the same moves as offsets on abstract states instead.
     """
     # a node is (prefix, its minimum, its maximum, the unused values between them)
-    firsts = range(n, 0, -1) if first is None else (first,)
-    todo = [((f,), f, f, ()) for f in firsts]
+    todo = [((f,), f, f, ()) for f in range(n, 0, -1)]
     while todo:
         prefix, lo, hi, gap = todo.pop()
         if len(prefix) == n:

@@ -45,6 +45,15 @@ def test_scan_bound():
         counting.perm_listing("square", counting.SCAN_BOUND + 1)
 
 
+def test_size_zero_is_refused_at_the_call():
+    """Like every other count, the S_n walk and the fiber listing refuse size 0
+    when called, not when iterated (the listing is a generator)."""
+    for call in (counting.square_agreement, counting.convex_via_fibers):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="size must be at least 1"):
+                call(n)
+
+
 @pytest.mark.parametrize("n", range(11, counting.COUNT_BOUND + 1))
 def test_counts_above_the_scan_bound_match_the_closed_forms(n):
     stats = counting.scan_stats(n)

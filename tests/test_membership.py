@@ -109,12 +109,38 @@ def test_fiber_bound_is_checked_before_any_shape_is_built(monkeypatch):
     def refuse(*args):
         raise Built
 
-    monkeypatch.setattr(membership, "_shapes", refuse)
+    monkeypatch.setattr(membership, "corner_word", refuse)
     at_bound = tuple(range(1, membership.FREE_FIXED_BOUND + 3))  # free: 2..n-1
     with pytest.raises(Built):
         list(fiber(at_bound))
     with pytest.raises(SizeTooLarge):
         fiber(at_bound + (len(at_bound) + 1,))
+
+
+def test_words_validated_per_shape_asked_for(monkeypatch):
+    """One word is validated per shape built: 2^|F(p)| on a fiber's first pass,
+    one for the canonical shape, and two for a bijection part typed gamma
+    (its fiber's canonical shape checks it)."""
+    from permutomino import bijection
+
+    words = []
+    real = membership.from_boundary_word
+
+    def spy(word):
+        words.append(word)
+        return real(word)
+
+    monkeypatch.setattr(membership, "from_boundary_word", spy)
+    for p in [(2, 1, 3, 4, 5), (2, 1, 3, 4, 7, 6, 5), (1, 2, 3), (1, 2)]:
+        words.clear()
+        assert len(list(fiber(p))) == len(words) == 2 ** len(free_fixed_points(p))
+        words.clear()
+        canonical_permutomino(p)
+        assert len(words) == 1
+    words.clear()
+    assert list(fiber((1,))) == [canonical_permutomino((1,))] == [EMPTY] and not words
+    part = bijection._unique_part((1, 2, 3, 4), last=True, middle=False)
+    assert len(words) == 2 and part.flags["directed"]
 
 
 def test_each_fiber_computes_the_envelopes_once(monkeypatch):

@@ -230,10 +230,9 @@ def test_square_closed_under_symmetries(n):
 def test_square_generator_small_sizes():
     assert list(perms.square_permutations(1)) == [(1,)]
     assert list(perms.square_permutations(2)) == [(1, 2), (2, 1)]
-    assert list(perms.square_permutations(2, first=2)) == [(2, 1)]
-    for bad in [(0, None), (3, 0), (3, 4)]:
+    for bad in (0, -1):
         with pytest.raises(ValueError):
-            list(perms.square_permutations(*bad))
+            list(perms.square_permutations(bad))
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -246,9 +245,7 @@ def test_square_generator_matches_both_filters(n):
 @pytest.mark.parametrize("n", range(1, 10))
 def test_square_generator_first_value_blocks(n):
     """The moves on states give the value-level search's permutations in its
-    order, for every first value, and the blocks concatenate to the whole."""
-    blocks = [list(perms.square_permutations(n, first)) for first in range(1, n + 1)]
-    assert blocks == [list(reference_square_permutations(n, first)) for first in range(1, n + 1)]
-    assert all(p[0] == first for first, block in enumerate(blocks, 1) for p in block)
+    order, and every value 1..n starts a block of them."""
     whole = list(perms.square_permutations(n))
-    assert [p for block in blocks for p in block] == whole == list(reference_square_permutations(n))
+    assert whole == list(reference_square_permutations(n))
+    assert {p[0] for p in whole} == set(range(1, n + 1))
