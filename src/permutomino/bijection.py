@@ -13,8 +13,7 @@ components are then stacked with the direct difference.  Backward, each
 component is realized by the one shape of its fiber whose reflection has the
 right class: the canonical shape (every free fixed point typed alpha) for a
 first or middle part, and the shape with every free fixed point typed gamma
-for the last part.  No other shape of the fiber is built, but for the
-canonical one that checks a last part.
+for the last part.  No other shape of the fiber is built.
 """
 from __future__ import annotations
 

@@ -16,14 +16,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple, Sequence
 
 from . import perms
-from .boundary import (
-    EMPTY,
-    GAMMA,
-    Permutomino,
-    corner_word,
-    from_boundary_word,
-    reentrant_matrix,
-)
+from .boundary import EMPTY, LABELS, Permutomino, corner_word, from_boundary_word
 from .errors import NotAssociated, SizeTooLarge
 
 # a fiber has 2^|F(p)| shapes, built and written one at a time, so this bounds
@@ -144,7 +137,7 @@ class Fiber:
     k free fixed points typing f gamma when f's bit is 1, the smallest free
     fixed point being the most significant bit; in that order the words come
     out increasing.  It raises AssertionError unless each word is greater
-    than the one before it and there are 2^k shapes in all.
+    than the one before it.
     """
 
     def __init__(self, p: Sequence[int]):
@@ -164,8 +157,6 @@ class Fiber:
         self._betas = [(x, y) for (x, _), (_, y) in zip(upper[top:], upper[top + 1:])]
         self._gammas = low[pivot + 1:-1]
         self._deltas = [(x, y) for (_, y), (x, _) in zip(low[:pivot], low[1:pivot + 1])]
-        self._canonical = EMPTY if n == 1 else None
-        self._base = None
 
     def __len__(self) -> int:
         return 1 << len(self.free)
@@ -180,31 +171,22 @@ class Fiber:
                 raise AssertionError(f"fiber of {self.p}: {shape.word!r} does not follow {word!r}")
             word = shape.word
             yield shape
-        if m + 1 != len(self):
-            raise AssertionError(f"fiber of {self.p} has {m + 1} shapes, not {len(self)}")
 
     def shape(self, gamma: Sequence[int]) -> Permutomino:
         """The shape over p with the free fixed points in gamma typed gamma.
 
-        Its corner matrix is threaded by boundary.corner_word and the word
-        validated; raises AssertionError unless the shape is convex over p
-        and, for gamma not empty, its corner matrix is the canonical one (built
-        once per fiber) with gamma retyped.
+        Its four chains are threaded by boundary.corner_word and the word
+        validated; raises AssertionError unless the shape is convex over p and
+        its labeled reentrant corners are exactly those chains.
         """
-        if not gamma and self._canonical is not None:
-            return self._canonical
         p = self.p
-        word = corner_word([e for e in self._alphas if e[0] not in gamma], self._betas,
-                           sorted(self._gammas + tuple((f, f) for f in gamma)),
-                           self._deltas, len(p))
+        if len(p) == 1:
+            return EMPTY
+        chains = ([e for e in self._alphas if e[0] not in gamma], self._betas,
+                  sorted(self._gammas + tuple((f, f) for f in gamma)), self._deltas)
+        word = corner_word(*chains, len(p))
         shape = from_boundary_word(word)
-        if shape.pi1 != p or not shape.is_convex:
-            raise AssertionError(f"corner word {word!r} is not a convex permutomino over {p}")
-        if not gamma:
-            self._canonical = shape
-            return shape
-        if self._base is None:
-            self._base = reentrant_matrix(self.shape(()))
-        if reentrant_matrix(shape) != self._base.retyped({(f, f): GAMMA for f in gamma}):
-            raise AssertionError(f"{shape!r} does not type {gamma} gamma over {p}")
+        if shape.pi1 != p or not shape.is_convex or set(shape.reentrant) != {
+                (e, label) for label, chain in zip(LABELS, chains) for e in chain}:
+            raise AssertionError(f"corner word {word!r} does not type {gamma} gamma over {p}")
         return shape

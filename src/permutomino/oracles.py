@@ -3,19 +3,21 @@
 A permutomino of size n occupies an (n-1) x (n-1) cell box.  Column-convex
 permutominoes are generated as stacks of per-column row intervals [a_j, b_j]
 with adjacent columns overlapping; convex ones additionally keep the tops
-unimodal and the bottoms anti-unimodal.  A plain depth-first recursion
-enforces the paper's one-side-per-coordinate rule as it goes: from one column
-to the next it moves either the top or the bottom, never both or neither, so
-each abscissa gets one vertical side and the columns stay connected, and it
-cuts a stack as soon as a moved edge would start a second horizontal side at
-an ordinate.  At each leaf the stack is serialized once, straight from its
-edges and starting at its lowest leftmost point, and the word goes through the
-full permutomino validator (`boundary.from_boundary_word`, which checks that
-the word is closed, simple and clockwise from its lowest leftmost point, and
-counts its sides per coordinate); a rejection there is an error, not a skipped
-candidate.  Only the shapes are kept, never a list of stacks.  Counts coming
-out of here share no code path with the permutation-side machinery: the
-oracle's jobs load `boundary` but no permutation module.
+unimodal and the bottoms anti-unimodal.  A recursive generator enforces the
+paper's one-side-per-coordinate rule as it goes: from one column to the next
+it moves either the top or the bottom, never both or neither, so each abscissa
+gets one vertical side and the columns stay connected.  A moved edge never
+continues a side, since the only sides that end where the new column starts
+are the previous column's bottom and top, which stay; so the generator carries
+the set of ordinates that have a side and cuts a stack as soon as a moved edge
+would start a second one.  Each stack it yields is serialized once, straight
+from its edges and starting at its lowest leftmost point, and the word goes
+through the full permutomino validator (`boundary.from_boundary_word`, which
+checks that the word is closed, simple and clockwise from its lowest leftmost
+point, and counts its sides per coordinate); a rejection there is an error,
+not a skipped candidate.  Only the shapes are kept, never a list of stacks.
+Counts coming out of here share no code path with the permutation-side
+machinery: `oracles` imports only `boundary` and `errors` from the package.
 
 These enumerators are exhaustive over the box and bounded (default size 6).
 The convex listing is the one source of every geometric class: directed,
@@ -24,7 +26,7 @@ flag (`boundary.classify`) is set, so callers list a size once and filter it.
 """
 from __future__ import annotations
 
-from typing import Callable
+from typing import Iterator, Sequence
 
 from .boundary import EMPTY, Permutomino, from_boundary_word
 from .errors import SizeTooLarge
@@ -32,7 +34,7 @@ from .errors import SizeTooLarge
 DEFAULT_BOUND = 6
 
 
-def _stack_word(bottoms: list[int], tops: list[int]) -> str:
+def _stack_word(bottoms: Sequence[int], tops: Sequence[int]) -> str:
     """Clockwise boundary word of a stack, read straight off the ordinates of
     its columns' bottom and top edges.
 
@@ -51,69 +53,45 @@ def _stack_word(bottoms: list[int], tops: list[int]) -> str:
             + "E" + "S" * (tops[-1] - bottoms[-1]) + "W" + "".join(reversed(below[m:])))
 
 
-def _interval_stacks(n: int, convex: bool, leaf: Callable[[list[int], list[int]], None]) -> None:
-    """Call leaf(bottoms, tops) for each interval stack over the (n-1)x(n-1)
-    box that is a permutomino; bottoms[j] and tops[j] are the ordinates of the
+def _interval_stacks(n: int, convex: bool) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Yield (bottoms, tops) for each interval stack over the (n-1)x(n-1) box
+    that is a permutomino; bottoms[j] and tops[j] are the ordinates of the
     bottom and top edges of column j + 1 (its cells are bottoms[j]..tops[j]-1).
 
     Junction rule: a permutomino has exactly one vertical side at each
     interior abscissa, so from one column to the next either the bottom stays
     and the top moves, or the top stays and the bottom moves; the columns
     then overlap.  Ordinate rule: an edge may not start a second side at an
-    ordinate, so a moved edge must continue the side that ends at abscissa
-    x - 1, if there is one; a full stack must have a side at every ordinate
-    1..n.  With convex=True, tops must rise then fall and bottoms fall then
-    rise.  The lists passed to leaf are reused: leaf reads them before it
-    returns.
+    ordinate.  The only sides that end at abscissa x - 1, where column x
+    starts, are the previous column's bottom and top, and neither is ever a
+    moved edge, so a moved edge is allowed iff its ordinate has no side yet:
+    the state is the columns so far, the two trend flags and `used`, the set
+    of ordinates with a side as a bitmask.  A full stack has a side at every
+    ordinate 1..n.  With convex=True, tops must rise then fall and bottoms
+    fall then rise.
     """
-    bottoms = [0] * (n - 1)
-    tops = [0] * (n - 1)
-    # ordinate -> abscissa of its latest horizontal edge (0: none yet)
-    last_edge = [0] * (n + 1)
+    full = (1 << n + 1) - 2
 
-    def extend(x: int, tops_fell: bool, bottoms_rose: bool) -> None:
-        if x == n:
-            if all(last_edge[1:]):
-                leaf(bottoms, tops)
+    def extend(bottoms, tops, tops_fell, bottoms_rose, used):
+        if len(bottoms) == n - 1:
+            if used == full:
+                yield bottoms, tops
             return
-        prev_bottom, prev_top = bottoms[x - 2], tops[x - 2]
+        prev_bottom, prev_top = bottoms[-1], tops[-1]
         # the bottom stays (its side goes on), the top moves
-        last_edge[prev_bottom] = x
         for top in range(prev_bottom + 1, n + 1):
-            if top == prev_top or (convex and tops_fell and top > prev_top):
-                continue
-            saved = last_edge[top]
-            if saved == 0 or saved == x - 1:
-                last_edge[top] = x
-                bottoms[x - 1] = prev_bottom
-                tops[x - 1] = top
-                extend(x + 1, tops_fell or top < prev_top, bottoms_rose)
-                last_edge[top] = saved
-        last_edge[prev_bottom] = x - 1
+            if not (used >> top & 1 or convex and tops_fell and top > prev_top):
+                yield from extend(bottoms + (prev_bottom,), tops + (top,),
+                                  tops_fell or top < prev_top, bottoms_rose, used | 1 << top)
         # the top stays, the bottom moves
-        last_edge[prev_top] = x
         for bottom in range(1, prev_top):
-            if bottom == prev_bottom or (convex and bottoms_rose and bottom < prev_bottom):
-                continue
-            saved = last_edge[bottom]
-            if saved == 0 or saved == x - 1:
-                last_edge[bottom] = x
-                bottoms[x - 1] = bottom
-                tops[x - 1] = prev_top
-                extend(x + 1, tops_fell, bottoms_rose or bottom > prev_bottom)
-                last_edge[bottom] = saved
-        last_edge[prev_top] = x - 1
+            if not (used >> bottom & 1 or convex and bottoms_rose and bottom < prev_bottom):
+                yield from extend(bottoms + (bottom,), tops + (prev_top,),
+                                  tops_fell, bottoms_rose or bottom > prev_bottom, used | 1 << bottom)
 
     for bottom in range(1, n):
         for top in range(bottom + 1, n + 1):
-            last_edge[bottom] = last_edge[top] = 1
-            bottoms[0] = bottom
-            tops[0] = top
-            extend(2, False, False)
-            last_edge[bottom] = last_edge[top] = 0
-    # extend's closure holds extend itself; emptying that cell frees leaf, and
-    # what leaf holds, now rather than at the next cyclic collection
-    del extend
+            yield from extend((bottom,), (top,), False, False, 1 << bottom | 1 << top)
 
 
 def _enumerate(n: int, convex: bool, bound: int) -> list[Permutomino]:
@@ -123,11 +101,8 @@ def _enumerate(n: int, convex: bool, bound: int) -> list[Permutomino]:
         raise ValueError("size must be at least 1")
     if n == 1:
         return [EMPTY]
-    found: list[Permutomino] = []
-    _interval_stacks(n, convex, lambda bottoms, tops: found.append(
-        from_boundary_word(_stack_word(bottoms, tops))))
-    found.sort(key=Permutomino.sort_key)
-    return found
+    return sorted((from_boundary_word(_stack_word(bottoms, tops))
+                   for bottoms, tops in _interval_stacks(n, convex)), key=Permutomino.sort_key)
 
 
 def enumerate_convex(n: int, bound: int = DEFAULT_BOUND) -> list[Permutomino]:

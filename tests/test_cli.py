@@ -520,14 +520,29 @@ def test_each_job_imports_only_what_it_runs():
         assert loaded.isdisjoint({"dataclasses", "json"}), argv
 
 
-def test_the_kernels_import_nothing_from_the_package_but_errors():
-    """A count loads no permutation or shape code: _kernels imports only the
-    standard library and errors, and perms imports the moves from it."""
-    nodes = list(ast.walk(ast.parse(pathlib.Path(_kernels.__file__).read_text())))
+def imports_of(module) -> tuple[set, set]:
+    """The modules a module's source imports: relative ones (None for
+    `from . import x`), then absolute ones."""
+    nodes = list(ast.walk(ast.parse(pathlib.Path(module.__file__).read_text())))
     relative = {node.module for node in nodes if isinstance(node, ast.ImportFrom) and node.level}
     absolute = {node.module for node in nodes if isinstance(node, ast.ImportFrom) and not node.level}
     absolute |= {alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names}
+    return relative, absolute
+
+
+def test_the_kernels_import_nothing_from_the_package_but_errors():
+    """A count loads no permutation or shape code: _kernels imports only the
+    standard library and errors, and perms imports the moves from it."""
+    relative, absolute = imports_of(_kernels)
     assert relative == {"errors"}
+    assert not package_modules(absolute)
+
+
+def test_the_oracle_imports_nothing_from_the_package_but_boundary_and_errors():
+    """The interval oracle shares no code with the permutation side: its source
+    imports only boundary and errors from the package."""
+    relative, absolute = imports_of(oracles)
+    assert relative == {"boundary", "errors"}
     assert not package_modules(absolute)
 
 

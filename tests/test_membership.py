@@ -119,8 +119,8 @@ def test_fiber_bound_is_checked_before_any_shape_is_built(monkeypatch):
 
 def test_words_validated_per_shape_asked_for(monkeypatch):
     """One word is validated per shape built: 2^|F(p)| on a fiber's first pass,
-    one for the canonical shape, and two for a bijection part typed gamma
-    (its fiber's canonical shape checks it)."""
+    one for the canonical shape, and one for a bijection part typed gamma
+    (each shape is checked against its own chains)."""
     from permutomino import bijection
 
     words = []
@@ -140,7 +140,7 @@ def test_words_validated_per_shape_asked_for(monkeypatch):
     words.clear()
     assert list(fiber((1,))) == [canonical_permutomino((1,))] == [EMPTY] and not words
     part = bijection._unique_part((1, 2, 3, 4), last=True, middle=False)
-    assert len(words) == 2 and part.flags["directed"]
+    assert len(words) == 1 and part.flags["directed"]
 
 
 def test_each_fiber_computes_the_envelopes_once(monkeypatch):
@@ -194,6 +194,18 @@ def test_fibers_do_not_validate_matrices(monkeypatch):
     seq = bijection.permutation_to_sequence((16, 15, 18, 19, 17, 14, 12, 13, 9, 7,
                                               11, 10, 8, 3, 1, 6, 5, 2, 4))
     assert len(seq) == 5
+
+
+def test_each_shape_is_checked_against_its_own_chains(monkeypatch):
+    """A corner word that drops the gamma typing still gives a convex shape
+    over p, the canonical one; its reentrant corners are not the chains asked
+    for, so it is refused."""
+    over = membership.Fiber((2, 1, 3, 4, 5))
+    canonical = over.shape(())
+    monkeypatch.setattr(membership, "corner_word", lambda *chains: canonical.word)
+    assert over.shape(()) == canonical
+    with pytest.raises(AssertionError, match="does not type"):
+        over.shape(over.free)
 
 
 def test_shape_checks_hold_under_python_O():
