@@ -14,12 +14,13 @@ too large, reported before anything is printed (a fiber with more than
 outside the bijection's domain.  An empty `--out` path, or one whose directory
 does not exist, is rejected before anything is printed or written.
 Counts are computed without a scan, up to size `counting.COUNT_BOUND`;
-permutation listings stop at `counting.SCAN_BOUND`.  `build --all` and
-`enumerate convex --list` write each shape as soon as it is built (fibers come
-in output order), so their memory does not grow with the fiber or the
-listing.  A `decompose --render` with no part to draw prints nothing in ASCII
-or SVG, and with `--out` writes no file and says so on stderr.  `--workers` is
-ignored; it is still accepted only so that existing command lines keep working.
+permutation listings stop at `counting.SCAN_BOUND`.  `build --all` and the
+convex and permutation listings write each row as soon as it is built (fibers
+come in output order), so their memory does not grow with the fiber or the
+listing; the other geometric listings keep only the rows they print.  A
+`decompose --render` with no part to draw prints nothing in ASCII or SVG, and
+with `--out` writes no file and says so on stderr.  `--workers` is ignored; it
+is still accepted only so that existing command lines keep working.
 At import this module loads only argparse, os, sys and `errors`; each
 subcommand imports what it runs at the top of its own body (`render` by
 `build` and `decompose --render`, `json` only by `verify --json`), so a job
@@ -50,6 +51,7 @@ PERM_CLASSES = ("ctilde", "square", "decomposable")
 GEO_CLASSES = ("convex", "directed", "parallelogram", "symmetric", "column-convex")
 # the classes each `enumerate --by` applies to; `--method` applies to convex only
 BY_CLASSES = {"fixed-points": ("convex", "ctilde"), "components": ("square", "decomposable")}
+IGNORED = "ignored; accepted only so that existing command lines keep working"
 
 
 def int_at_least(low: int):
@@ -108,10 +110,9 @@ def cmd_classify(args) -> int:
     env = envelopes(p)
     verdict = membership._verdict(p, env)
     print(f"permutation: {' '.join(map(str, p))}  (n={len(p)})")
-    print(f"upper envelope: {' '.join(map(str, env.upper.values))}"
-          f"  at positions {' '.join(map(str, env.upper.positions))}")
-    print(f"lower envelope: {' '.join(map(str, env.lower.values))}"
-          f"  at positions {' '.join(map(str, env.lower.positions))}")
+    for side, sub in (("upper", env.upper), ("lower", env.lower)):
+        print(f"{side} envelope: {' '.join(map(str, sub.values))}"
+              f"  at positions {' '.join(map(str, sub.positions))}")
     print(f"square: {'yes' if is_square(p, env) else 'no'}")
     if verdict.member:
         print("odd-vertex realizable: yes")
@@ -144,53 +145,38 @@ def cmd_build(args) -> int:
 def cmd_enumerate(args) -> int:
     from . import counting
 
-    n = args.size
-    name = args.klass
-    if name in GEO_CLASSES and name != "convex":
-        shapes = counting.listing(name, n)
-        print(len(shapes))
-        if args.list:
-            for p in shapes:
-                print(f"{p.word or '(empty)'}  pi1={' '.join(map(str, p.pi1))}")
-        return 0
-    if name == "convex":
-        # the listing's size bound is checked before the count is printed
-        shapes = counting.convex_via_fibers(n) if args.list else []
-        by_k = None
-        if args.by == "fixed-points":
-            by_k = counting.count_ctilde(n)["by_free_fixed_points"]
-        if args.method == "intervals":
-            count = counting.count_convex(n, method="intervals")
-        elif by_k is not None:
-            count = counting.fiber_sum(by_k)  # same counts as the rows below
+    n, name = args.size, args.klass
+    # a listing's size bound is checked before the count is printed
+    if name in GEO_CLASSES:
+        if name != "convex":
+            rows = counting.listing(name, n) if args.list else ()
+            print(len(rows) if args.list else sum(1 for _ in counting.geo_walk(name, n)))
         else:
-            count = counting.count_convex(n)
-        print(count)
-        if by_k is not None:
+            shapes = counting.convex_via_fibers(n) if args.list else ()
+            by_k = counting.count_ctilde(n)["by_free_fixed_points"] if args.by else {}
+            if args.method == "intervals":
+                print(counting.count_convex(n, method="intervals"))
+            else:  # with --by, the same counts as the rows below
+                print(counting.fiber_sum(by_k) if args.by else counting.count_convex(n))
             for k, v in sorted(by_k.items()):
                 print(f"free-fixed-points {k}: {v} permutations, {v * 2**k} permutominoes")
-        for p in shapes:
-            print(f"{p.word or '(empty)'}  pi1={' '.join(map(str, p.pi1))}")
+            rows = ((p.pi1, p.word) for p in shapes)
+        for pi1, word in rows:
+            print(f"{word or '(empty)'}  pi1={' '.join(map(str, pi1))}")
         return 0
-    # the listing's size bound is checked before the count is printed
-    listed = counting.perm_listing(name, n) if args.list else []
+    listed = counting.perm_listing(name, n) if args.list else ()
     if name == "ctilde":
         info = counting.count_ctilde(n)
         print(info["total"])
         if args.by == "fixed-points":
             for k, v in sorted(info["by_free_fixed_points"].items()):
                 print(f"free-fixed-points {k}: {v}")
-    elif name == "square":
+    else:  # square or decomposable, a key of count_square's dict
         info = counting.count_square(n)
-        print(info["square"])
+        print(info[name])
         if args.by == "components":
-            print("components 1:", info["square"] - info["decomposable"])
-            for k, v in sorted(info["by_components"].items()):
-                print(f"components {k}: {v}")
-    else:  # decomposable
-        info = counting.count_square(n)
-        print(info["decomposable"])
-        if args.by == "components":
+            if name == "square":
+                print("components 1:", info["square"] - info["decomposable"])
             for k, v in sorted(info["by_components"].items()):
                 print(f"components {k}: {v}")
     for p in listed:
@@ -274,8 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "components: square, decomposable)")
     e.add_argument("--method", choices=("fibers", "intervals"),
                    help="convex class only: counting method (default: fibers)")
-    e.add_argument("--workers", type=int_at_least(1), default=1,
-                   help="ignored; accepted only so that existing command lines keep working")
+    e.add_argument("--workers", type=int_at_least(1), default=1, help=IGNORED)
     e.set_defaults(fn=cmd_enumerate)
 
     v = sub.add_parser("verify", help="check every counting identity up to a size")
@@ -284,8 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also evaluate the closed forms exactly as printed in the "
                         "source material and report known discrepancies")
     v.add_argument("--json", action="store_true")
-    v.add_argument("--workers", type=int_at_least(1), default=1,
-                   help="ignored; accepted only so that existing command lines keep working")
+    v.add_argument("--workers", type=int_at_least(1), default=1, help=IGNORED)
     v.set_defaults(fn=cmd_verify)
 
     d = sub.add_parser("decompose", help="split a square permutation into its "

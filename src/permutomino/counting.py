@@ -4,17 +4,18 @@ Every permutation count reads _kernels.count_stats, which counts over the
 square generator's states in one table shared by every size, so counts go up
 to COUNT_BOUND without visiting a permutation.  The square agreement check
 walks all of S_n in this process.
-Permutation listings filter the square generator, since every listed
-permutation class is a subset of the square permutations.  Geometric listings
-come from the interval oracle: column-convex from its own enumerator, every
-other class from the convex listing filtered by the class flag that
-CLASS_FLAGS names.  The oracle and the permutation and shape modules are
-imported by the functions that call them, so a count loads none of them.
+Permutation listings stream the square generator, filtered, since every
+listed permutation class is a subset of the square permutations.  Geometric
+counts and listings fold over the interval oracle's walk: column-convex over
+its own, every other class over the convex walk filtered by the class flag
+that CLASS_FLAGS names; a listing keeps only its (pi1, word) rows.  The
+oracle and the permutation and shape modules are imported by the functions
+that call them, so a count loads none of them.
 """
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import permutations
+from itertools import filterfalse, permutations
 
 from . import _kernels
 from ._kernels import COUNT_BOUND
@@ -55,9 +56,7 @@ def square_agreement(n: int) -> dict:
         raise ValueError("size must be at least 1")
     if n > SCAN_BOUND:
         raise SizeTooLarge(f"scans are bounded at size {SCAN_BOUND}, got {n}")
-    by_envelope = 0
-    by_patterns = 0
-    disagree = 0
+    by_envelope = by_patterns = disagree = 0
     for p in permutations(range(1, n + 1)):
         a = is_square(p)
         b = is_square_by_patterns(p)
@@ -100,7 +99,7 @@ def count_convex(n: int, method: str = "fibers", stats: dict | None = None) -> i
     if method == "intervals":
         from . import oracles
 
-        return len(oracles.enumerate_convex(n))
+        return sum(1 for _ in oracles.walk(n))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -129,35 +128,43 @@ def convex_via_fibers(n: int) -> Iterator:
     return (shape for p in square_permutations(n) if is_indecomposable(p) for shape in fiber(p))
 
 
-def listing(class_name: str, n: int) -> list:
-    """Stable listing of a permutomino class (geometry-backed classes only)."""
+def geo_walk(class_name: str, n: int) -> Iterator:
+    """The shapes of a geometric class of size n, one at a time from the
+    oracle's walk, whose bounds are checked here."""
     from . import oracles
 
     if class_name == "column-convex":
-        return oracles.enumerate_column_convex(n)
+        return oracles.walk(n, convex=False)
     flag = CLASS_FLAGS.get(class_name)
     if flag is None:
         raise ValueError(f"no geometric listing for class {class_name!r}")
-    return [p for p in oracles.enumerate_convex(n) if p.flags[flag]]
+    return (p for p in oracles.walk(n) if p.flags[flag])
 
 
-def perm_listing(class_name: str, n: int) -> list[tuple[int, ...]]:
-    """Stable listing of a permutation class (lexicographic).
+def listing(class_name: str, n: int) -> list:
+    """The sorted (pi1, word) rows of a geometric class; no shape is kept."""
+    return sorted([(p.pi1, p.word) for p in geo_walk(class_name, n)])
+
+
+def perm_listing(class_name: str, n: int) -> Iterator[tuple[int, ...]]:
+    """A permutation class in lexicographic order, one at a time.
 
     Every class here is a subset of the square permutations, so the listing
-    filters the square generator rather than S_n.
+    filters the square generator rather than S_n.  The size and the class
+    are checked here, before any permutation is generated.
     """
     from .membership import is_associated
     from .perms import is_indecomposable, square_permutations
 
+    if n < 1:
+        raise ValueError("size must be at least 1")
     if n > SCAN_BOUND:
         raise SizeTooLarge(f"permutation listings are bounded at size {SCAN_BOUND}, got {n}")
-    preds = {
-        "ctilde": is_associated,
-        "square": lambda p: True,
-        "decomposable": lambda p: not is_indecomposable(p),
-    }
-    if class_name not in preds:
+    squares = square_permutations(n)
+    if class_name == "ctilde":
+        return filter(is_associated, squares)
+    if class_name == "decomposable":
+        return filterfalse(is_indecomposable, squares)
+    if class_name != "square":
         raise ValueError(f"no permutation listing for class {class_name!r}")
-    pred = preds[class_name]
-    return [p for p in square_permutations(n) if pred(p)]
+    return squares

@@ -15,14 +15,18 @@ from its edges and starting at its lowest leftmost point, and the word goes
 through the full permutomino validator (`boundary.from_boundary_word`, which
 checks that the word is closed, simple and clockwise from its lowest leftmost
 point, and counts its sides per coordinate); a rejection there is an error,
-not a skipped candidate.  Only the shapes are kept, never a list of stacks.
-Counts coming out of here share no code path with the permutation-side
-machinery: `oracles` imports only `boundary` and `errors` from the package.
+not a skipped candidate.  Counts coming out of here share no code path with
+the permutation-side machinery: `oracles` imports only `boundary` and `errors`
+from the package.
 
-These enumerators are exhaustive over the box and bounded (default size 6).
-The convex listing is the one source of every geometric class: directed,
+`walk` streams the validated shapes and keeps none of them: the counts in
+`counting` and `verify` fold over it, and `enumerate <class> --list` keeps only
+the (pi1, word) rows it prints.  Only `enumerate_convex` and
+`enumerate_column_convex` hold a whole size, as a sorted list of shapes.
+The oracle is exhaustive over the box and bounded (default size 6).  The
+convex walk is the one source of every geometric class: directed,
 parallelogram and symmetric permutominoes are the convex shapes whose class
-flag (`boundary.classify`) is set, so callers list a size once and filter it.
+flag (`boundary.classify`) is set, so callers walk a size once and filter it.
 """
 from __future__ import annotations
 
@@ -94,22 +98,28 @@ def _interval_stacks(n: int, convex: bool) -> Iterator[tuple[tuple[int, ...], tu
             yield from extend((bottom,), (top,), False, False, 1 << bottom | 1 << top)
 
 
-def _enumerate(n: int, convex: bool, bound: int) -> list[Permutomino]:
+def walk(n: int, convex: bool = True, bound: int = DEFAULT_BOUND) -> Iterator[Permutomino]:
+    """The convex (or, with convex=False, column-convex) permutominoes of size
+    n, one at a time in stack order, each validated as it is built.
+
+    The size and the bound are checked here, before any stack is walked.
+    """
     if n > bound:
         raise SizeTooLarge(f"interval oracle is bounded at size {bound}, got {n}")
     if n < 1:
         raise ValueError("size must be at least 1")
     if n == 1:
-        return [EMPTY]
-    return sorted((from_boundary_word(_stack_word(bottoms, tops))
-                   for bottoms, tops in _interval_stacks(n, convex)), key=Permutomino.sort_key)
+        return iter([EMPTY])
+    return (from_boundary_word(_stack_word(bottoms, tops))
+            for bottoms, tops in _interval_stacks(n, convex))
 
 
 def enumerate_convex(n: int, bound: int = DEFAULT_BOUND) -> list[Permutomino]:
     """All convex permutominoes of size n, sorted by (pi1, boundary word)."""
-    return _enumerate(n, convex=True, bound=bound)
+    return sorted(walk(n, True, bound), key=Permutomino.sort_key)
 
 
 def enumerate_column_convex(n: int, bound: int = DEFAULT_BOUND) -> list[Permutomino]:
-    """All column-convex permutominoes of size n (no convexity filter)."""
-    return _enumerate(n, convex=False, bound=bound)
+    """All column-convex permutominoes of size n (no convexity filter), sorted
+    like enumerate_convex."""
+    return sorted(walk(n, False, bound), key=Permutomino.sort_key)

@@ -96,11 +96,23 @@ def sequence_class_count(n: int, k: int, directed_counts, parallelogram_counts) 
     return ways[n]
 
 
+def _oracle_counts(n: int) -> list[int]:
+    """[convex, directed, parallelogram, symmetric] at size n, in one oracle walk."""
+    counts = [0, 0, 0, 0]
+    for p in oracles.walk(n):
+        flags = p.flags
+        counts[0] += 1
+        counts[1] += flags["directed"]
+        counts[2] += flags["parallelogram"]
+        counts[3] += flags["symmetric_xy"]
+    return counts
+
+
 def verify_identities(max_size: int, strict_paper: bool = False) -> VerificationReport:
     """Run every identity up to max_size (interval-oracle rows up to the oracle's bound).
 
-    Each size is counted and listed by the oracle once; the directed,
-    parallelogram and symmetric rows count class flags over that listing.
+    Each size is walked by the oracle once, and one pass over the walk counts
+    the convex shapes and the directed, parallelogram and symmetric flags.
     Raises SizeTooLarge before any count when max_size > counting.COUNT_BOUND.
     """
     if max_size < 2:
@@ -120,10 +132,9 @@ def verify_identities(max_size: int, strict_paper: bool = False) -> Verification
     inter = {n: s["both_ways"] for n, s in stats.items()}
     rising = {n: s["assoc_first_lt_last"] for n, s in stats.items()}
 
-    shapes = {n: oracles.enumerate_convex(n) for n in geo}
-    directed, parallelogram, symmetric = (
-        {n: sum(p.flags[flag] for p in shapes[n]) for n in geo}
-        for flag in ("directed", "parallelogram", "symmetric_xy"))
+    oracle = {n: _oracle_counts(n) for n in geo}
+    total, directed, parallelogram, symmetric = (
+        {n: oracle[n][i] for n in geo} for i in range(4))
 
     def bijection(n):
         """The first k where |decomposable with k components| != |T_{n,k}|, else k = n."""
@@ -136,7 +147,7 @@ def verify_identities(max_size: int, strict_paper: bool = False) -> Verification
     rows = [
         ("convex = sum of 2^k over free-fixed-point classes (closed form)", every,
          lambda n: (convex[n], formulas.convex_permutomino(n))),
-        ("convex: fiber sum vs interval oracle", geo, lambda n: (convex[n], len(shapes[n]))),
+        ("convex: fiber sum vs interval oracle", geo, lambda n: (convex[n], total[n])),
         ("ctilde closed form (exact rational factor)", every,
          lambda n: (ctilde[n], formulas.ctilde(n))),
         ("ctilde = square - decomposable", from2,

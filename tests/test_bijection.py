@@ -82,9 +82,10 @@ def _sequence_pool(n, k, directed, parallelogram):
 
 
 @pytest.mark.parametrize("n", range(2, 7))
-def test_round_trip_and_cardinalities(n):
-    directed = {s: counting.listing("directed", s) for s in range(2, n + 1)}
-    parallelogram = {s: counting.listing("parallelogram", s) for s in range(2, n + 1)}
+def test_round_trip_and_cardinalities(n, convex_by_size):
+    directed, parallelogram = (
+        {s: [p for p in convex_by_size(s) if p.flags[flag]] for s in range(2, n + 1)}
+        for flag in ("directed", "parallelogram"))
 
     squares_by_k = {}
     for p in all_perms(n):

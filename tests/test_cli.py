@@ -208,15 +208,15 @@ def test_verify_checks_the_count_bound_before_counting(capsys, monkeypatch):
 
 
 def oracle_spy(monkeypatch):
-    """Record the size of every oracles.enumerate_convex call."""
+    """Record the size of every oracles.walk call."""
     sizes = []
-    real = oracles.enumerate_convex
+    real = oracles.walk
 
-    def spy(n, bound=oracles.DEFAULT_BOUND):
+    def spy(n, convex=True, bound=oracles.DEFAULT_BOUND):
         sizes.append(n)
-        return real(n, bound)
+        return real(n, convex, bound)
 
-    monkeypatch.setattr(oracles, "enumerate_convex", spy)
+    monkeypatch.setattr(oracles, "walk", spy)
     return sizes
 
 
@@ -298,8 +298,11 @@ def test_bounds_are_checked_before_output(capsys, argv):
 
 
 def test_enumerate_size_too_large(capsys):
-    code, _, err = run(capsys, "enumerate", "column-convex", "9")
-    assert code == 4 and "size too large" in err
+    """The oracle's walk is lazy; its bound is still checked before the count is printed."""
+    code, out, err = run(capsys, "enumerate", "column-convex", "9")
+    assert code == 4 and out == "" and "size too large" in err
+    code, out, err = run(capsys, "enumerate", "directed", "7")
+    assert code == 4 and out == "" and len(err.splitlines()) == 1 and "size too large" in err
     code, _, err = run(capsys, "enumerate", "ctilde", str(counting.COUNT_BOUND + 1))
     assert code == 4
     code, out, _ = run(capsys, "enumerate", "convex", "11")  # above the listing bound
@@ -748,14 +751,34 @@ def test_decompose_render_with_no_nonempty_part(tmp_path, capsys, fmt):
 
 
 class _Sink(io.TextIOBase):
-    """A standard output that keeps nothing but the number of shapes written."""
+    """A standard output that keeps nothing but the number of shapes and lines written."""
 
     def __init__(self):
-        self.shapes = 0
+        self.shapes = self.lines = 0
 
     def write(self, text):
         self.shapes += text.count('"v": 1')
+        self.lines += text.count("\n")
         return len(text)
+
+
+def traced_peak(call, *args):
+    """call(*args) and the peak of the memory traced while it ran, in MiB."""
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak / 2**20
+
+
+def quiet_main(*argv):
+    """main's exit code and the number of lines it printed, all sent to a _Sink."""
+    sink = _Sink()
+    with contextlib.redirect_stdout(sink):
+        code = main(list(argv))
+    return code, sink.lines
 
 
 def test_build_all_streams_one_shape_at_a_time():
@@ -765,12 +788,35 @@ def test_build_all_streams_one_shape_at_a_time():
     with contextlib.redirect_stdout(_Sink()):
         assert main(["build", "1 2 3 4", "--all", "--format", "json"]) == 0  # imports
     sink = _Sink()
-    tracemalloc.start()
-    try:
-        with contextlib.redirect_stdout(sink):
-            code = main(["build", perm, "--all", "--format", "json"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with contextlib.redirect_stdout(sink):
+        code, peak = traced_peak(main, ["build", perm, "--all", "--format", "json"])
     assert code == 0 and sink.shapes == 1024
-    assert peak < 3 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+    assert peak < 3, f"peak {peak:.2f} MiB"
+
+
+def test_oracle_counts_keep_no_shape():
+    """The convex count folds over the oracle's walk: its peak stays far
+    below the 0.4 MiB or more that enumerate_convex(6) holds in 394 shapes."""
+    counting.count_convex(4, method="intervals")  # imports
+    count, peak = traced_peak(counting.count_convex, 6, "intervals")
+    assert count == 394 and peak < 0.1, f"peak {peak:.3f} MiB"
+
+
+def test_geometric_listing_keeps_only_its_rows():
+    """The 1,262 column-convex rows of size 6 take about 0.25 MiB; their
+    shapes, with the corners that validation seeds, take about 2 MiB
+    (enumerate_column_convex(6))."""
+    counting.listing("column-convex", 4)  # imports
+    rows, peak = traced_peak(counting.listing, "column-convex", 6)
+    assert len(rows) == 1262 and peak < 0.5, f"peak {peak:.3f} MiB"
+
+
+def test_permutation_listing_streams():
+    """`enumerate square 9 --list` prints 42,064 rows, about 1 MB of text
+    and 5 MiB as tuples, yet peaks within 0.5 MiB of the bare count."""
+    quiet_main("enumerate", "square", "9", "--list")  # imports and kernel tables
+    (code, lines), listed = traced_peak(quiet_main, "enumerate", "square", "9", "--list")
+    assert code == 0 and lines == 1 + 42064
+    (code, lines), counted = traced_peak(quiet_main, "enumerate", "square", "9")
+    assert code == 0 and lines == 1
+    assert listed - counted < 0.5, f"listing peak {listed:.3f} MiB, count peak {counted:.3f} MiB"

@@ -46,9 +46,11 @@ def test_scan_bound():
 
 
 def test_size_zero_is_refused_at_the_call():
-    """Like every other count, the S_n walk and the fiber listing refuse size 0
-    when called, not when iterated (the listing is a generator)."""
-    for call in (counting.square_agreement, counting.convex_via_fibers):
+    """Like every other count, the S_n walk and the listings refuse size 0
+    when called, not when iterated (the listings are iterators)."""
+    listings = (counting.convex_via_fibers, lambda n: counting.perm_listing("square", n),
+                lambda n: counting.geo_walk("directed", n))
+    for call in (counting.square_agreement, *listings):
         for n in (0, -1):
             with pytest.raises(ValueError, match="size must be at least 1"):
                 call(n)
@@ -75,11 +77,11 @@ def test_fiber_listing_matches_oracle():
 
 
 def test_perm_listing_stable():
-    listing = counting.perm_listing("ctilde", 4)
+    listing = list(counting.perm_listing("ctilde", 4))
     assert listing == sorted(listing)
     assert len(listing) == 13
-    assert counting.perm_listing("square", 3) == sorted(
-        counting.perm_listing("ctilde", 3) + counting.perm_listing("decomposable", 3)
+    assert list(counting.perm_listing("square", 3)) == sorted(
+        [*counting.perm_listing("ctilde", 3), *counting.perm_listing("decomposable", 3)]
     )
     with pytest.raises(ValueError):
         counting.perm_listing("convex", 3)

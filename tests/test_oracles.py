@@ -4,7 +4,7 @@ import pytest
 
 from permutomino import counting, oracles
 from permutomino.boundary import EMPTY, from_boundary_word
-from permutomino.errors import NotPermutomino, SizeTooLarge
+from permutomino.errors import NotClosed, NotPermutomino, SizeTooLarge
 from references import generated_interval_stacks, rotated_stack_word, word_from_cells
 
 
@@ -50,6 +50,38 @@ def test_size_bound():
     with pytest.raises(SizeTooLarge):
         oracles.enumerate_column_convex(9)
     assert len(oracles.enumerate_convex(7, bound=7)) == 1836
+
+
+def test_walk_checks_its_bounds_at_the_call():
+    """The walk is lazy, but a bad size is refused before the first shape."""
+    for convex in (True, False):
+        with pytest.raises(SizeTooLarge):
+            oracles.walk(7, convex)
+        with pytest.raises(ValueError, match="size must be at least 1"):
+            oracles.walk(0, convex)
+
+
+@pytest.mark.parametrize("convex", [True, False])
+def test_walk_validates_every_stack_in_stack_order(convex, monkeypatch):
+    words = []
+
+    def validate(word):
+        words.append(word)
+        return from_boundary_word(word)
+
+    monkeypatch.setattr(oracles, "from_boundary_word", validate)
+    shapes = list(oracles.walk(5, convex))
+    assert words == [oracles._stack_word(*stack) for stack in oracles._interval_stacks(5, convex)]
+    assert [p.word for p in shapes] == words
+    assert sorted(shapes, key=lambda p: p.sort_key()) == (
+        oracles.enumerate_convex(5) if convex else oracles.enumerate_column_convex(5))
+
+
+def test_walk_raises_on_a_rejected_stack(monkeypatch):
+    """A stack whose word fails validation is an error, not a skipped candidate."""
+    monkeypatch.setattr(oracles, "_stack_word", lambda bottoms, tops: "NESWW")
+    with pytest.raises(NotClosed):
+        next(oracles.walk(3))
 
 
 def stack_cells(stack):
