@@ -1,7 +1,8 @@
 """Closed-form evaluators for every counting sequence the library verifies.
 
-All arithmetic is exact: rational intermediate factors go through Fraction and
-the result must come out an integer, otherwise NonIntegerResult is raised.
+All arithmetic is on integers: a form with rational factors is evaluated as
+one numerator over an explicit denominator, and the quotient must be exact,
+otherwise NonIntegerResult is raised.
 Indices are permutomino sizes (or the sequence's own natural index where no
 size exists); values below a formula's validity range come from the published
 initial terms.
@@ -13,8 +14,7 @@ harness reports them as discrepant instead of silently fixing them.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 
 class OutOfRange(ValueError):
@@ -25,10 +25,14 @@ class NonIntegerResult(ArithmeticError):
     """Exact evaluation of a closed form did not produce an integer."""
 
 
-def _as_int(value: Fraction, family: str, n: int) -> int:
-    if value.denominator != 1:
-        raise NonIntegerResult(f"{family}({n}) = {value} is not an integer")
-    return int(value)
+def _exact(num: int, den: int, family: str, n: int) -> int:
+    """num / den (den > 0) if it is an integer; else the error names the
+    fraction in lowest terms."""
+    quotient, remainder = divmod(num, den)
+    if remainder:
+        g = gcd(num, den)
+        raise NonIntegerResult(f"{family}({n}) = {num // g}/{den // g} is not an integer")
+    return quotient
 
 
 def central_binomial(n: int) -> int:
@@ -40,7 +44,7 @@ def central_binomial(n: int) -> int:
 def catalan(n: int) -> int:
     if n < 0:
         raise OutOfRange("catalan needs n >= 0")
-    return _as_int(Fraction(comb(2 * n, n), n + 1), "catalan", n)
+    return _exact(comb(2 * n, n), n + 1, "catalan", n)
 
 
 def convex_permutomino(n: int) -> int:
@@ -50,8 +54,7 @@ def convex_permutomino(n: int) -> int:
     if n == 1:
         return 1
     m = n - 1
-    value = 2 * (m + 3) * Fraction(4) ** (m - 2) - Fraction(m, 2) * comb(2 * m, m)
-    return _as_int(value, "convex", n)
+    return _exact(2 * (m + 3) * 4**m - 8 * m * comb(2 * m, m), 16, "convex", n)
 
 
 def ctilde(n: int) -> int:
@@ -61,10 +64,9 @@ def ctilde(n: int) -> int:
     if n == 1:
         return 1
     m = n - 1
-    value = 2 * (m + 2) * Fraction(4) ** (m - 2) - Fraction(m, 4) * Fraction(
-        3 - 4 * m, 1 - 2 * m
-    ) * comb(2 * m, m)
-    return _as_int(value, "ctilde", n)
+    # 2(m+2)4^(m-2) - (m/4) (4m-3)/(2m-1) C(2m,m), over 8(2m-1)
+    num = (m + 2) * 4**m * (2 * m - 1) - 2 * m * (4 * m - 3) * comb(2 * m, m)
+    return _exact(num, 8 * (2 * m - 1), "ctilde", n)
 
 
 def square_perms(n: int) -> int:
@@ -74,8 +76,7 @@ def square_perms(n: int) -> int:
     if n <= 2:
         return (1, 2)[n - 1]
     m = n - 1
-    value = 2 * (m + 3) * Fraction(4) ** (m - 2) - 4 * (2 * m - 3) * comb(2 * (m - 2), m - 2)
-    return _as_int(value, "square", n)
+    return 2 * (m + 3) * 4 ** (m - 2) - 4 * (2 * m - 3) * comb(2 * (m - 2), m - 2)
 
 
 def decomposable_square(n: int) -> int:
@@ -85,7 +86,7 @@ def decomposable_square(n: int) -> int:
     if n == 1:
         return 0
     m = n - 2
-    return _as_int(Fraction(4**m + comb(2 * m, m), 2), "decomposable", n)
+    return _exact(4**m + comb(2 * m, m), 2, "decomposable", n)
 
 
 def directed_convex(n: int) -> int:
@@ -94,7 +95,7 @@ def directed_convex(n: int) -> int:
         raise OutOfRange("size must be >= 1")
     if n == 1:
         return 1
-    return _as_int(Fraction(central_binomial(n - 1), 2), "directed", n)
+    return _exact(central_binomial(n - 1), 2, "directed", n)
 
 
 def parallelogram(n: int) -> int:
@@ -112,12 +113,11 @@ def symmetric(n: int) -> int:
     if n <= 2:
         return 1
     m = n - 1
-    value = (
-        (m + 3) * Fraction(2) ** (m - 2)
+    return (
+        (m + 3) * 2 ** (m - 2)
         - m * comb(m - 1, (m - 1) // 2)
         - (m - 1) * comb(m - 2, (m - 2) // 2)
     )
-    return _as_int(value, "symmetric", n)
 
 
 def centered(n: int) -> int:
@@ -156,9 +156,7 @@ def asym_surplus(n: int) -> int:
     squares: the definitional quantity Q_n/2 - B_n, as a closed combination."""
     if n < 2:
         raise OutOfRange("the half-square count needs size >= 2")
-    return _as_int(
-        Fraction(square_perms(n), 2) - decomposable_square(n), "asym-surplus", n
-    )
+    return _exact(square_perms(n) - 2 * decomposable_square(n), 2, "asym-surplus", n)
 
 
 def half_diff_printed(n: int) -> int:
@@ -168,8 +166,8 @@ def half_diff_printed(n: int) -> int:
     if n < 2:
         raise OutOfRange("printed form needs size >= 2")
     m = n - 1
-    value = (m + 1) * Fraction(4) ** (m - 2) - Fraction(m, 2) * comb(2 * m + 1, m - 1)
-    return _as_int(value, "half-diff-printed", n)
+    num = (m + 1) * 4**m - 8 * m * comb(2 * m + 1, m - 1)
+    return _exact(num, 16, "half-diff-printed", n)
 
 
 def intersection_printed(n: int) -> int:
@@ -178,8 +176,8 @@ def intersection_printed(n: int) -> int:
     if n < 2:
         raise OutOfRange("printed form needs size >= 2")
     m = n - 1
-    value = 2 * (m + 1) * Fraction(4) ** (m - 2) - comb(2 * m - 1, m - 1)
-    return _as_int(value, "intersection-printed", n)
+    num = 2 * (m + 1) * 4**m - 16 * comb(2 * m - 1, m - 1)
+    return _exact(num, 16, "intersection-printed", n)
 
 
 def fixed_point_surplus(n: int) -> int:
@@ -189,7 +187,7 @@ def fixed_point_surplus(n: int) -> int:
     if n < 2:
         raise OutOfRange("size must be >= 2")
     m = n - 2
-    return _as_int(Fraction(4**m - comb(2 * m, m), 2), "fixed-point-surplus", n)
+    return _exact(4**m - comb(2 * m, m), 2, "fixed-point-surplus", n)
 
 
 FAMILIES = {

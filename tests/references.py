@@ -7,14 +7,18 @@ replaced, the interval-stack generator and rotated stack word that the
 oracle's recursion replaced, the value-level square-permutation search that
 the generator's moves replaced, the upper-unimodal test that every upper
 envelope passes, the composition sum behind the sequence counts T_{n,k}, the
-ASCII and SVG cell parsers, and the closed forms looked up by name.
+ASCII and SVG cell parsers, the closed forms looked up by name, and the
+Fraction evaluations of the closed forms that the integer ones replaced.
 """
 import re
 from collections import defaultdict
+from fractions import Fraction
+from math import comb
 
 from permutomino import boundary, formulas
 from permutomino.boundary import from_boundary_word
 from permutomino.errors import NotClosed, NotPermutomino, SelfIntersecting
+from permutomino.formulas import NonIntegerResult, OutOfRange
 
 
 def word_from_cells(cells: frozenset[tuple[int, int]]) -> str:
@@ -329,3 +333,135 @@ def closed_form(family: str, n: int) -> int:
     if family not in formulas.FAMILIES:
         raise KeyError(f"unknown family {family!r}; know {sorted(formulas.FAMILIES)}")
     return formulas.FAMILIES[family](n)
+
+
+def _as_int(value: Fraction, family: str, n: int) -> int:
+    if value.denominator != 1:
+        raise NonIntegerResult(f"{family}({n}) = {value} is not an integer")
+    return int(value)
+
+
+def _fraction_catalan(n: int) -> int:
+    if n < 0:
+        raise OutOfRange("catalan needs n >= 0")
+    return _as_int(Fraction(comb(2 * n, n), n + 1), "catalan", n)
+
+
+def _fraction_convex(n: int) -> int:
+    if n < 1:
+        raise OutOfRange("size must be >= 1")
+    if n == 1:
+        return 1
+    m = n - 1
+    value = 2 * (m + 3) * Fraction(4) ** (m - 2) - Fraction(m, 2) * comb(2 * m, m)
+    return _as_int(value, "convex", n)
+
+
+def _fraction_ctilde(n: int) -> int:
+    if n < 1:
+        raise OutOfRange("size must be >= 1")
+    if n == 1:
+        return 1
+    m = n - 1
+    value = 2 * (m + 2) * Fraction(4) ** (m - 2) - Fraction(m, 4) * Fraction(
+        3 - 4 * m, 1 - 2 * m
+    ) * comb(2 * m, m)
+    return _as_int(value, "ctilde", n)
+
+
+def _fraction_square(n: int) -> int:
+    if n < 1:
+        raise OutOfRange("size must be >= 1")
+    if n <= 2:
+        return (1, 2)[n - 1]
+    m = n - 1
+    value = 2 * (m + 3) * Fraction(4) ** (m - 2) - 4 * (2 * m - 3) * comb(2 * (m - 2), m - 2)
+    return _as_int(value, "square", n)
+
+
+def _fraction_decomposable(n: int) -> int:
+    if n < 1:
+        raise OutOfRange("size must be >= 1")
+    if n == 1:
+        return 0
+    m = n - 2
+    return _as_int(Fraction(4**m + comb(2 * m, m), 2), "decomposable", n)
+
+
+def _fraction_directed(n: int) -> int:
+    if n < 1:
+        raise OutOfRange("size must be >= 1")
+    if n == 1:
+        return 1
+    return _as_int(Fraction(comb(2 * (n - 1), n - 1), 2), "directed", n)
+
+
+def _fraction_parallelogram(n: int) -> int:
+    if n < 1:
+        raise OutOfRange("size must be >= 1")
+    if n == 1:
+        return 1
+    return _fraction_catalan(n - 1)
+
+
+def _fraction_symmetric(n: int) -> int:
+    if n < 1:
+        raise OutOfRange("size must be >= 1")
+    if n <= 2:
+        return 1
+    m = n - 1
+    value = (
+        (m + 3) * Fraction(2) ** (m - 2)
+        - m * comb(m - 1, (m - 1) // 2)
+        - (m - 1) * comb(m - 2, (m - 2) // 2)
+    )
+    return _as_int(value, "symmetric", n)
+
+
+def _fraction_asym_surplus(n: int) -> int:
+    if n < 2:
+        raise OutOfRange("the half-square count needs size >= 2")
+    return _as_int(
+        Fraction(_fraction_square(n), 2) - _fraction_decomposable(n), "asym-surplus", n
+    )
+
+
+def _fraction_half_diff_printed(n: int) -> int:
+    if n < 2:
+        raise OutOfRange("printed form needs size >= 2")
+    m = n - 1
+    value = (m + 1) * Fraction(4) ** (m - 2) - Fraction(m, 2) * comb(2 * m + 1, m - 1)
+    return _as_int(value, "half-diff-printed", n)
+
+
+def _fraction_intersection_printed(n: int) -> int:
+    if n < 2:
+        raise OutOfRange("printed form needs size >= 2")
+    m = n - 1
+    value = 2 * (m + 1) * Fraction(4) ** (m - 2) - comb(2 * m - 1, m - 1)
+    return _as_int(value, "intersection-printed", n)
+
+
+def _fraction_fixed_point_surplus(n: int) -> int:
+    if n < 2:
+        raise OutOfRange("size must be >= 2")
+    m = n - 2
+    return _as_int(Fraction(4**m - comb(2 * m, m), 2), "fixed-point-surplus", n)
+
+
+# the closed forms with a division or a negative power, evaluated in Fraction
+# arithmetic; formulas.FAMILIES holds the integer evaluations
+FRACTION_FORMS = {
+    "catalan": _fraction_catalan,
+    "convex": _fraction_convex,
+    "ctilde": _fraction_ctilde,
+    "square": _fraction_square,
+    "decomposable": _fraction_decomposable,
+    "directed": _fraction_directed,
+    "parallelogram": _fraction_parallelogram,
+    "symmetric": _fraction_symmetric,
+    "asym-surplus": _fraction_asym_surplus,
+    "half-diff-printed": _fraction_half_diff_printed,
+    "intersection-printed": _fraction_intersection_printed,
+    "fixed-point-surplus": _fraction_fixed_point_surplus,
+}

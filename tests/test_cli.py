@@ -12,7 +12,7 @@ import tracemalloc
 
 import pytest
 
-from permutomino import _kernels, counting, oracles
+from permutomino import _kernels, counting, formulas, oracles
 from permutomino.cli import main, parse_permutation
 from permutomino.errors import ParseError
 from references import cells_from_ascii
@@ -498,10 +498,16 @@ def test_each_job_imports_only_what_it_runs():
     assert package_modules(loaded) == {"permutomino", "permutomino.cli", "permutomino.errors",
                                        "permutomino.counting", "permutomino._kernels"}
     assert "dataclasses" not in loaded
-    loaded = modules_after('from permutomino.cli import main\nmain(["verify", "--max-size", "4"])')
-    assert {"permutomino.verify", "permutomino.counting", "permutomino.oracles"} <= loaded
+    # the benchmark's verify job: the closed forms are evaluated on integers,
+    # so it loads no Fraction stack
+    loaded = modules_after('from permutomino.cli import main\n'
+                           'main(["verify", "--max-size", "6", "--strict-paper", "--json"])')
+    assert {"permutomino.verify", "permutomino.counting", "permutomino.oracles",
+            "permutomino.formulas"} <= loaded
     assert loaded.isdisjoint(SHAPE_MODULES - {"permutomino.boundary"})
-    assert "dataclasses" not in loaded
+    assert loaded.isdisjoint({"dataclasses", "fractions", "decimal", "numbers"})
+    relative, absolute = imports_of(formulas)
+    assert not relative and absolute == {"__future__", "math"}
     # the shape jobs load exactly these package modules (perms reads the
     # generator's moves from _kernels), build their values without
     # dataclasses and write JSON without json

@@ -1,8 +1,10 @@
+from collections import Counter
+
 import pytest
 
 from permutomino import formulas
 from permutomino.formulas import NonIntegerResult, OutOfRange
-from references import closed_form
+from references import FRACTION_FORMS, closed_form
 
 
 @pytest.mark.parametrize(
@@ -75,3 +77,41 @@ def test_closed_forms_satisfy_the_identities_at_scale():
         assert closed_form("convex", n) == closed_form("ctilde", n) + closed_form("fixed-point-surplus", n)
         assert closed_form("square", n) == closed_form("convex", n) + comb(2 * (n - 2), n - 2)
         assert closed_form("asym-surplus", n) == closed_form("ctilde", n) - closed_form("square", n) // 2
+
+
+def outcome(fn, n):
+    """fn(n), or the class and message of what it raised."""
+    try:
+        return fn(n)
+    except Exception as error:
+        return type(error), str(error)
+
+
+def test_only_the_division_free_families_lack_a_fraction_evaluation():
+    assert set(formulas.FAMILIES) - set(FRACTION_FORMS) == {
+        "central-binomial", "centered", "bicentered", "stacks"}
+
+
+@pytest.mark.parametrize("family", sorted(FRACTION_FORMS))
+def test_integer_evaluation_agrees_with_fraction_arithmetic(family):
+    """Equal ints, or the same exception class and message, for n = -2..79;
+    the non-integer message names the reduced fraction as Fraction prints it."""
+    fn, reference = formulas.FAMILIES[family], FRACTION_FORMS[family]
+    for n in range(-2, 80):
+        got, expected = outcome(fn, n), outcome(reference, n)
+        assert got == expected and type(got) is type(expected), (family, n)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_centered_and_stacks_count_convex_shapes_by_their_rows(n, convex_by_size):
+    """centered(n) counts the convex permutominoes with a full-width row,
+    stacks(n) those whose bottom row is full, both read off the cells of the
+    interval oracle's listing."""
+    full_row = full_bottom = 0
+    for shape in convex_by_size(n):
+        rows = Counter(y for _, y in shape.cells)
+        width = len({x for x, _ in shape.cells})
+        full_row += width in rows.values()
+        full_bottom += rows[min(rows)] == width
+    assert full_row == formulas.centered(n)
+    assert full_bottom == formulas.stacks(n)
