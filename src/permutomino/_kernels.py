@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import cache
 from math import factorial
 
-from .errors import SizeTooLarge
+from .errors import check_size
 
 # count_stats(30) fills the table from empty in 0.3-0.4 s: 32,336 states, ~15 MB,
 # which hold every smaller size too.  The table grows as O(n^4) states.
@@ -103,10 +103,7 @@ def count_stats(n: int) -> dict:
     addition and multiplying by x one shift.  Size n sums the n first-value
     states (f - 1, n - f, 0, 0) of the shared table _walk.
     """
-    if n > COUNT_BOUND:
-        raise SizeTooLarge(f"counts are bounded at size {COUNT_BOUND}, got {n}")
-    if n < 1:
-        raise ValueError("size must be at least 1")
+    check_size(n, COUNT_BOUND, "counts are")
     splits, fixed, both_ways, rising = (
         sum(field) for field in zip(*(_walk(f - 1, n - f, 0, 0) for f in range(1, n + 1)))
     )

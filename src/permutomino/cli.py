@@ -24,8 +24,9 @@ is still accepted only so that existing command lines keep working.
 At import this module loads only argparse, os, sys and `errors`; each
 subcommand imports what it runs at the top of its own body (`render` by
 `build` and `decompose --render`, `json` only by `verify --json`), so a job
-loads no module it does not run: a count loads `counting` and `_kernels` but
-no shape module.
+loads those modules and what they import at module level: a count loads
+`counting` and `_kernels` but no shape module, while `classify` also loads
+`boundary`, which `membership` imports, though it builds no shape.
 `main(argv)` runs one command in process and returns its exit code; `run()`,
 the process entry point of the `permutomino` script and `python -m
 permutomino.cli`, calls it, flushes both streams and ends the process with
@@ -155,7 +156,7 @@ def cmd_enumerate(args) -> int:
             shapes = counting.convex_via_fibers(n) if args.list else ()
             by_k = counting.count_ctilde(n)["by_free_fixed_points"] if args.by else {}
             if args.method == "intervals":
-                print(counting.count_convex(n, method="intervals"))
+                print(sum(1 for _ in counting.geo_walk(name, n)))
             else:  # with --by, the same counts as the rows below
                 print(counting.fiber_sum(by_k) if args.by else counting.count_convex(n))
             for k, v in sorted(by_k.items()):

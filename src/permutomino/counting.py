@@ -6,11 +6,11 @@ to COUNT_BOUND without visiting a permutation.  The square agreement check
 walks all of S_n in this process.
 Permutation listings stream the square generator, filtered, since every
 listed permutation class is a subset of the square permutations.  Geometric
-counts and listings fold over the interval oracle's walk: column-convex over
-its own, every other class over the convex walk filtered by the class flag
-that CLASS_FLAGS names; a listing keeps only its (pi1, word) rows.  The
-oracle and the permutation and shape modules are imported by the functions
-that call them, so a count loads none of them.
+counts and listings fold over the interval oracle's walk: convex and
+column-convex over their own, every other class over the convex walk filtered
+by the class flag that CLASS_FLAGS names; a listing keeps only its (pi1, word)
+rows.  The oracle and the permutation and shape modules are imported by the
+functions that call them, so a count loads none of them.
 """
 from __future__ import annotations
 
@@ -19,14 +19,13 @@ from itertools import filterfalse, permutations
 
 from . import _kernels
 from ._kernels import COUNT_BOUND
-from .errors import SizeTooLarge
+from .errors import check_size
 
 SCAN_BOUND = 10  # square_agreement walks S_10's ~3.6M permutations; listings stop here too
 FIBER_BOUND = 7  # convex_via_fibers streams 1836 shapes at size 7 (~0.2 s), 8468 at size 8 (~1 s)
 
 # CLI class name -> boundary.classify flag that picks it out of the convex listing
 CLASS_FLAGS = {
-    "convex": "convex",
     "directed": "directed",
     "parallelogram": "parallelogram",
     "symmetric": "symmetric_xy",
@@ -52,10 +51,7 @@ def square_agreement(n: int) -> dict:
     """
     from .perms import is_square, is_square_by_patterns
 
-    if n < 1:
-        raise ValueError("size must be at least 1")
-    if n > SCAN_BOUND:
-        raise SizeTooLarge(f"scans are bounded at size {SCAN_BOUND}, got {n}")
+    check_size(n, SCAN_BOUND, "scans are")
     by_envelope = by_patterns = disagree = 0
     for p in permutations(range(1, n + 1)):
         a = is_square(p)
@@ -87,20 +83,11 @@ def count_square(n: int, stats: dict | None = None) -> dict:
     }
 
 
-def count_convex(n: int, method: str = "fibers", stats: dict | None = None) -> int:
-    """Number of convex permutominoes of size n.
-
-    method 'fibers' sums 2^k over the realizable permutations with k free
-    fixed points; method 'intervals' runs the independent geometric oracle
-    (bounded at size 6).
-    """
-    if method == "fibers":
-        return fiber_sum(count_ctilde(n, stats)["by_free_fixed_points"])
-    if method == "intervals":
-        from . import oracles
-
-        return sum(1 for _ in oracles.walk(n))
-    raise ValueError(f"unknown method {method!r}")
+def count_convex(n: int, stats: dict | None = None) -> int:
+    """Number of convex permutominoes of size n: 2^k summed over the
+    realizable permutations with k free fixed points.  The independent
+    geometric count is the length of geo_walk("convex", n)."""
+    return fiber_sum(count_ctilde(n, stats)["by_free_fixed_points"])
 
 
 def fiber_sum(by_free_fixed_points: dict[int, int]) -> int:
@@ -121,10 +108,7 @@ def convex_via_fibers(n: int) -> Iterator:
     from .membership import fiber
     from .perms import is_indecomposable, square_permutations
 
-    if n < 1:
-        raise ValueError("size must be at least 1")
-    if n > FIBER_BOUND:
-        raise SizeTooLarge(f"fiber listing is bounded at size {FIBER_BOUND}, got {n}")
+    check_size(n, FIBER_BOUND, "fiber listing is")
     return (shape for p in square_permutations(n) if is_indecomposable(p) for shape in fiber(p))
 
 
@@ -133,8 +117,8 @@ def geo_walk(class_name: str, n: int) -> Iterator:
     oracle's walk, whose bounds are checked here."""
     from . import oracles
 
-    if class_name == "column-convex":
-        return oracles.walk(n, convex=False)
+    if class_name in ("convex", "column-convex"):
+        return oracles.walk(n, convex=class_name == "convex")
     flag = CLASS_FLAGS.get(class_name)
     if flag is None:
         raise ValueError(f"no geometric listing for class {class_name!r}")
@@ -156,10 +140,7 @@ def perm_listing(class_name: str, n: int) -> Iterator[tuple[int, ...]]:
     from .membership import is_associated
     from .perms import is_indecomposable, square_permutations
 
-    if n < 1:
-        raise ValueError("size must be at least 1")
-    if n > SCAN_BOUND:
-        raise SizeTooLarge(f"permutation listings are bounded at size {SCAN_BOUND}, got {n}")
+    check_size(n, SCAN_BOUND, "permutation listings are")
     squares = square_permutations(n)
     if class_name == "ctilde":
         return filter(is_associated, squares)

@@ -66,6 +66,16 @@ class SizeTooLarge(PermutominoError):
     """Requested size exceeds the configured bound of an exhaustive enumerator."""
 
 
+def check_size(n: int, bound: int, what: str) -> None:
+    """The one size policy of the counts and listings: a size below 1 is a
+    ValueError, one above bound a SizeTooLarge that names what is bounded
+    (what is its subject and verb, e.g. "counts are")."""
+    if n < 1:
+        raise ValueError("size must be at least 1")
+    if n > bound:
+        raise SizeTooLarge(f"{what} bounded at size {bound}, got {n}")
+
+
 class OutputError(PermutominoError):
     """An output file cannot be written."""
 

@@ -21,19 +21,18 @@ from the package.
 
 `walk` streams the validated shapes and keeps none of them: the counts in
 `counting` and `verify` fold over it, and `enumerate <class> --list` keeps only
-the (pi1, word) rows it prints.  Only `enumerate_convex` and
-`enumerate_column_convex` hold a whole size, as a sorted list of shapes.
-The oracle is exhaustive over the box and bounded (default size 6).  The
-convex walk is the one source of every geometric class: directed,
-parallelogram and symmetric permutominoes are the convex shapes whose class
-flag (`boundary.classify`) is set, so callers walk a size once and filter it.
+the (pi1, word) rows it prints.  The oracle is exhaustive over the box and
+bounded (default size 6).  The convex walk is the one source of every
+geometric class: directed, parallelogram and symmetric permutominoes are the
+convex shapes whose class flag (`boundary.classify`) is set, so callers walk a
+size once and filter it.
 """
 from __future__ import annotations
 
 from typing import Iterator, Sequence
 
 from .boundary import EMPTY, Permutomino, from_boundary_word
-from .errors import SizeTooLarge
+from .errors import check_size
 
 DEFAULT_BOUND = 6
 
@@ -104,22 +103,8 @@ def walk(n: int, convex: bool = True, bound: int = DEFAULT_BOUND) -> Iterator[Pe
 
     The size and the bound are checked here, before any stack is walked.
     """
-    if n > bound:
-        raise SizeTooLarge(f"interval oracle is bounded at size {bound}, got {n}")
-    if n < 1:
-        raise ValueError("size must be at least 1")
+    check_size(n, bound, "interval oracle is")
     if n == 1:
         return iter([EMPTY])
     return (from_boundary_word(_stack_word(bottoms, tops))
             for bottoms, tops in _interval_stacks(n, convex))
-
-
-def enumerate_convex(n: int, bound: int = DEFAULT_BOUND) -> list[Permutomino]:
-    """All convex permutominoes of size n, sorted by (pi1, boundary word)."""
-    return sorted(walk(n, True, bound), key=Permutomino.sort_key)
-
-
-def enumerate_column_convex(n: int, bound: int = DEFAULT_BOUND) -> list[Permutomino]:
-    """All column-convex permutominoes of size n (no convexity filter), sorted
-    like enumerate_convex."""
-    return sorted(walk(n, False, bound), key=Permutomino.sort_key)

@@ -16,12 +16,13 @@ def all_perms(n):
 def convex_by_size():
     """Interval-oracle listings of convex permutominoes, cached per size."""
     from permutomino import oracles
+    from references import sorted_walk
 
     cache = {}
 
     def get(n, bound=oracles.DEFAULT_BOUND):
         if n not in cache:
-            cache[n] = oracles.enumerate_convex(n, bound=max(bound, n))
+            cache[n] = sorted_walk(n, bound=max(bound, n))
         return cache[n]
 
     return get

@@ -5,18 +5,19 @@ parser that reads library output back: the cell-side walk, validator (with its
 own lattice tracer), class flags and reflections that the boundary path
 replaced, the interval-stack generator and rotated stack word that the
 oracle's recursion replaced, the value-level square-permutation search that
-the generator's moves replaced, the upper-unimodal test that every upper
-envelope passes, the composition sum behind the sequence counts T_{n,k}, the
-ASCII and SVG cell parsers, the closed forms looked up by name, and the
-Fraction evaluations of the closed forms that the integer ones replaced.
+the generator's moves replaced, the oracle's walk sorted into one list per
+size, the upper-unimodal test that every upper envelope passes, the
+composition sum behind the sequence counts T_{n,k}, the ASCII and SVG cell
+parsers, the closed forms looked up by name, and the Fraction evaluations of
+the closed forms that the integer ones replaced.
 """
 import re
 from collections import defaultdict
 from fractions import Fraction
 from math import comb
 
-from permutomino import boundary, formulas
-from permutomino.boundary import from_boundary_word
+from permutomino import boundary, formulas, oracles
+from permutomino.boundary import Permutomino, from_boundary_word
 from permutomino.errors import NotClosed, NotPermutomino, SelfIntersecting
 from permutomino.formulas import NonIntegerResult, OutOfRange
 
@@ -236,6 +237,12 @@ def generated_interval_stacks(n: int, convex: bool):
                 last_edge[lo], last_edge[hi + 1] = saved
 
     yield from extend(1, False, False)
+
+
+def sorted_walk(n: int, convex: bool = True, bound: int = oracles.DEFAULT_BOUND):
+    """The oracle's convex (or, with convex=False, column-convex) shapes of
+    size n as one list, sorted by (pi1, boundary word) like the listings."""
+    return sorted(oracles.walk(n, convex, bound), key=Permutomino.sort_key)
 
 
 def reference_square_permutations(n: int):

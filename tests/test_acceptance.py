@@ -6,7 +6,7 @@ budgets.  Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 import time
 
 from conftest import all_perms
-from permutomino import counting, formulas, oracles, perms
+from permutomino import counting, formulas, perms
 from permutomino.bijection import permutation_to_sequence, sequence_to_permutation
 from permutomino.membership import (
     fiber,
@@ -15,6 +15,7 @@ from permutomino.membership import (
     is_associated_pi2,
 )
 from permutomino.verify import verify_identities
+from references import sorted_walk
 
 CONVEX_COUNTS = [1, 1, 4, 18, 84, 394, 1836, 8468]
 CTILDE_COUNTS = [1, 1, 3, 13, 62, 301, 1450, 6882]
@@ -39,11 +40,11 @@ def test_criterion_1_convex_counts():
     with report(1, "convex permutomino counts 1,1,4,18,84,394,1836,8468 for sizes 1..8; "
                    "fibers < 60 s; interval oracle confirms sizes <= 6"):
         start = time.monotonic()
-        got = [counting.count_convex(n, method="fibers") for n in range(1, 9)]
+        got = [counting.count_convex(n) for n in range(1, 9)]
         elapsed = time.monotonic() - start
         assert got == CONVEX_COUNTS, got
         assert elapsed < 60, f"fibers enumeration took {elapsed:.1f}s"
-        oracle = [counting.count_convex(n, method="intervals") for n in range(1, 7)]
+        oracle = [sum(1 for _ in counting.geo_walk("convex", n)) for n in range(1, 7)]
         assert oracle == CONVEX_COUNTS[:6], oracle
 
 
@@ -78,7 +79,7 @@ def test_criterion_4_fiber_law_and_set_equality():
                 assert all(s.pi1 == p for s in shapes)
                 union.extend(shapes)
             assert len(union) == len(set(union))  # fibers are disjoint
-            assert set(union) == set(oracles.enumerate_convex(n)), f"n={n}"
+            assert set(union) == set(sorted_walk(n)), f"n={n}"
 
 
 def test_criterion_5_fiber_sum_identity():

@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 from conftest import all_perms
-from permutomino import counting, oracles, perms
+from permutomino import counting, perms
 from permutomino.bijection import (
     PermutominoSequence,
     _unique_part,
@@ -15,7 +15,7 @@ from permutomino.bijection import (
 from permutomino.boundary import EMPTY, reflect_x, reflect_y
 from permutomino.errors import Indecomposable, InvalidSequence, NotSquare
 from permutomino.membership import fiber
-from references import is_upper_unimodal
+from references import is_upper_unimodal, sorted_walk
 
 BIG = (16, 15, 18, 19, 17, 14, 12, 13, 9, 7, 11, 10, 8, 3, 1, 6, 5, 2, 4)
 
@@ -36,7 +36,7 @@ def test_trivial_sequences():
 
 
 def test_two_single_cells():
-    cell = oracles.enumerate_convex(2)[0]
+    cell = sorted_walk(2)[0]
     assert component_of(cell, last=False) == (1, 2)
     assert component_of(cell, last=True) == (1, 2)
     p = sequence_to_permutation([cell, cell])
@@ -52,7 +52,7 @@ def test_domain_errors():
         permutation_to_sequence((1, 2))
     with pytest.raises(InvalidSequence):
         validate_sequence([EMPTY])
-    beta_shape = next(p for p in oracles.enumerate_convex(3) if p.pi1 == (1, 3, 2))
+    beta_shape = next(p for p in sorted_walk(3) if p.pi1 == (1, 3, 2))
     assert beta_shape.flags["directed"] and not beta_shape.flags["parallelogram"]
     with pytest.raises(InvalidSequence):
         PermutominoSequence((EMPTY, beta_shape, EMPTY))  # bad middle

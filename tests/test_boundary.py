@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from permutomino import boundary, oracles, perms
+from permutomino import boundary, perms
 from permutomino.boundary import (
     ALPHA, BETA, DELTA, GAMMA, EMPTY, LabeledMatrix, Permutomino,
     from_boundary_word, permutomino_from_matrix, reentrant_matrix,
@@ -13,7 +13,8 @@ from permutomino.boundary import (
 from permutomino.errors import (
     InvalidMatrix, NotClosed, NotConvex, NotPermutomino, PermutominoError, SelfIntersecting,
 )
-from references import STEPS, cell_flags, cell_reflections, reference_size, word_from_cells
+from references import (STEPS, cell_flags, cell_reflections, reference_size, sorted_walk,
+                        word_from_cells)
 
 
 def test_single_cell():
@@ -123,7 +124,7 @@ def test_validator_raises_as_the_reference_on_every_word_up_to_length_7():
 
 def test_word_round_trip_on_oracle_listings():
     for n in range(2, 6):
-        for p in oracles.enumerate_convex(n):
+        for p in sorted_walk(n):
             assert from_boundary_word(p.word) == p
             assert word_from_cells(p.cells) == p.word
 
@@ -131,7 +132,7 @@ def test_word_round_trip_on_oracle_listings():
 def test_pi1_and_pi2_are_the_sorted_corner_ordinates():
     from permutomino.counting import convex_via_fibers
 
-    shapes = [p for n in range(1, 7) for p in oracles.enumerate_column_convex(n)]
+    shapes = [p for n in range(1, 7) for p in sorted_walk(n, convex=False)]
     shapes += [p for n in range(1, 8) for p in convex_via_fibers(n)]
     for p in shapes:
         # the corners of the traced path, not the ones validation seeded
@@ -155,11 +156,11 @@ def test_word_round_trip_property(values):
 def test_salient_reentrant_budget():
     # salient - reentrant == 4 for every permutomino, convex or not
     for n in range(2, 6):
-        for p in oracles.enumerate_column_convex(n):
+        for p in sorted_walk(n, convex=False):
             assert len(p.salient) - len(p.reentrant) == 4
     # and the convex ones use exactly n+2 / n-2 with boundary length 4(n-1)
     for n in range(2, 7):
-        for p in oracles.enumerate_convex(n):
+        for p in sorted_walk(n):
             assert len(p.word) == 4 * (n - 1)
             assert len(p.salient) == n + 2
             assert len(p.reentrant) == n - 2
@@ -173,7 +174,7 @@ def test_reentrant_matrix_examples():
 
 def test_reentrant_matrix_requires_convex():
     # a column-convex but not convex shape
-    bumpy = next(p for p in oracles.enumerate_column_convex(4) if not p.is_convex)
+    bumpy = next(p for p in sorted_walk(4, convex=False) if not p.is_convex)
     with pytest.raises(NotConvex):
         reentrant_matrix(bumpy)
     with pytest.raises(ValueError):
@@ -187,7 +188,7 @@ def test_from_matrix_examples():
         for lab in boundary.LABELS
     }
     assert len(four) == 4
-    assert four == set(oracles.enumerate_convex(3))
+    assert four == set(sorted_walk(3))
 
 
 def test_matrix_on_anti_diagonal_is_valid():
@@ -230,7 +231,7 @@ def _all_labeled_matrices(size):
 @pytest.mark.parametrize("size", [2, 3, 4, 5, 6])
 def test_matrix_bijection_exhaustive(size):
     """Valid labeled matrices correspond one-to-one to convex permutominoes."""
-    enumerated = set(oracles.enumerate_convex(size))
+    enumerated = set(sorted_walk(size))
     rebuilt = set()
     for matrix in _all_labeled_matrices(size):
         try:
@@ -247,7 +248,7 @@ def test_matrix_bijection_exhaustive(size):
 
 @pytest.mark.parametrize("size", [3, 4, 5, 6])
 def test_diagonal_bounds_on_extracted_matrices(size):
-    for p in oracles.enumerate_convex(size):
+    for p in sorted_walk(size):
         for x, y, lab in reentrant_matrix(p).points:
             if lab == ALPHA:
                 assert y >= x
@@ -272,7 +273,7 @@ def test_classify_examples():
 
 def test_classify_implication_chain():
     for n in range(2, 6):
-        for p in oracles.enumerate_column_convex(n):
+        for p in sorted_walk(n, convex=False):
             f = p.flags
             assert not f["parallelogram"] or f["directed"]
             assert not f["directed"] or f["convex"]
@@ -281,7 +282,7 @@ def test_classify_implication_chain():
 
 def test_symmetric_implies_involutions():
     for n in range(2, 7):
-        for p in oracles.enumerate_convex(n):
+        for p in sorted_walk(n):
             if p.flags["symmetric_xy"]:
                 for q in (p.pi1, p.pi2):
                     inverse = tuple(q.index(v) + 1 for v in range(1, n + 1))
@@ -303,13 +304,13 @@ def test_symmetric_involution_worked_example():
 
 
 def test_transpose_matches_symmetry_flag():
-    for p in oracles.enumerate_convex(5):
+    for p in sorted_walk(5):
         assert (transpose(p) == p) == p.flags["symmetric_xy"]
 
 
 def test_reflections():
     for n in range(1, 6):
-        for p in oracles.enumerate_convex(n):
+        for p in sorted_walk(n):
             assert reflect_y(reflect_y(p)) == p
             assert reflect_x(reflect_x(p)) == p
             assert reflect_y(p).pi1 == perms.reversal(p.pi2)
@@ -328,9 +329,9 @@ def test_path_flags_and_word_reflections_match_the_cells():
         except (ValueError, PermutominoError):
             continue
     for n in range(2, 8):
-        shapes += oracles.enumerate_convex(n, bound=7)
+        shapes += sorted_walk(n, bound=7)
     for n in range(2, 7):
-        shapes += oracles.enumerate_column_convex(n)
+        shapes += sorted_walk(n, convex=False)
     directed_starts_not_convex = 0
     for p in shapes:
         q = Permutomino(p.size, p.word)

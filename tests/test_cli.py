@@ -11,10 +11,13 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permutomino import _kernels, counting, formulas, oracles
-from permutomino.cli import main, parse_permutation
+from permutomino.cli import GEO_CLASSES, PERM_CLASSES, main, parse_permutation
 from permutomino.errors import ParseError
+from permutomino.membership import FREE_FIXED_BOUND
 from references import cells_from_ascii
 
 
@@ -295,6 +298,83 @@ def test_bounds_are_checked_before_output(capsys, argv):
     assert code == 4
     assert out == ""
     assert len(err.splitlines()) == 1 and "size too large" in err
+
+
+# sizes 1-6 and one over each bound: the oracle's, the fiber listing's, the
+# permutation listings' and the counts'; no size reaches a slow listing
+# (`enumerate ctilde 10 --list` takes seconds)
+SIZES = [*range(1, 7), oracles.DEFAULT_BOUND + 1, counting.FIBER_BOUND + 1,
+         counting.SCAN_BOUND + 1, counting.COUNT_BOUND + 1]
+# the identity of this size has one free fixed point more than a fiber may have
+OVER_FIBER_BOUND = " ".join(map(str, range(1, FREE_FIXED_BOUND + 4)))
+
+
+def _one(values):
+    """One positional argument from values."""
+    return st.sampled_from(values).map(lambda value: (value,))
+
+
+def _option(flag, values=None):
+    """Nothing, or the flag (with one of values when it takes a value)."""
+    present = st.just((flag,)) if values is None else st.sampled_from(values).map(
+        lambda value: (flag, value))
+    return st.one_of(st.just(()), present)
+
+
+def _command(name, *parts):
+    """The argv of subcommand name: each part draws a tuple of arguments."""
+    return st.tuples(*parts).map(lambda drawn: [name, *(arg for part in drawn for arg in part)])
+
+
+def _commands(out_dir):
+    perm = st.one_of(
+        st.integers(1, 6).flatmap(lambda n: st.permutations(range(1, n + 1))).map(
+            lambda p: " ".join(map(str, p))),
+        st.sampled_from(["", "1 1", "0 1", "2 x 1", "1,3,2", OVER_FIBER_BOUND])).map(
+        lambda text: (text,))
+    render = (_option("--format", ["ascii", "svg", "json", "png"]),
+              _option("--cell-px", ["0", "1", "24"]),
+              _option("--out", [str(out_dir / "shape.txt"), str(out_dir / "no" / "x.svg"),
+                                str(out_dir), ""]))
+    workers = _option("--workers", ["0", "1", "2"])
+    return st.one_of(
+        _command("classify", perm),
+        _command("build", perm, _option("--all"), *render),
+        _command("enumerate", _one(PERM_CLASSES + GEO_CLASSES),
+                 _one([str(n) for n in SIZES] + ["0", "-1", "x"]), _option("--list"),
+                 _option("--by", ["fixed-points", "components"]),
+                 _option("--method", ["fibers", "intervals"]), workers),
+        _command("verify", _option("--max-size", ["1", "2", "4", "6", str(counting.COUNT_BOUND + 1)]),
+                 _option("--strict-paper"), _option("--json"), workers),
+        _command("decompose", perm, _option("--render"), *render),
+    )
+
+
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("out")
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_command_exits_with_a_documented_code(out_dir, data):
+    """Over the argument grammar, every exit is 0, 2, 3, 4 or 5, and 1 only
+    from `verify`; exits 2-5 write one stderr line and no traceback, and
+    exit 4 prints nothing."""
+    argv = data.draw(_commands(out_dir), label="argv")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    err = stderr.getvalue()
+    assert code in (0, 2, 3, 4, 5) or code == 1 and argv[0] == "verify", (argv, code)
+    if code >= 2:
+        assert len(err.splitlines()) == 1 and err.endswith("\n"), (argv, err)
+        assert "Traceback" not in err
+    if code == 4:
+        assert stdout.getvalue() == "", argv
 
 
 def test_enumerate_size_too_large(capsys):
@@ -801,17 +881,20 @@ def test_build_all_streams_one_shape_at_a_time():
 
 
 def test_oracle_counts_keep_no_shape():
-    """The convex count folds over the oracle's walk: its peak stays far
-    below the 0.4 MiB or more that enumerate_convex(6) holds in 394 shapes."""
-    counting.count_convex(4, method="intervals")  # imports
-    count, peak = traced_peak(counting.count_convex, 6, "intervals")
+    """The geometric convex count folds over the oracle's walk: its peak stays
+    far below the 0.4 MiB or more that the 394 shapes of size 6 hold as a list."""
+    def walk_length(n):
+        return sum(1 for _ in counting.geo_walk("convex", n))
+
+    walk_length(4)  # imports
+    count, peak = traced_peak(walk_length, 6)
     assert count == 394 and peak < 0.1, f"peak {peak:.3f} MiB"
 
 
 def test_geometric_listing_keeps_only_its_rows():
     """The 1,262 column-convex rows of size 6 take about 0.25 MiB; their
-    shapes, with the corners that validation seeds, take about 2 MiB
-    (enumerate_column_convex(6))."""
+    shapes, with the corners that validation seeds, take about 2 MiB as a
+    list."""
     counting.listing("column-convex", 4)  # imports
     rows, peak = traced_peak(counting.listing, "column-convex", 6)
     assert len(rows) == 1262 and peak < 0.5, f"peak {peak:.3f} MiB"

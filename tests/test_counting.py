@@ -1,8 +1,9 @@
 import pytest
 
-from permutomino import counting, formulas, oracles
+from permutomino import counting, formulas
 from permutomino.boundary import Permutomino
 from permutomino.errors import SizeTooLarge
+from references import sorted_walk
 
 
 def test_count_ctilde_table_values():
@@ -21,14 +22,13 @@ def test_count_square_table_values():
 
 
 def test_count_convex_methods_agree():
+    """The fiber count equals the length of the oracle's convex walk."""
     for n in range(1, 7):
-        assert counting.count_convex(n, "fibers") == counting.count_convex(n, "intervals")
-    with pytest.raises(ValueError):
-        counting.count_convex(4, "magic")
+        assert counting.count_convex(n) == sum(1 for _ in counting.geo_walk("convex", n))
 
 
 def test_fibers_method_extends_to_size_nine():
-    assert counting.count_convex(9, "fibers") == formulas.convex_permutomino(9)
+    assert counting.count_convex(9) == formulas.convex_permutomino(9)
 
 
 def test_count_symmetric():
@@ -73,7 +73,7 @@ def test_fiber_listing_matches_oracle():
     for n in range(1, 8):
         shapes = list(counting.convex_via_fibers(n))  # streamed, never sorted
         assert shapes == sorted(shapes, key=Permutomino.sort_key)
-        assert shapes == oracles.enumerate_convex(n, bound=7)
+        assert shapes == sorted_walk(n, bound=7)
 
 
 def test_perm_listing_stable():

@@ -1,0 +1,68 @@
+"""Round trips on square permutations of size 30 to 80, far above the sizes
+that the exhaustive tests reach.
+
+The permutations are drawn by a random walk over `_kernels.moves`, the square
+generator's own moves, so every draw is square.  The walk is biased: few
+unconstrained draws are decomposable, so the bijection's round trip draws
+walks made to pass through a split state.
+"""
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from permutomino import _kernels, perms
+from permutomino.bijection import permutation_to_sequence, sequence_to_permutation
+from permutomino.boundary import from_boundary_word, permutomino_from_matrix, reentrant_matrix
+from permutomino.membership import Fiber
+from permutomino.render import from_json, to_json
+
+SIZES = st.integers(30, 80)
+LARGE = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def square_permutations(draw, split=False):
+    """A square permutation drawn move by move from the generator's states.
+
+    With split=True the walk first fills a prefix with the top r values, for a
+    drawn 1 <= r < n, so it passes through the split state (n - r, 0, 0, 0)
+    (see _kernels.count_stats).  Until then it takes no value <= n - r, which
+    always leaves a move: the largest unused value, in the top block.
+    """
+    n = draw(SIZES)
+    r = draw(st.integers(1, n - 1)) if split else n
+    low = n - r
+    first = draw(st.integers(low + 1, n))
+    unused = [v for v in range(1, n + 1) if v != first]
+    p, state = [first], (first - 1, n - first, 0, 0)
+    while unused:
+        kids = [(offset, child) for offset, child in _kernels.moves(*state)
+                if len(p) >= r or offset >= low]
+        offset, state = kids[draw(st.integers(0, len(kids) - 1))]
+        p.append(unused.pop(offset))
+    return tuple(p)
+
+
+@LARGE
+@given(square_permutations(), st.data())
+def test_fiber_shapes_round_trip_at_large_sizes(p, data):
+    assert perms.is_square(p)
+    assume(perms.is_indecomposable(p))
+    over = Fiber(p)
+    gamma = data.draw(st.lists(st.sampled_from(over.free), unique=True) if over.free
+                      else st.just([]))
+    shape = over.shape(sorted(gamma))
+    n = len(p)
+    assert shape.size == n and shape.pi1 == p
+    assert from_boundary_word(shape.word) == shape
+    assert permutomino_from_matrix(reentrant_matrix(shape), n) == shape
+    assert from_json(to_json(shape)) == shape
+    assert shape.flags["directed"] == (p[0] == 1)
+
+
+@LARGE
+@given(square_permutations(split=True))
+def test_bijection_round_trips_at_large_sizes(p):
+    assert perms.is_square(p) and not perms.is_indecomposable(p)
+    seq = permutation_to_sequence(p)
+    assert len(seq) == len(perms.decompose(p)) >= 2
+    assert sequence_to_permutation(seq) == p

@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from conftest import all_perms
-from permutomino import membership, oracles, perms
+from permutomino import membership, perms
 from permutomino.boundary import (
     ALPHA,
     DELTA,
@@ -26,6 +26,7 @@ from permutomino.membership import (
     is_associated,
     is_associated_pi2,
 )
+from references import sorted_walk
 
 CTILDE_4 = {
     (1, 2, 3, 4), (1, 2, 4, 3), (1, 3, 2, 4), (1, 3, 4, 2), (1, 4, 2, 3),
@@ -287,7 +288,7 @@ def test_rising_end_members_are_half_the_squares(n):
 def test_every_permutation_has_a_column_convex_permutomino():
     for n in range(2, 6):
         covered = set()
-        for p in oracles.enumerate_column_convex(n):
+        for p in sorted_walk(n, convex=False):
             covered.add(p.pi1)
             covered.add(p.pi2)
         assert covered == set(all_perms(n))

@@ -5,16 +5,16 @@ import pytest
 from permutomino import counting, oracles
 from permutomino.boundary import EMPTY, from_boundary_word
 from permutomino.errors import NotClosed, NotPermutomino, SizeTooLarge
-from references import generated_interval_stacks, rotated_stack_word, word_from_cells
+from references import generated_interval_stacks, rotated_stack_word, sorted_walk, word_from_cells
 
 
 def test_convex_counts_match_published_terms():
-    assert [len(oracles.enumerate_convex(n)) for n in range(1, 7)] == [1, 1, 4, 18, 84, 394]
+    assert [len(sorted_walk(n)) for n in range(1, 7)] == [1, 1, 4, 18, 84, 394]
 
 
 def test_empty_size_one():
-    assert oracles.enumerate_convex(1) == [EMPTY]
-    assert oracles.enumerate_column_convex(1) == [EMPTY]
+    assert sorted_walk(1) == [EMPTY]
+    assert sorted_walk(1, convex=False) == [EMPTY]
 
 
 def test_class_counts_match_table():
@@ -25,19 +25,19 @@ def test_class_counts_match_table():
 
 def test_column_convex_contains_convex():
     for n in range(2, 6):
-        cc = set(oracles.enumerate_column_convex(n))
-        assert set(oracles.enumerate_convex(n)) <= cc
+        cc = set(sorted_walk(n, convex=False))
+        assert set(sorted_walk(n)) <= cc
         assert all(p.flags["column_convex"] for p in cc)
 
 
 def test_column_convex_worked_example():
-    shapes = [p for p in oracles.enumerate_column_convex(6) if p.pi1 == (1, 6, 2, 5, 3, 4)]
+    shapes = [p for p in sorted_walk(6, convex=False) if p.pi1 == (1, 6, 2, 5, 3, 4)]
     assert len(shapes) == 4
     assert sum(1 for p in shapes if p.is_convex) == 1
 
 
 def test_listings_are_sorted_and_validated():
-    listing = oracles.enumerate_convex(5)
+    listing = sorted_walk(5)
     assert listing == sorted(listing, key=lambda p: p.sort_key())
     for p in listing:
         assert p.size == 5
@@ -46,10 +46,10 @@ def test_listings_are_sorted_and_validated():
 
 def test_size_bound():
     with pytest.raises(SizeTooLarge):
-        oracles.enumerate_convex(7)
+        oracles.walk(7)
     with pytest.raises(SizeTooLarge):
-        oracles.enumerate_column_convex(9)
-    assert len(oracles.enumerate_convex(7, bound=7)) == 1836
+        oracles.walk(9, convex=False)
+    assert len(sorted_walk(7, bound=7)) == 1836
 
 
 def test_walk_checks_its_bounds_at_the_call():
@@ -73,8 +73,7 @@ def test_walk_validates_every_stack_in_stack_order(convex, monkeypatch):
     shapes = list(oracles.walk(5, convex))
     assert words == [oracles._stack_word(*stack) for stack in oracles._interval_stacks(5, convex)]
     assert [p.word for p in shapes] == words
-    assert sorted(shapes, key=lambda p: p.sort_key()) == (
-        oracles.enumerate_convex(5) if convex else oracles.enumerate_column_convex(5))
+    assert sorted(shapes, key=lambda p: p.sort_key()) == sorted_walk(5, convex)
 
 
 def test_walk_raises_on_a_rejected_stack(monkeypatch):
@@ -100,8 +99,8 @@ def test_prune_drops_no_permutomino(n):
             accepted.add(from_boundary_word(word_from_cells(stack_cells(stack))))
         except (NotPermutomino, ValueError):
             continue
-    assert accepted == set(oracles.enumerate_column_convex(n))
-    assert {p for p in accepted if p.is_convex} == set(oracles.enumerate_convex(n))
+    assert accepted == set(sorted_walk(n, convex=False))
+    assert {p for p in accepted if p.is_convex} == set(sorted_walk(n))
 
 
 def listed_stacks(n, convex):
@@ -130,9 +129,9 @@ def test_stacks_and_words_match_the_reference_generator(convex, count):
             assert len(stacks) == (394 if convex else 1262)
         assert sorted(listed_stacks(n, convex)) == expected
     assert len(stacks) == count
-    listing = (oracles.enumerate_convex if convex else oracles.enumerate_column_convex)(7, bound=7)
+    listing = sorted_walk(7, convex, bound=7)
     assert sorted(p.word for p in listing) == sorted(word for _, word in expected)
 
 
 def test_column_convex_counts():
-    assert [len(oracles.enumerate_column_convex(n)) for n in range(1, 7)] == [1, 1, 4, 22, 152, 1262]
+    assert [len(sorted_walk(n, convex=False)) for n in range(1, 7)] == [1, 1, 4, 22, 152, 1262]

@@ -4,7 +4,6 @@ import re
 
 import pytest
 
-from permutomino import oracles
 from permutomino.boundary import EMPTY, Permutomino, from_boundary_word
 from permutomino.membership import canonical_permutomino, fiber, free_fixed_points
 from permutomino.render import (
@@ -15,7 +14,7 @@ from permutomino.render import (
     to_json,
     to_jsonable,
 )
-from references import cells_from_ascii, cells_from_svg
+from references import cells_from_ascii, cells_from_svg, sorted_walk
 
 
 def test_json_round_trip_samples(convex_by_size):
@@ -64,7 +63,7 @@ def test_json_document_matches_json_dumps(convex_by_size):
     assert len(free_fixed_points(perm)) >= 4
     cases = [[], [EMPTY], [canonical_permutomino((3, 1, 6, 8, 2, 4, 7, 5))]]
     cases += [convex_by_size(n) for n in range(1, 8)]
-    cases += [oracles.enumerate_column_convex(n) for n in range(1, 7)]  # false flags too
+    cases += [sorted_walk(n, convex=False) for n in range(1, 7)]  # false flags too
     cases.append(sorted(fiber(perm), key=Permutomino.sort_key))
     for shapes in cases:
         assert "".join(json_chunks(shapes)) == reference(shapes)
@@ -79,7 +78,7 @@ def test_readme_json_example_matches_the_schema():
 
 
 def test_ascii_round_trip():
-    for p in list(fiber((2, 1, 3, 4, 5))) + oracles.enumerate_convex(4):
+    for p in list(fiber((2, 1, 3, 4, 5))) + sorted_walk(4):
         assert cells_from_ascii(ascii_art(p)) == p.cells
     assert cells_from_ascii(ascii_art(EMPTY)) == frozenset()
     with pytest.raises(ValueError):
