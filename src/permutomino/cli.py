@@ -2,31 +2,27 @@
 
 Subcommands: classify, build, enumerate, verify, decompose.  Permutations are
 given as one argument of whitespace- or comma-separated 1-based integers (no
-brackets).  Exit codes: 0 ok; 1 only for a failed `verify` identity; 2 usage
-error (a malformed permutation, a size below 1, a `--max-size` below 2, a
-`--cell-px` below 1, a `--workers` below 1, an `--out` path that cannot be
-written, an `enumerate --by` or `--method` the class does not support (see
-BY_CLASSES), or any other bad argument) and output that cannot be written,
-including a standard output closed by its reader; 3 not realizable; 4 size
-too large, reported before anything is printed (a fiber with more than
-`membership.FREE_FIXED_BOUND` free fixed points among them, and a `verify
---max-size` above `counting.COUNT_BOUND`, rejected before any count); 5
-outside the bijection's domain.  An empty `--out` path, or one whose directory
-does not exist, is rejected before anything is printed or written.
+brackets).  Exit codes: 0 ok; 1 only for a failed `verify` identity; 2 a usage
+error (a malformed argument or option, an `--out` path that cannot be
+written, an `enumerate --by` or `--method` the class does not support, see
+BY_CLASSES); otherwise the code of the FAILURES row of the error.  Output
+that cannot be written for any reason (a reader that closed the pipe, a full
+device, a stream closed before start) exits 2 with one line; with standard
+error closed the line is lost and the code kept.  Sizes above a bound are
+reported before anything is printed, and an empty `--out` path, or one whose
+directory does not exist, before anything is written.
 Counts are computed without a scan, up to size `counting.COUNT_BOUND`;
 permutation listings stop at `counting.SCAN_BOUND`.  `build --all` and the
 convex and permutation listings write each row as soon as it is built (fibers
 come in output order), so their memory does not grow with the fiber or the
-listing; the other geometric listings keep only the rows they print.  A
-`decompose --render` with no part to draw prints nothing in ASCII or SVG, and
-with `--out` writes no file and says so on stderr.  `--workers` is ignored; it
-is still accepted only so that existing command lines keep working.
-At import this module loads only argparse, os, sys and `errors`; each
-subcommand imports what it runs at the top of its own body (`render` by
+listing; the other geometric listings keep only the rows they print.
+`--workers` is ignored (IGNORED).
+At import this module loads only argparse, errno, io, os, sys and `errors`;
+each subcommand imports what it runs at the top of its own body (`render` by
 `build` and `decompose --render`, `json` only by `verify --json`), so a job
 loads those modules and what they import at module level: a count loads
-`counting` and `_kernels` but no shape module, while `classify` also loads
-`boundary`, which `membership` imports, though it builds no shape.
+`counting` and `_kernels` but no shape module, and `classify` loads
+`boundary`, which `membership` imports.
 `main(argv)` runs one command in process and returns its exit code; `run()`,
 the process entry point of the `permutomino` script and `python -m
 permutomino.cli`, calls it, flushes both streams and ends the process with
@@ -35,24 +31,28 @@ permutomino.cli`, calls it, flushes both streams and ends the process with
 from __future__ import annotations
 
 import argparse
+import errno
+import io
 import os
 import sys
 
-from .errors import (
-    Indecomposable,
-    InvalidSequence,
-    NotAssociated,
-    NotSquare,
-    OutputError,
-    ParseError,
-    SizeTooLarge,
-)
+from .errors import (Indecomposable, InvalidSequence, NotAssociated, NotSquare, OutputError,
+                     ParseError, PermutominoError, SizeTooLarge)
 
 PERM_CLASSES = ("ctilde", "square", "decomposable")
 GEO_CLASSES = ("convex", "directed", "parallelogram", "symmetric", "column-convex")
 # the classes each `enumerate --by` applies to; `--method` applies to convex only
 BY_CLASSES = {"fixed-points": ("convex", "ctilde"), "components": ("square", "decomposable")}
 IGNORED = "ignored; accepted only so that existing command lines keep working"
+# (exception types, message prefix, exit code) of each error main reports in
+# one stderr line; an OSError out of a command is unwritable standard output
+FAILURES = (
+    (ParseError, "parse error", 2),
+    (OutputError, "cannot write output", 2),
+    (NotAssociated, "not realizable", 3),
+    (SizeTooLarge, "size too large", 4),
+    ((NotSquare, Indecomposable, InvalidSequence), "outside the bijection domain", 5),
+)
 
 
 def int_at_least(low: int):
@@ -295,7 +295,20 @@ def _unsupported_option(args) -> str | None:
     return None
 
 
+class _Closed(io.TextIOBase):
+    """A stream whose every write fails; flush does nothing."""
+
+    def write(self, text):
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+
 def main(argv: list[str] | None = None) -> int:
+    # a stream closed before start is None: standard output then fails at
+    # its first write, and what goes to standard error is lost
+    if sys.stdout is None:
+        sys.stdout = _Closed()
+    if sys.stderr is None:
+        sys.stderr = open(os.devnull, "w")
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "enumerate" and (problem := _unsupported_option(args)):
@@ -304,31 +317,20 @@ def main(argv: list[str] | None = None) -> int:
         code = args.fn(args)
         sys.stdout.flush()  # a closed standard output fails here, not at exit
         return code
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except OutputError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return 2
-    except BrokenPipeError as exc:
-        # the reader closed standard output: send what is still buffered to
-        # devnull, so that the interpreter's final flush cannot raise again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        try:  # best effort: stderr may be the same closed pipe
-            print(f"cannot write output: standard output: {exc.strerror}", file=sys.stderr)
-        except OSError:
-            os.dup2(devnull, sys.stderr.fileno())
-        return 2
-    except NotAssociated as exc:
-        print(f"not realizable: {exc}", file=sys.stderr)
-        return 3
-    except SizeTooLarge as exc:
-        print(f"size too large: {exc}", file=sys.stderr)
-        return 4
-    except (NotSquare, Indecomposable, InvalidSequence) as exc:
-        print(f"outside the bijection domain: {exc}", file=sys.stderr)
-        return 5
+    except OSError as exc:
+        # drop what standard output still buffers, so no later flush raises again
+        sys.stdout = _Closed()
+        failure = OutputError(f"standard output: {exc.strerror}")
+    except PermutominoError as exc:
+        failure = exc
+    for types, prefix, code in FAILURES:
+        if isinstance(failure, types):
+            try:  # best effort: stderr may be closed, or the same closed pipe
+                print(f"{prefix}: {failure}", file=sys.stderr)
+            except OSError:
+                sys.stderr = _Closed()
+            return code
+    raise failure
 
 
 def run() -> None:
@@ -336,9 +338,8 @@ def run() -> None:
     process with main's exit code, skipping interpreter teardown.
 
     main has returned by then, so every `--out` file is closed and no module
-    registers an exit handler; a flush that fails exits 2, as a standard
-    output closed by its reader does.  An exception out of main, argparse's
-    SystemExit included, ends the process the normal way.
+    registers an exit handler; a flush that fails exits 2.  An exception out
+    of main, argparse's SystemExit included, ends the process the normal way.
     """
     code = main()
     try:

@@ -2,7 +2,7 @@
 
 A permutation of size n is a plain tuple whose entries are exactly 1..n;
 ``p[i-1]`` is the value at position i.  Everything here is pure and works on
-immutable values, so results can be shared freely.
+immutable values.
 
 The central object is the envelope decomposition: the *upper envelope* of p is
 its maximal upper-unimodal sublist (the left-right maxima followed by the
@@ -18,8 +18,6 @@ from __future__ import annotations
 from itertools import combinations
 from operator import index
 from typing import Iterable, Iterator, NamedTuple, Sequence
-
-from ._kernels import moves
 
 
 def as_perm(values: Iterable[int]) -> tuple[int, ...]:
@@ -240,6 +238,8 @@ def square_permutations(n: int) -> Iterator[tuple[int, ...]]:
     largest unused value always qualifies, so every prefix extends and the
     depth-first search visits only square permutations and their prefixes.
     """
+    from ._kernels import moves
+
     if n < 1:
         raise ValueError("size must be at least 1")
     values = tuple(range(1, n + 1))

@@ -255,4 +255,4 @@ def write(shapes: Iterable[Permutomino], fmt: str, cell_px: int, out: str | None
             with open(path, "w", encoding="utf-8") as fh:
                 fh.writelines(pieces)
     except OSError as exc:
-        raise OutputError(f"{exc.filename}: {exc.strerror}") from None
+        raise OutputError(f"{path}: {exc.strerror}") from None

@@ -14,7 +14,7 @@ from math import comb
 from typing import NamedTuple
 
 from . import counting, formulas, oracles
-from .errors import SizeTooLarge
+from .errors import check_size
 
 
 class Entry(NamedTuple):
@@ -117,8 +117,7 @@ def verify_identities(max_size: int, strict_paper: bool = False) -> Verification
     """
     if max_size < 2:
         raise ValueError("max_size must be at least 2")
-    if max_size > counting.COUNT_BOUND:
-        raise SizeTooLarge(f"counts are bounded at size {counting.COUNT_BOUND}, got {max_size}")
+    check_size(max_size, counting.COUNT_BOUND, "counts are")
     every, from2 = range(1, max_size + 1), range(2, max_size + 1)
     geo = range(1, min(max_size, oracles.DEFAULT_BOUND) + 1)
 

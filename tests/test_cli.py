@@ -1,11 +1,13 @@
 import ast
 import contextlib
+import errno
 import hashlib
 import io
 import json
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -463,6 +465,87 @@ def test_closed_stdout_and_stderr_on_one_pipe_exit_2():
     assert code == 2
 
 
+# a multi-shape SVG or ASCII --out writes numbered files beside its path
+# (/dev/full-1.out), so only single-document outputs are pointed at /dev/full
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv, redirect, code, err", [
+    (("classify", "1"), ">/dev/full", 2,
+     "cannot write output: standard output: No space left on device\n"),
+    (("classify", "1"), ">&-", 2, "cannot write output: standard output: Bad file descriptor\n"),
+    (("build", "2,1"), "2>&-", 3, ""),
+    (("enumerate", "square", "31"), "2>&-", 4, ""),
+    (("classify", "1"), "2>&-", 0, ""),
+    (("build", "2 1 3", "--all", "--format", "json", "--out", "/dev/full"), "", 2,
+     "cannot write output: /dev/full: No space left on device\n"),
+], ids=["full-stdout", "closed-stdout", "closed-stderr-3", "closed-stderr-4", "closed-stderr-0",
+        "full-out"])
+def test_unwritable_streams_exit_with_their_code_in_one_line(capsys, argv, redirect, code, err):
+    """A full device or a stream closed before start: the documented code, at
+    most one stderr line and no traceback; with stderr closed, no line at all."""
+    command = shlex.join([sys.executable, "-m", "permutomino.cli", *argv])
+    env = subprocess_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run(["/bin/sh", "-c", f"exec {command} {redirect}"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (code, err)
+    expected = run(capsys, *argv)
+    if code != 2:  # stdout is still open: it gets what main prints in process
+        assert (proc.returncode, proc.stdout) == expected[:2]
+
+
+class FailingStdout(io.StringIO):
+    """A standard output with no descriptor whose every write fails with errno."""
+
+    def __init__(self, error):
+        super().__init__()
+        self.error = error
+
+    def write(self, text):
+        raise OSError(self.error, os.strerror(self.error))
+
+    def fileno(self):
+        raise AssertionError("fileno() called on a stream that has none")
+
+
+@pytest.mark.parametrize("error", [errno.ENOSPC, errno.EIO])
+@pytest.mark.parametrize("argv", [
+    ("classify", "2 1 3 4 7 6 5"),
+    ("classify", "1 1"),  # a parse error comes before the first write
+    ("build", "2 1 3", "--all", "--format", "json"),
+    ("build", "2 1"),
+    ("enumerate", "convex", "5", "--list"),
+    ("enumerate", "square", "31"),
+    ("verify", "--max-size", "3"),
+    ("verify", "--max-size", "31"),
+    ("decompose", "3 4 1 2", "--render"),
+    ("decompose", "1 2 3"),
+])
+def test_a_failing_stdout_exits_2_unless_the_command_failed_first(capsys, argv, error):
+    expected = run(capsys, *argv)
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(FailingStdout(error)), contextlib.redirect_stderr(stderr):
+        code = main(list(argv))
+    if expected[0] == 0:  # it writes before it fails
+        assert (code, stderr.getvalue()) == (
+            2, f"cannot write output: standard output: {os.strerror(error)}\n")
+    else:
+        assert (code, stderr.getvalue()) == (expected[0], expected[2])
+
+
+def test_an_error_outside_the_failure_table_propagates(capsys, monkeypatch):
+    from permutomino import membership
+    from permutomino.errors import NotClosed
+
+    for error in (AssertionError("internal"), NotClosed("internal")):
+        def fail(p, error=error):
+            raise error
+
+        monkeypatch.setattr(membership, "canonical_permutomino", fail)
+        with pytest.raises(type(error)):
+            main(["build", "2 1 3"])
+    assert capsys.readouterr().err == ""
+
+
 PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
@@ -588,18 +671,19 @@ def test_each_job_imports_only_what_it_runs():
     assert loaded.isdisjoint({"dataclasses", "fractions", "decimal", "numbers"})
     relative, absolute = imports_of(formulas)
     assert not relative and absolute == {"__future__", "math"}
-    # the shape jobs load exactly these package modules (perms reads the
-    # generator's moves from _kernels), build their values without
-    # dataclasses and write JSON without json
+    # the shape jobs load exactly these package modules (perms imports
+    # _kernels only when the square generator runs, and counting at import),
+    # build their values without dataclasses and write JSON without json
     shape = {"permutomino", "permutomino.cli", "permutomino.errors", "permutomino.boundary",
-             "permutomino.perms", "permutomino._kernels", "permutomino.membership"}
+             "permutomino.perms", "permutomino.membership"}
     for argv, modules in (
         (["build", "1 2 3 4 5", "--all", "--format", "json"], shape | {"permutomino.render"}),
         (["build", "3 1 6 8 2 4 7 5", "--format", "svg"], shape | {"permutomino.render"}),
         (["classify", "2 1 3 4 7 6 5"], shape),
         (["decompose", "16 15 18 19 17 14 12 13 9 7 11 10 8 3 1 6 5 2 4", "--render"],
          shape | {"permutomino.bijection", "permutomino.render"}),
-        (["enumerate", "convex", "7", "--list"], shape | {"permutomino.counting"}),
+        (["enumerate", "convex", "7", "--list"],
+         shape | {"permutomino.counting", "permutomino._kernels"}),
         (["enumerate", "symmetric", "4", "--list"],
          {"permutomino", "permutomino.cli", "permutomino.errors", "permutomino.boundary",
           "permutomino._kernels", "permutomino.counting", "permutomino.oracles"}),
