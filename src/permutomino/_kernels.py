@@ -3,8 +3,9 @@
 moves is the one definition of which values extend a prefix of a square
 permutation, on the states of the depth-first search: perms.square_permutations
 maps each move to its value and count_stats counts over the same children.
-count_stats, which every count reads, returns the statistics the identities
-need for size n without visiting a permutation.  No state's count depends on
+count_stats returns the one record of size n that every permutation count
+and identity reads (square, decomposable, realizable and convex counts and
+their strata), without visiting a permutation.  No state's count depends on
 n, so one memoised table serves every size up to COUNT_BOUND and stays filled
 between calls.  It evaluates the generator's own rules by counting, so it is
 not a further characterization of square permutations; the independent checks
@@ -73,15 +74,17 @@ def _walk(a: int, b: int, g1: int, g2: int) -> tuple[int, int, int, int]:
 
 
 def count_stats(n: int) -> dict:
-    """The statistics of the square permutations of size n:
+    """The count record of the square permutations of size n; its dicts hold
+    their nonzero entries in increasing key order:
 
-    - square: number of square permutations
-    - components: {k: number of square permutations with k indecomposable parts}
-    - ctilde_by_fixed: list where entry f counts square indecomposable
-      permutations with f free fixed points
-    - both_ways: square indecomposable permutations whose reversal is also
-      indecomposable (realizable from both vertex classes)
-    - assoc_first_lt_last: square indecomposable permutations with p(1) < p(n)
+    - square, decomposable: square permutations, and those of >= 2 components
+    - components: {k: square permutations with k indecomposable parts}
+    - ctilde: the indecomposable ones, which are the realizable permutations
+    - by_free_fixed_points: {k: realizable permutations with k free fixed points}
+    - convex: convex permutominoes, the fiber sum of 2^k over by_free_fixed_points
+    - both_ways: realizable permutations whose reversal is also indecomposable
+      (realizable from both vertex classes)
+    - assoc_first_lt_last: realizable permutations with p(1) < p(n)
 
     After the first value f, the moves (see `moves`) depend only on four
     numbers: a and b, the unused values below the prefix's minimum and
@@ -109,11 +112,14 @@ def count_stats(n: int) -> dict:
     )
     mask = (1 << _WIDTH) - 1
     by_splits = [(splits >> (k * _WIDTH)) & mask for k in range(n)]
+    by_free = {k: v for k in range(n) if (v := (fixed >> (k * _WIDTH)) & mask)}
     return {
         "square": sum(by_splits),
+        "decomposable": sum(by_splits[1:]),
         "components": {k + 1: v for k, v in enumerate(by_splits) if v},
-        "ctilde_by_fixed": [(fixed >> (k * _WIDTH)) & mask for k in range(max(n - 1, 1))],
+        "ctilde": by_splits[0],
+        "by_free_fixed_points": by_free,
+        "convex": sum(v << k for k, v in by_free.items()),
         "both_ways": both_ways,
         "assoc_first_lt_last": rising,
     }
-

@@ -8,14 +8,14 @@ written, an `enumerate --by` or `--method` the class does not support, see
 BY_CLASSES); otherwise the code of the FAILURES row of the error.  Output
 that cannot be written for any reason (a reader that closed the pipe, a full
 device, a stream closed before start) exits 2 with one line; with standard
-error closed the line is lost and the code kept.  Sizes above a bound are
-reported before anything is printed, and an empty `--out` path, or one whose
-directory does not exist, before anything is written.
-Counts are computed without a scan, up to size `counting.COUNT_BOUND`;
-permutation listings stop at `counting.SCAN_BOUND`.  `build --all` and the
-convex and permutation listings write each row as soon as it is built (fibers
-come in output order), so their memory does not grow with the fiber or the
-listing; the other geometric listings keep only the rows they print.
+error closed that line, or any note, is lost and the code kept.  Sizes above
+a bound are reported before anything is printed, and an empty `--out` path,
+or one whose directory does not exist, before anything is written.
+Counts are read from one record per size, computed without a scan, up to size
+`counting.COUNT_BOUND`; permutation listings stop at `counting.SCAN_BOUND`.
+`build --all` and the convex and permutation listings write each row as soon
+as it is built (fibers come in output order), so their memory does not grow
+with the fiber or the listing; other geometric listings keep only their rows.
 `--workers` is ignored (IGNORED).
 At import this module loads only argparse, errno, io, os, sys and `errors`;
 each subcommand imports what it runs at the top of its own body (`render` by
@@ -147,39 +147,31 @@ def cmd_enumerate(args) -> int:
     from . import counting
 
     n, name = args.size, args.klass
-    # a listing's size bound is checked before the count is printed
-    if name in GEO_CLASSES:
-        if name != "convex":
-            rows = counting.listing(name, n) if args.list else ()
-            print(len(rows) if args.list else sum(1 for _ in counting.geo_walk(name, n)))
-        else:
-            shapes = counting.convex_via_fibers(n) if args.list else ()
-            by_k = counting.count_ctilde(n)["by_free_fixed_points"] if args.by else {}
-            if args.method == "intervals":
-                print(sum(1 for _ in counting.geo_walk(name, n)))
-            else:  # with --by, the same counts as the rows below
-                print(counting.fiber_sum(by_k) if args.by else counting.count_convex(n))
-            for k, v in sorted(by_k.items()):
-                print(f"free-fixed-points {k}: {v} permutations, {v * 2**k} permutominoes")
-            rows = ((p.pi1, p.word) for p in shapes)
-        for pi1, word in rows:
-            print(f"{word or '(empty)'}  pi1={' '.join(map(str, pi1))}")
-        return 0
-    listed = counting.perm_listing(name, n) if args.list else ()
-    if name == "ctilde":
-        info = counting.count_ctilde(n)
-        print(info["total"])
-        if args.by == "fixed-points":
-            for k, v in sorted(info["by_free_fixed_points"].items()):
-                print(f"free-fixed-points {k}: {v}")
-    else:  # square or decomposable, a key of count_square's dict
-        info = counting.count_square(n)
-        print(info[name])
-        if args.by == "components":
-            if name == "square":
-                print("components 1:", info["square"] - info["decomposable"])
-            for k, v in sorted(info["by_components"].items()):
+    # bounds come before any output: a listing's, then the count record's, then a walk's
+    listed = rows = ()
+    if args.list and name in PERM_CLASSES:
+        listed = counting.perm_listing(name, n)
+    elif args.list:  # (pi1, word) rows; the fibers stream theirs
+        rows = (((p.pi1, p.word) for p in counting.convex_via_fibers(n)) if name == "convex"
+                else counting.listing(name, n))
+    walked = name in GEO_CLASSES and (name != "convex" or args.method == "intervals")
+    stats = counting.scan_stats(n) if args.by or not walked else {}
+    if not walked:
+        print(stats[name])
+    elif args.list and name != "convex":  # the listing holds its rows
+        print(len(rows))
+    else:
+        print(sum(1 for _ in counting.geo_walk(name, n)))
+    if args.by == "fixed-points":
+        for k, v in stats["by_free_fixed_points"].items():
+            print(f"free-fixed-points {k}: {v}"
+                  + (f" permutations, {v << k} permutominoes" if name == "convex" else ""))
+    elif args.by == "components":
+        for k, v in stats["components"].items():
+            if k > 1 or name == "square":
                 print(f"components {k}: {v}")
+    for pi1, word in rows:
+        print(f"{word or '(empty)'}  pi1={' '.join(map(str, pi1))}")
     for p in listed:
         print(" ".join(map(str, p)))
     return 0
@@ -220,7 +212,9 @@ def cmd_decompose(args) -> int:
     if args.render:
         from .render import write
 
-        write([part for part in seq if part.size > 1], args.format, args.cell_px, args.out)
+        parts = [part for part in seq if part.size > 1]
+        if not write(parts, args.format, args.cell_px, args.out) and args.out:
+            _note(f"no shape to render: {args.out} not written")
     return 0
 
 
@@ -302,13 +296,18 @@ class _Closed(io.TextIOBase):
         raise OSError(errno.EBADF, os.strerror(errno.EBADF))
 
 
+def _note(line: str) -> None:
+    """Print line to standard error, best effort: it may be closed or full."""
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        sys.stderr = _Closed()
+
+
 def main(argv: list[str] | None = None) -> int:
     # a stream closed before start is None: standard output then fails at
-    # its first write, and what goes to standard error is lost
-    if sys.stdout is None:
-        sys.stdout = _Closed()
-    if sys.stderr is None:
-        sys.stderr = open(os.devnull, "w")
+    # its first write, and what _note writes to standard error is lost
+    sys.stdout, sys.stderr = (_Closed() if s is None else s for s in (sys.stdout, sys.stderr))
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "enumerate" and (problem := _unsupported_option(args)):
@@ -325,10 +324,7 @@ def main(argv: list[str] | None = None) -> int:
         failure = exc
     for types, prefix, code in FAILURES:
         if isinstance(failure, types):
-            try:  # best effort: stderr may be closed, or the same closed pipe
-                print(f"{prefix}: {failure}", file=sys.stderr)
-            except OSError:
-                sys.stderr = _Closed()
+            _note(f"{prefix}: {failure}")
             return code
     raise failure
 

@@ -1,8 +1,10 @@
 """Permutation counts and permutomino listings, built on the kernels.
 
-Every permutation count reads _kernels.count_stats, which counts over the
-square generator's states in one table shared by every size, so counts go up
-to COUNT_BOUND without visiting a permutation.  The square agreement check
+Every permutation count is a field of scan_stats(n), the record of
+_kernels.count_stats, which counts over the square generator's states in one
+table shared by every size, so counts go up to COUNT_BOUND without visiting a
+permutation; its convex field is the fiber sum, and the independent geometric
+count is the length of geo_walk("convex", n).  The square agreement check
 walks all of S_n in this process.
 Permutation listings stream the square generator, filtered, since every
 listed permutation class is a subset of the square permutations.  Geometric
@@ -33,11 +35,9 @@ CLASS_FLAGS = {
 
 
 def scan_stats(n: int, workers: int = 1) -> dict:
-    """The statistics of the square permutations of size n (see
-    _kernels.count_stats for the fields and the bounds).
-
-    workers is accepted for callers that pass it and changes nothing.
-    """
+    """The count record of size n, _kernels.count_stats (which names its
+    fields and bounds); workers is accepted for callers that pass it and
+    changes nothing."""
     return _kernels.count_stats(n)
 
 
@@ -60,40 +60,6 @@ def square_agreement(n: int) -> dict:
         by_patterns += b
         disagree += a != b
     return {"by_envelope": by_envelope, "by_patterns": by_patterns, "disagreements": disagree}
-
-
-def count_ctilde(n: int, stats: dict | None = None) -> dict:
-    """{'total': |realizable pi1 set|, 'by_free_fixed_points': {k: count}}.
-
-    stats, in this function and the two below, is scan_stats(n) when the
-    caller already holds it.
-    """
-    by_k = {k: v for k, v in enumerate((stats or scan_stats(n))["ctilde_by_fixed"]) if v}
-    return {"total": sum(by_k.values()), "by_free_fixed_points": by_k}
-
-
-def count_square(n: int, stats: dict | None = None) -> dict:
-    """{'square': Q, 'decomposable': B, 'by_components': {k>=2: count}}."""
-    stats = stats or scan_stats(n)
-    by_k = {k: v for k, v in sorted(stats["components"].items()) if k >= 2}
-    return {
-        "square": stats["square"],
-        "decomposable": sum(by_k.values()),
-        "by_components": by_k,
-    }
-
-
-def count_convex(n: int, stats: dict | None = None) -> int:
-    """Number of convex permutominoes of size n: 2^k summed over the
-    realizable permutations with k free fixed points.  The independent
-    geometric count is the length of geo_walk("convex", n)."""
-    return fiber_sum(count_ctilde(n, stats)["by_free_fixed_points"])
-
-
-def fiber_sum(by_free_fixed_points: dict[int, int]) -> int:
-    """Convex permutomino count from {k: realizable permutations with k free
-    fixed points}; each such permutation has a fiber of 2^k permutominoes."""
-    return sum(v << k for k, v in by_free_fixed_points.items())
 
 
 def convex_via_fibers(n: int) -> Iterator:

@@ -215,14 +215,15 @@ def svg_document(p: Permutomino, cell_px: int = 24) -> str:
     return "\n".join(parts)
 
 
-def write(shapes: Iterable[Permutomino], fmt: str, cell_px: int, out: str | None) -> None:
+def write(shapes: Iterable[Permutomino], fmt: str, cell_px: int, out: str | None) -> bool:
     """Render shapes as fmt ('ascii', 'svg' with cells cell_px wide, or 'json')
     to out, each shape as soon as it is drawn from shapes.
 
     JSON is one document; ASCII and SVG are one document per shape, printed
     separated by blank lines or, with out, written to out itself when there is
     one and to numbered files (shape.svg -> shape-1.svg, ...) when there are
-    several.  With no document nothing is printed and no file is written.
+    several.  Returns whether there was a document: with none, nothing is
+    printed and no file is written.
     """
     if fmt == "json":
         documents = iter([json_chunks(shapes)])
@@ -232,16 +233,14 @@ def write(shapes: Iterable[Permutomino], fmt: str, cell_px: int, out: str | None
         documents = ([ascii_art(p)] for p in shapes)
     first = next(documents, None)
     if first is None:
-        if out is not None:
-            print(f"no shape to render: {out} not written", file=sys.stderr)
-        return
+        return False
     if out is None:
         sys.stdout.writelines(first)
         for pieces in documents:
             sys.stdout.write("\n\n")
             sys.stdout.writelines(pieces)
         sys.stdout.write("\n")
-        return
+        return True
     second = next(documents, None)  # one ahead: is out the file itself?
     if second is None:
         paths, documents = [out], [first]
@@ -256,3 +255,4 @@ def write(shapes: Iterable[Permutomino], fmt: str, cell_px: int, out: str | None
                 fh.writelines(pieces)
     except OSError as exc:
         raise OutputError(f"{path}: {exc.strerror}") from None
+    return True

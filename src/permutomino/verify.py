@@ -1,7 +1,8 @@
 """Cross-checks every counting identity against independent enumeration.
 
-The identities are a table of rows: a name, a range of sizes and check(n),
-which returns (lhs, rhs), or (lhs, rhs, shown) when the detail names the terms.
+The identities are a table of rows: a name, a range of sizes and check(n, s),
+s the count record of size n, which returns (lhs, rhs), or (lhs, rhs, shown)
+when the detail names the terms.
 One runner, _run, makes each row a report entry: 'pass', or 'fail' with both
 values at the first size where lhs != rhs.  A printed row (strict_paper only)
 checks a closed form exactly as the paper prints it, where a mismatch is
@@ -52,12 +53,12 @@ class VerificationReport(NamedTuple):
         }
 
 
-def _run(name: str, sizes: range, check, printed: bool = False) -> Entry:
+def _run(name: str, sizes: range, check, records: dict, printed: bool = False) -> Entry:
     """Evaluate one row over its sizes (see the module docstring)."""
     start = time.monotonic()
     status, detail, mismatches = "pass", "", []
     for n in sizes:
-        lhs, rhs, *shown = check(n)
+        lhs, rhs, *shown = check(n, records[n])
         if printed:
             if lhs != rhs:
                 mismatches.append(f"n={n}: printed {lhs} vs definitional {rhs}")
@@ -121,68 +122,64 @@ def verify_identities(max_size: int, strict_paper: bool = False) -> Verification
     every, from2 = range(1, max_size + 1), range(2, max_size + 1)
     geo = range(1, min(max_size, oracles.DEFAULT_BOUND) + 1)
 
-    # each size is counted once; the counts are read as `enumerate` reads them
+    # one count record per size, read as `enumerate` reads it, and one oracle walk
     stats = {n: counting.scan_stats(n) for n in every}
-    square = {n: counting.count_square(n, stats[n]) for n in every}
-    q = {n: s["square"] for n, s in square.items()}
-    b = {n: s["decomposable"] for n, s in square.items()}
-    ctilde = {n: counting.count_ctilde(n, stats[n])["total"] for n in every}
-    convex = {n: counting.count_convex(n, stats=stats[n]) for n in every}
-    inter = {n: s["both_ways"] for n, s in stats.items()}
-    rising = {n: s["assoc_first_lt_last"] for n, s in stats.items()}
-
-    oracle = {n: _oracle_counts(n) for n in geo}
     total, directed, parallelogram, symmetric = (
-        {n: oracle[n][i] for n in geo} for i in range(4))
+        dict(zip(geo, column)) for column in zip(*map(_oracle_counts, geo)))
 
-    def bijection(n):
+    def bijection(n, s):
         """The first k where |decomposable with k components| != |T_{n,k}|, else k = n."""
         for k in range(2, n + 1):
-            lhs = square[n]["by_components"].get(k, 0)
+            lhs = s["components"].get(k, 0)
             rhs = sequence_class_count(n, k, directed, parallelogram)
             if lhs != rhs or k == n:
                 return lhs, rhs, f"n={n},k={k}: {lhs} = {rhs}"
 
     rows = [
         ("convex = sum of 2^k over free-fixed-point classes (closed form)", every,
-         lambda n: (convex[n], formulas.convex_permutomino(n))),
-        ("convex: fiber sum vs interval oracle", geo, lambda n: (convex[n], total[n])),
+         lambda n, s: (s["convex"], formulas.convex_permutomino(n))),
+        ("convex: fiber sum vs interval oracle", geo, lambda n, s: (s["convex"], total[n])),
         ("ctilde closed form (exact rational factor)", every,
-         lambda n: (ctilde[n], formulas.ctilde(n))),
+         lambda n, s: (s["ctilde"], formulas.ctilde(n))),
         ("ctilde = square - decomposable", from2,
-         lambda n: (ctilde[n], q[n] - b[n], f"n={n}: {ctilde[n]} = {q[n]} - {b[n]}")),
-        ("square closed form", every, lambda n: (q[n], formulas.square_perms(n))),
-        ("decomposable closed form", from2, lambda n: (b[n], formulas.decomposable_square(n))),
+         lambda n, s: (s["ctilde"], s["square"] - s["decomposable"],
+                       f"n={n}: {s['ctilde']} = {s['square']} - {s['decomposable']}")),
+        ("square closed form", every, lambda n, s: (s["square"], formulas.square_perms(n))),
+        ("decomposable closed form", from2,
+         lambda n, s: (s["decomposable"], formulas.decomposable_square(n))),
         ("square = both vertex classes united", from2,
-         lambda n: (q[n], 2 * ctilde[n] - inter[n],
-                    f"n={n}: {q[n]} = 2*{ctilde[n]} - {inter[n]}")),
+         lambda n, s: (s["square"], 2 * s["ctilde"] - s["both_ways"],
+                       f"n={n}: {s['square']} = 2*{s['ctilde']} - {s['both_ways']}")),
         ("intersection = square - 2*decomposable", from2,
-         lambda n: (inter[n], q[n] - 2 * b[n], f"n={n}: {inter[n]} = {q[n]} - 2*{b[n]}")),
+         lambda n, s: (s["both_ways"], s["square"] - 2 * s["decomposable"],
+                       f"n={n}: {s['both_ways']} = {s['square']} - 2*{s['decomposable']}")),
         ("realizable with rising ends = half the squares", from2,
-         lambda n: (2 * rising[n], q[n], f"n={n}: 2*{rising[n]} = {q[n]}")),
+         lambda n, s: (2 * s["assoc_first_lt_last"], s["square"],
+                       f"n={n}: 2*{s['assoc_first_lt_last']} = {s['square']}")),
         ("one-direction surplus (definitional closed combination)", from2,
-         lambda n: (ctilde[n] - q[n] // 2, formulas.asym_surplus(n))),
+         lambda n, s: (s["ctilde"] - s["square"] // 2, formulas.asym_surplus(n))),
         ("square = convex + central binomial", from2,
-         lambda n: (q[n], convex[n] + (c := comb(2 * (n - 2), n - 2)),
-                    f"n={n}: {q[n]} = {convex[n]} + {c}")),
+         lambda n, s: (s["square"], s["convex"] + (c := comb(2 * (n - 2), n - 2)),
+                       f"n={n}: {s['square']} = {s['convex']} + {c}")),
         ("convex = realizable + free-fixed-point surplus", from2,
-         lambda n: (convex[n], ctilde[n] + (surplus := formulas.fixed_point_surplus(n)),
-                    f"n={n}: {convex[n]} = {ctilde[n]} + {surplus}")),
+         lambda n, s: (s["convex"], s["ctilde"] + (surplus := formulas.fixed_point_surplus(n)),
+                       f"n={n}: {s['convex']} = {s['ctilde']} + {surplus}")),
         ("directed convex oracle vs closed form", geo,
-         lambda n: (directed[n], formulas.directed_convex(n))),
+         lambda n, s: (directed[n], formulas.directed_convex(n))),
         ("parallelogram oracle vs catalan", geo,
-         lambda n: (parallelogram[n], formulas.parallelogram(n))),
+         lambda n, s: (parallelogram[n], formulas.parallelogram(n))),
         ("symmetric oracle vs closed form", geo,
-         lambda n: (symmetric[n], formulas.symmetric(n))),
+         lambda n, s: (symmetric[n], formulas.symmetric(n))),
         ("decomposable classes match permutomino sequences", range(2, geo.stop), bijection),
     ]
     printed_rows = [
         ("one-direction surplus closed form as printed", from2,
-         lambda n: (_printed(formulas.half_diff_printed, n), formulas.asym_surplus(n))),
+         lambda n, s: (_printed(formulas.half_diff_printed, n), formulas.asym_surplus(n))),
         ("intersection closed form as printed", from2,
-         lambda n: (_printed(formulas.intersection_printed, n), q[n] - 2 * b[n])),
+         lambda n, s: (_printed(formulas.intersection_printed, n),
+                       s["square"] - 2 * s["decomposable"])),
     ]
-    entries = [_run(*row) for row in rows]
+    entries = [_run(*row, stats) for row in rows]
     if strict_paper:
-        entries += [_run(*row, printed=True) for row in printed_rows]
+        entries += [_run(*row, stats, printed=True) for row in printed_rows]
     return VerificationReport(max_size, strict_paper, tuple(entries))

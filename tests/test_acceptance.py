@@ -40,7 +40,7 @@ def test_criterion_1_convex_counts():
     with report(1, "convex permutomino counts 1,1,4,18,84,394,1836,8468 for sizes 1..8; "
                    "fibers < 60 s; interval oracle confirms sizes <= 6"):
         start = time.monotonic()
-        got = [counting.count_convex(n) for n in range(1, 9)]
+        got = [counting.scan_stats(n)["convex"] for n in range(1, 9)]
         elapsed = time.monotonic() - start
         assert got == CONVEX_COUNTS, got
         assert elapsed < 60, f"fibers enumeration took {elapsed:.1f}s"
@@ -51,7 +51,7 @@ def test_criterion_1_convex_counts():
 def test_criterion_2_ctilde_counts_and_closed_form():
     with report(2, "realizable-permutation counts 1,1,3,13,62,301,1450,6882 for sizes 1..8, "
                    "matching the exact-rational closed form at every size"):
-        got = [counting.count_ctilde(n)["total"] for n in range(1, 9)]
+        got = [counting.scan_stats(n)["ctilde"] for n in range(1, 9)]
         assert got == CTILDE_COUNTS, got
         assert [formulas.ctilde(n) for n in range(1, 9)] == CTILDE_COUNTS
 
@@ -59,7 +59,7 @@ def test_criterion_2_ctilde_counts_and_closed_form():
 def test_criterion_3_square_and_decomposable_counts():
     with report(3, "square counts 1,2,6,24,104,464,2088,9392 and decomposable counts "
                    "1,3,11,42,163,638,2510, with the (4^m + C(2m,m))/2 form"):
-        stats = [counting.count_square(n) for n in range(1, 9)]
+        stats = [counting.scan_stats(n) for n in range(1, 9)]
         assert [s["square"] for s in stats] == SQUARE_COUNTS
         assert [s["decomposable"] for s in stats] == DECOMPOSABLE_COUNTS
         for n in range(2, 9):
@@ -86,9 +86,11 @@ def test_criterion_5_fiber_sum_identity():
     with report(5, "convex count equals the sum of 2^k over k-free-fixed-point classes "
                    "for sizes <= 8; size-4 stratification is {0:10, 1:2, 2:1}"):
         for n in range(1, 9):
-            by_k = counting.count_ctilde(n)["by_free_fixed_points"]
-            assert sum(v << k for k, v in by_k.items()) == CONVEX_COUNTS[n - 1], n
-        assert counting.count_ctilde(4)["by_free_fixed_points"] == {0: 10, 1: 2, 2: 1}
+            stats = counting.scan_stats(n)
+            by_k = stats["by_free_fixed_points"]
+            fiber_sum = sum(v << k for k, v in by_k.items())
+            assert stats["convex"] == fiber_sum == CONVEX_COUNTS[n - 1], n
+        assert counting.scan_stats(4)["by_free_fixed_points"] == {0: 10, 1: 2, 2: 1}
 
 
 def test_criterion_6_square_union_and_intersection():
@@ -131,7 +133,7 @@ def test_criterion_8_bijection():
         from permutomino.verify import sequence_class_count
 
         for n in range(2, 7):
-            by_k = counting.count_square(n)["by_components"]
+            by_k = counting.scan_stats(n)["components"]
             for k in range(2, n + 1):
                 assert by_k.get(k, 0) == sequence_class_count(
                     n, k, directed, parallelogram

@@ -189,14 +189,23 @@ def scan_spy(monkeypatch):
     return sizes
 
 
-def test_convex_by_fixed_points_scans_once(capsys, monkeypatch):
+@pytest.mark.parametrize("name, count, by, first_row", [
+    ("convex", 1836, "fixed-points", "free-fixed-points 0: 1264 permutations, 1264 permutominoes"),
+    ("ctilde", 1450, "fixed-points", "free-fixed-points 0: 1264"),
+    ("square", 2088, "components", "components 1: 1450"),
+    ("decomposable", 638, "components", "components 2: 382"),
+], ids=["convex", "ctilde", "square", "decomposable"])
+@pytest.mark.parametrize("stratified", [False, True], ids=["count", "by"])
+def test_each_count_route_scans_once(capsys, monkeypatch, name, count, by, first_row,
+                                     stratified):
+    """A count, with or without its strata, reads one count record, of its size."""
     sizes = scan_spy(monkeypatch)
-    code, out, _ = run(capsys, "enumerate", "convex", "7", "--by", "fixed-points",
-                       "--workers", "1")
+    argv = ("enumerate", name, "7", "--workers", "1") + (("--by", by) if stratified else ())
+    code, out, _ = run(capsys, *argv)
     assert code == 0 and sizes == [7]
     lines = out.splitlines()
-    assert lines[0] == "1836"
-    assert lines[1] == "free-fixed-points 0: 1264 permutations, 1264 permutominoes"
+    assert lines[0] == str(count)
+    assert lines[1:2] == ([first_row] if stratified else [])
 
 
 def test_verify_scans_each_size_once(capsys, monkeypatch):
@@ -210,6 +219,32 @@ def test_verify_checks_the_count_bound_before_counting(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--max-size", "1000")
     assert code == 4 and out == "" and sizes == []
     assert len(err.splitlines()) == 1 and "1000" in err
+
+
+ORACLE, FIBERS, LISTINGS, COUNTS = ("interval oracle is", "fiber listing is",
+                                    "permutation listings are", "counts are")
+# (enumerate arguments, the bound it reports, the size of that bound)
+ROUTE_BOUNDS = [
+    (("convex", "31", "--method", "intervals"), ORACLE, 6),
+    (("convex", "7", "--method", "intervals", "--by", "fixed-points"), ORACLE, 6),
+    (("convex", "31", "--list"), FIBERS, 7),
+    (("convex", "8", "--list", "--by", "fixed-points"), FIBERS, 7),
+    (("ctilde", "31", "--list"), LISTINGS, 10),
+    (("square", "11", "--list", "--by", "components"), LISTINGS, 10),
+    (("symmetric", "31"), ORACLE, 6),
+    (("column-convex", "7", "--list"), ORACLE, 6),
+    (("convex", "31"), COUNTS, 30),
+]
+
+
+@pytest.mark.parametrize("argv, bound, limit", ROUTE_BOUNDS,
+                         ids=[" ".join(argv) for argv, _, _ in ROUTE_BOUNDS])
+def test_enumerate_names_the_bound_of_the_route_it_takes(capsys, argv, bound, limit):
+    """An oracle walk or a listing is bounded below the counts, and its bound,
+    not the counts', is the one reported, before anything is printed."""
+    code, out, err = run(capsys, "enumerate", *argv)
+    assert (code, out) == (4, "")
+    assert err == f"size too large: {bound} bounded at size {limit}, got {argv[1]}\n"
 
 
 def oracle_spy(monkeypatch):
@@ -491,6 +526,23 @@ def test_unwritable_streams_exit_with_their_code_in_one_line(capsys, argv, redir
     expected = run(capsys, *argv)
     if code != 2:  # stdout is still open: it gets what main prints in process
         assert (proc.returncode, proc.stdout) == expected[:2]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("redirect", ["", "2>/dev/full"], ids=["stderr", "full-stderr"])
+def test_the_render_note_is_best_effort(tmp_path, redirect):
+    """With no part to draw, `decompose --render --out` writes no file and
+    notes so on standard error; a full standard error loses the note, not
+    the exit code."""
+    target = tmp_path / "x.svg"
+    argv = ("decompose", "2 1", "--render", "--out", str(target))
+    command = shlex.join([sys.executable, "-m", "permutomino.cli", *argv])
+    proc = subprocess.run(["/bin/sh", "-c", f"exec {command} {redirect}"], env=subprocess_env(),
+                          capture_output=True, text=True, timeout=120)
+    note = "" if redirect else f"no shape to render: {target} not written\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "components: 2\npart 1: (empty)  size 1\npart 2: (empty)  size 1\n", note)
+    assert list(tmp_path.iterdir()) == []
 
 
 class FailingStdout(io.StringIO):

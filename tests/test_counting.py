@@ -7,28 +7,28 @@ from references import sorted_walk
 
 
 def test_count_ctilde_table_values():
-    assert [counting.count_ctilde(n)["total"] for n in range(1, 8)] == [1, 1, 3, 13, 62, 301, 1450]
+    assert [counting.scan_stats(n)["ctilde"] for n in range(1, 8)] == [1, 1, 3, 13, 62, 301, 1450]
 
 
 def test_ctilde_stratification_at_4():
-    assert counting.count_ctilde(4)["by_free_fixed_points"] == {0: 10, 1: 2, 2: 1}
+    assert counting.scan_stats(4)["by_free_fixed_points"] == {0: 10, 1: 2, 2: 1}
 
 
 def test_count_square_table_values():
-    out = [counting.count_square(n) for n in range(1, 8)]
+    out = [counting.scan_stats(n) for n in range(1, 8)]
     assert [o["square"] for o in out] == [1, 2, 6, 24, 104, 464, 2088]
     assert [o["decomposable"] for o in out] == [0, 1, 3, 11, 42, 163, 638]
-    assert out[2]["by_components"] == {2: 2, 3: 1}
+    assert out[2]["components"] == {1: 3, 2: 2, 3: 1}
 
 
 def test_count_convex_methods_agree():
     """The fiber count equals the length of the oracle's convex walk."""
     for n in range(1, 7):
-        assert counting.count_convex(n) == sum(1 for _ in counting.geo_walk("convex", n))
+        assert counting.scan_stats(n)["convex"] == sum(1 for _ in counting.geo_walk("convex", n))
 
 
 def test_fibers_method_extends_to_size_nine():
-    assert counting.count_convex(9) == formulas.convex_permutomino(9)
+    assert counting.scan_stats(9)["convex"] == formulas.convex_permutomino(9)
 
 
 def test_count_symmetric():
@@ -59,11 +59,11 @@ def test_size_zero_is_refused_at_the_call():
 @pytest.mark.parametrize("n", range(11, counting.COUNT_BOUND + 1))
 def test_counts_above_the_scan_bound_match_the_closed_forms(n):
     stats = counting.scan_stats(n)
-    square = stats["square"]
-    decomposable = sum(v for k, v in stats["components"].items() if k >= 2)
+    square, decomposable = stats["square"], stats["decomposable"]
     assert square == formulas.square_perms(n)
-    assert sum(stats["ctilde_by_fixed"]) == formulas.ctilde(n)
-    assert counting.count_convex(n) == formulas.convex_permutomino(n)
+    assert stats["ctilde"] == sum(stats["by_free_fixed_points"].values()) == formulas.ctilde(n)
+    assert stats["convex"] == formulas.convex_permutomino(n)
+    assert decomposable == sum(v for k, v in stats["components"].items() if k >= 2)
     assert decomposable == formulas.decomposable_square(n)
     assert 2 * stats["assoc_first_lt_last"] == square
     assert stats["both_ways"] == square - 2 * decomposable

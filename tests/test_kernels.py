@@ -14,30 +14,38 @@ from references import reference_square_permutations
 
 
 def scan_stats(n: int) -> dict:
-    """The count_stats dict of size n, by one pass over the square
+    """The count_stats record of size n, by one pass over the square
     permutations the reference search yields, with the library's predicates."""
-    square = 0
-    components: dict[int, int] = {}
-    by_fixed = [0] * max(n - 1, 1)
-    both_ways = 0
-    first_lt_last = 0
+    out = _empty_record()
     for p in reference_square_permutations(n):
-        square += 1
-        comps = len(split_points(p)) + 1
-        components[comps] = components.get(comps, 0) + 1
-        if comps == 1:
-            by_fixed[len(free_fixed_values(p))] += 1
-            if is_indecomposable(reversal(p)):
-                both_ways += 1
-            if p[0] < p[n - 1]:
-                first_lt_last += 1
-    return {
-        "square": square,
-        "components": components,
-        "ctilde_by_fixed": by_fixed,
-        "both_ways": both_ways,
-        "assoc_first_lt_last": first_lt_last,
-    }
+        _fold(out, p, len(split_points(p)) + 1, lambda q: len(free_fixed_values(q)),
+              lambda q: is_indecomposable(reversal(q)))
+    return out
+
+
+def _empty_record() -> dict:
+    """Every count_stats field, at zero."""
+    keys = ("square", "decomposable", "components", "ctilde", "by_free_fixed_points", "convex",
+            "both_ways", "assoc_first_lt_last")
+    return {key: {} if key in ("components", "by_free_fixed_points") else 0 for key in keys}
+
+
+def _fold(out: dict, p, comps: int, free, both_ways) -> None:
+    """Add square permutation p, of comps components, to the record, each
+    field by its definition.  free(p), its number of free fixed points, and
+    both_ways(p), whether its reversal is indecomposable too, are asked of
+    indecomposable p only."""
+    out["square"] += 1
+    out["components"][comps] = out["components"].get(comps, 0) + 1
+    if comps >= 2:
+        out["decomposable"] += 1
+        return
+    k = free(p)
+    out["ctilde"] += 1
+    out["by_free_fixed_points"][k] = out["by_free_fixed_points"].get(k, 0) + 1
+    out["convex"] += 2 ** k
+    out["both_ways"] += both_ways(p)
+    out["assoc_first_lt_last"] += p[0] < p[-1]
 
 
 def components(p):
@@ -59,25 +67,10 @@ def reference_stats(n):
     square permutations instead); the component and free-fixed-point counts
     are the ones above, so the kernel is checked against a second definition.
     """
-    out = {
-        "square": 0,
-        "components": {},
-        "ctilde_by_fixed": [0] * max(n - 1, 1),
-        "both_ways": 0,
-        "assoc_first_lt_last": 0,
-    }
+    out = _empty_record()
     for p in all_perms(n):
-        if not perms.is_square(p):
-            continue
-        out["square"] += 1
-        k = components(p)
-        out["components"][k] = out["components"].get(k, 0) + 1
-        if k == 1:
-            out["ctilde_by_fixed"][free_fixed(p)] += 1
-            if components(p[::-1]) == 1:
-                out["both_ways"] += 1
-            if p[0] < p[-1]:
-                out["assoc_first_lt_last"] += 1
+        if perms.is_square(p):
+            _fold(out, p, components(p), free_fixed, lambda q: components(q[::-1]) == 1)
     return out
 
 
@@ -93,6 +86,8 @@ def test_count_stats_matches_the_generator_fold(n):
     assert counted.keys() == folded.keys()
     for field in folded:
         assert counted[field] == folded[field], field
+        if isinstance(folded[field], dict):  # the fold's nonzero entries, by increasing key
+            assert list(counted[field]) == sorted(folded[field]), field
 
 
 def test_smaller_sizes_read_the_table_a_larger_size_filled():
