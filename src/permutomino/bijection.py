@@ -18,7 +18,7 @@ for the last part.  No other shape of the fiber is built.
 from __future__ import annotations
 
 from functools import reduce
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import perms
 from .boundary import Permutomino, reflect_x, reflect_y
@@ -26,39 +26,26 @@ from .errors import Indecomposable, InvalidSequence, NotSquare
 from .membership import Fiber
 
 
-class PermutominoSequence:
-    """An ordered tuple of k >= 2 parts with the end/middle class constraints,
-    checked on construction.
+class PermutominoSequence(tuple):
+    """A tuple of k >= 2 parts, checked on construction against the
+    end/middle class constraints.
 
-    Read-only; equal, and hashed alike, when the parts are equal.
+    It also equals the plain tuple of its parts, which `parts` returns.
     """
 
-    def __init__(self, parts: tuple[Permutomino, ...]):
-        validate_sequence(parts)
-        self.__dict__["parts"] = parts
+    __slots__ = ()
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.parts == other.parts
+    def __new__(cls, parts: Iterable[Permutomino]):
+        seq = super().__new__(cls, parts)
+        validate_sequence(seq)
+        return seq
 
-    def __hash__(self) -> int:
-        return hash((self.parts,))
+    @property
+    def parts(self) -> tuple[Permutomino, ...]:
+        return tuple(self)
 
     def __repr__(self) -> str:
         return f"PermutominoSequence(parts={self.parts!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
 
 
 def validate_sequence(parts: Sequence[Permutomino]) -> None:
@@ -81,9 +68,9 @@ def component_of(part: Permutomino, last: bool) -> tuple[int, ...]:
     return perms.complement(part.pi2) if last else perms.reversal(part.pi2)
 
 
-def sequence_to_permutation(seq: PermutominoSequence | Sequence[Permutomino]) -> tuple[int, ...]:
+def sequence_to_permutation(seq: Iterable[Permutomino]) -> tuple[int, ...]:
     """Stack the parts' components: a square permutation with exactly k components."""
-    parts = tuple(seq.parts if isinstance(seq, PermutominoSequence) else seq)
+    parts = tuple(seq)
     validate_sequence(parts)
     k = len(parts)
     components = [component_of(p, last=(i == k - 1)) for i, p in enumerate(parts)]

@@ -13,20 +13,18 @@ a bound are reported before anything is printed, and an empty `--out` path,
 or one whose directory does not exist, before anything is written.
 Counts are read from one record per size, computed without a scan, up to size
 `counting.COUNT_BOUND`; permutation listings stop at `counting.SCAN_BOUND`.
-`build --all` and the convex and permutation listings write each row as soon
-as it is built (fibers come in output order), so their memory does not grow
-with the fiber or the listing; other geometric listings keep only their rows.
+`build --all` and the convex and permutation listings stream their rows, so
+their memory does not grow with the output; other geometric listings keep
+only their rows.
 `--workers` is ignored (IGNORED).
 At import this module loads only argparse, errno, io, os, sys and `errors`;
-each subcommand imports what it runs at the top of its own body (`render` by
-`build` and `decompose --render`, `json` only by `verify --json`), so a job
-loads those modules and what they import at module level: a count loads
-`counting` and `_kernels` but no shape module, and `classify` loads
-`boundary`, which `membership` imports.
-`main(argv)` runs one command in process and returns its exit code; `run()`,
-the process entry point of the `permutomino` script and `python -m
-permutomino.cli`, calls it, flushes both streams and ends the process with
-`os._exit`, which skips interpreter teardown.
+each subcommand imports what it runs in its own body (`render` only to
+render, `json` only for `verify --json`), so a job loads those modules and
+what they import at module level: a count loads `counting` and `_kernels`
+but no shape module, and `classify` loads `boundary` through `membership`.
+`main(argv)` runs one command in process and returns its exit code; `run()`
+is the process entry point of the `permutomino` script and `python -m
+permutomino.cli`.
 """
 from __future__ import annotations
 
@@ -45,7 +43,7 @@ GEO_CLASSES = ("convex", "directed", "parallelogram", "symmetric", "column-conve
 BY_CLASSES = {"fixed-points": ("convex", "ctilde"), "components": ("square", "decomposable")}
 IGNORED = "ignored; accepted only so that existing command lines keep working"
 # (exception types, message prefix, exit code) of each error main reports in
-# one stderr line; an OSError out of a command is unwritable standard output
+# one stderr line; an OSError is unwritable standard output
 FAILURES = (
     (ParseError, "parse error", 2),
     (OutputError, "cannot write output", 2),
@@ -219,10 +217,16 @@ def cmd_decompose(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors are one line on stderr, exit 2."""
+    """An argument parser whose usage errors are one line on stderr, exit 2,
+    and whose help, unlike argparse's, raises when it cannot be written."""
 
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message} (see --help)\n")
+
+    def print_help(self, file=None):
+        out = file or sys.stdout
+        out.write(self.format_help())
+        out.flush()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,10 +313,10 @@ def main(argv: list[str] | None = None) -> int:
     # its first write, and what _note writes to standard error is lost
     sys.stdout, sys.stderr = (_Closed() if s is None else s for s in (sys.stdout, sys.stderr))
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "enumerate" and (problem := _unsupported_option(args)):
-        parser.error(problem)
     try:
+        args = parser.parse_args(argv)
+        if args.command == "enumerate" and (problem := _unsupported_option(args)):
+            parser.error(problem)
         code = args.fn(args)
         sys.stdout.flush()  # a closed standard output fails here, not at exit
         return code

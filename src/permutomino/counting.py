@@ -100,16 +100,17 @@ def perm_listing(class_name: str, n: int) -> Iterator[tuple[int, ...]]:
     """A permutation class in lexicographic order, one at a time.
 
     Every class here is a subset of the square permutations, so the listing
-    filters the square generator rather than S_n.  The size and the class
-    are checked here, before any permutation is generated.
+    filters the square generator rather than S_n.  A square's lower envelope
+    is unimodal, so on squares membership.is_associated is the split test:
+    ctilde keeps the indecomposable squares, decomposable the others.  The
+    size and the class are checked here, before any permutation is generated.
     """
-    from .membership import is_associated
     from .perms import is_indecomposable, square_permutations
 
     check_size(n, SCAN_BOUND, "permutation listings are")
     squares = square_permutations(n)
     if class_name == "ctilde":
-        return filter(is_associated, squares)
+        return filter(is_indecomposable, squares)
     if class_name == "decomposable":
         return filterfalse(is_indecomposable, squares)
     if class_name != "square":

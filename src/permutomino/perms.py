@@ -102,31 +102,13 @@ def decompose(p: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(parts)
 
 
-class Subsequence:
+class Subsequence(NamedTuple):
     """An index-retaining sublist: ordered (position, value) pairs.
 
-    Read-only; equal, and hashed alike, when the entries are equal.
+    A NamedTuple like Envelopes, so it also equals the tuple (entries,).
     """
 
-    def __init__(self, entries: tuple[tuple[int, int], ...]):
-        self.__dict__["entries"] = entries
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash((self.entries,))
-
-    def __repr__(self) -> str:
-        return f"Subsequence(entries={self.entries!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+    entries: tuple[tuple[int, int], ...]
 
     @property
     def positions(self) -> tuple[int, ...]:

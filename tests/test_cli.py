@@ -512,8 +512,13 @@ def test_closed_stdout_and_stderr_on_one_pipe_exit_2():
     (("classify", "1"), "2>&-", 0, ""),
     (("build", "2 1 3", "--all", "--format", "json", "--out", "/dev/full"), "", 2,
      "cannot write output: /dev/full: No space left on device\n"),
+    (("--help",), ">/dev/full", 2,
+     "cannot write output: standard output: No space left on device\n"),
+    (("--help",), ">&-", 2, "cannot write output: standard output: Bad file descriptor\n"),
+    (("enumerate", "--help"), ">/dev/full", 2,
+     "cannot write output: standard output: No space left on device\n"),
 ], ids=["full-stdout", "closed-stdout", "closed-stderr-3", "closed-stderr-4", "closed-stderr-0",
-        "full-out"])
+        "full-out", "help-full-stdout", "help-closed-stdout", "subcommand-help-full-stdout"])
 def test_unwritable_streams_exit_with_their_code_in_one_line(capsys, argv, redirect, code, err):
     """A full device or a stream closed before start: the documented code, at
     most one stderr line and no traceback; with stderr closed, no line at all."""
@@ -713,6 +718,12 @@ def test_each_job_imports_only_what_it_runs():
     assert package_modules(loaded) == {"permutomino", "permutomino.cli", "permutomino.errors",
                                        "permutomino.counting", "permutomino._kernels"}
     assert "dataclasses" not in loaded
+    # a permutation listing filters the square generator by the split test alone
+    loaded = modules_after('from permutomino.cli import main\n'
+                           'main(["enumerate", "ctilde", "6", "--list"])')
+    assert package_modules(loaded) == {"permutomino", "permutomino.cli", "permutomino.errors",
+                                       "permutomino.counting", "permutomino._kernels",
+                                       "permutomino.perms"}
     # the benchmark's verify job: the closed forms are evaluated on integers,
     # so it loads no Fraction stack
     loaded = modules_after('from permutomino.cli import main\n'

@@ -3,6 +3,8 @@ import pytest
 from permutomino import counting, formulas
 from permutomino.boundary import Permutomino
 from permutomino.errors import SizeTooLarge
+from permutomino.membership import is_associated
+from permutomino.perms import square_permutations
 from references import sorted_walk
 
 
@@ -33,6 +35,16 @@ def test_fibers_method_extends_to_size_nine():
 
 def test_count_symmetric():
     assert [len(counting.listing("symmetric", n)) for n in range(1, 7)] == [1, 1, 2, 4, 10, 22]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_permutation_listings_match_the_membership_test(n):
+    """On squares the ctilde listing's split test is the paper's membership
+    test, and decomposable lists the other squares."""
+    squares = list(square_permutations(n))
+    assert list(counting.perm_listing("ctilde", n)) == [p for p in squares if is_associated(p)]
+    assert list(counting.perm_listing("decomposable", n)) == \
+        [p for p in squares if not is_associated(p)]
 
 
 def test_scan_bound():

@@ -3,6 +3,7 @@ objects with equal hashes, different fields make unequal objects, and no
 field can be assigned or deleted."""
 import pytest
 
+import permutomino
 from permutomino.bijection import PermutominoSequence
 from permutomino.boundary import ALPHA, EMPTY, GAMMA, LabeledMatrix, Permutomino, from_boundary_word
 from permutomino.membership import MembershipVerdict, membership_verdict
@@ -58,6 +59,13 @@ def test_record_reprs():
     assert repr(MembershipVerdict(True, "ok")) == \
         "MembershipVerdict(member=True, reason='ok', witness=None)"
     assert repr(Subsequence(((1, 1),))) == "Subsequence(entries=((1, 1),))"
+    assert repr(PermutominoSequence((EMPTY, CELL))) == \
+        "PermutominoSequence(parts=(Permutomino(size=1, word=None), Permutomino(size=2, word='NESW')))"
+
+
+def test_every_public_record_has_a_values_row():
+    public = {name for name in permutomino.__all__ if isinstance(getattr(permutomino, name), type)}
+    assert {"Permutomino", "PermutominoSequence", "Subsequence"} <= public <= set(VALUES)
 
 
 def test_a_permutomino_is_no_other_type_of_value():
