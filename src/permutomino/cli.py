@@ -2,9 +2,10 @@
 
 Subcommands: classify, build, enumerate, verify, decompose.  Permutations are
 given as one argument of whitespace- or comma-separated 1-based integers (no
-brackets).  Exit codes: 0 ok; 1 only for a failed `verify` identity; 2 a usage
-error (a malformed argument or option, an `--out` path that cannot be
-written, an `enumerate --by` or `--method` the class does not support, see
+brackets); an integer, there or in a size or option, is an optional sign and
+ASCII digits 0-9.  Exit codes: 0 ok; 1 only for a failed `verify` identity;
+2 a usage error (a malformed argument or option, an `--out` path that cannot
+be written, an `enumerate --by` or `--method` the class does not support, see
 BY_CLASSES); otherwise the code of the FAILURES row of the error.  Output
 that cannot be written for any reason (a reader that closed the pipe, a full
 device, a stream closed before start) exits 2 with one line; with standard
@@ -19,9 +20,9 @@ only their rows.
 `--workers` is ignored (IGNORED).
 At import this module loads only argparse, errno, io, os, sys and `errors`;
 each subcommand imports what it runs in its own body (`render` only to
-render, `json` only for `verify --json`), so a job loads those modules and
-what they import at module level: a count loads `counting` and `_kernels`
-but no shape module, and `classify` loads `boundary` through `membership`.
+render, `json` only for `verify --json`): a count loads `counting` and
+`_kernels` but no shape module, and `classify` loads `boundary` through
+`membership`.
 `main(argv)` runs one command in process and returns its exit code; `run()`
 is the process entry point of the `permutomino` script and `python -m
 permutomino.cli`.
@@ -53,12 +54,19 @@ FAILURES = (
 )
 
 
+def integer(text: str) -> int:
+    """int(text) if text is a sign and ASCII digits 0-9, else ValueError."""
+    if not set(text) <= set("+-0123456789"):
+        raise ValueError(text)
+    return int(text)
+
+
 def int_at_least(low: int):
     """argparse type: an integer no smaller than low."""
 
     def parse(text: str) -> int:
         try:
-            value = int(text)
+            value = integer(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
         if value < low:
@@ -87,7 +95,7 @@ def parse_permutation(text: str) -> tuple[int, ...]:
     values = []
     for i, tok in enumerate(tokens, start=1):
         try:
-            values.append(int(tok))
+            values.append(integer(tok))
         except ValueError:
             raise ParseError(f"not an integer: {tok!r}", position=i) from None
     n = len(values)
@@ -142,9 +150,14 @@ def cmd_build(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    n, name, by = args.size, args.klass, args.by
+    if by and name not in BY_CLASSES[by]:
+        args.parser.error(f"--by {by} does not apply to class {name} "
+                          f"(only to {' and '.join(BY_CLASSES[by])})")
+    if args.method and name != "convex":
+        args.parser.error(f"--method does not apply to class {name} (only to convex)")
     from . import counting
 
-    n, name = args.size, args.klass
     # bounds come before any output: a listing's, then the count record's, then a walk's
     listed = rows = ()
     if args.list and name in PERM_CLASSES:
@@ -153,18 +166,18 @@ def cmd_enumerate(args) -> int:
         rows = (((p.pi1, p.word) for p in counting.convex_via_fibers(n)) if name == "convex"
                 else counting.listing(name, n))
     walked = name in GEO_CLASSES and (name != "convex" or args.method == "intervals")
-    stats = counting.scan_stats(n) if args.by or not walked else {}
+    stats = counting.scan_stats(n) if by or not walked else {}
     if not walked:
         print(stats[name])
     elif args.list and name != "convex":  # the listing holds its rows
         print(len(rows))
     else:
         print(sum(1 for _ in counting.geo_walk(name, n)))
-    if args.by == "fixed-points":
+    if by == "fixed-points":
         for k, v in stats["by_free_fixed_points"].items():
             print(f"free-fixed-points {k}: {v}"
                   + (f" permutations, {v << k} permutominoes" if name == "convex" else ""))
-    elif args.by == "components":
+    elif by == "components":
         for k, v in stats["components"].items():
             if k > 1 or name == "square":
                 print(f"components {k}: {v}")
@@ -260,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--method", choices=("fibers", "intervals"),
                    help="convex class only: counting method (default: fibers)")
     e.add_argument("--workers", type=int_at_least(1), default=1, help=IGNORED)
-    e.set_defaults(fn=cmd_enumerate)
+    e.set_defaults(fn=cmd_enumerate, parser=e)
 
     v = sub.add_parser("verify", help="check every counting identity up to a size")
     v.add_argument("--max-size", type=int_at_least(2), default=6)
@@ -281,16 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.set_defaults(fn=cmd_decompose)
 
     return parser
-
-
-def _unsupported_option(args) -> str | None:
-    """Why an `enumerate` option does not apply to the class, or None."""
-    if args.by is not None and args.klass not in BY_CLASSES[args.by]:
-        return (f"--by {args.by} does not apply to class {args.klass} "
-                f"(only to {' and '.join(BY_CLASSES[args.by])})")
-    if args.method is not None and args.klass != "convex":
-        return f"--method does not apply to class {args.klass} (only to convex)"
-    return None
 
 
 class _Closed(io.TextIOBase):
@@ -315,8 +318,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "enumerate" and (problem := _unsupported_option(args)):
-            parser.error(problem)
         code = args.fn(args)
         sys.stdout.flush()  # a closed standard output fails here, not at exit
         return code

@@ -300,6 +300,18 @@ USAGE_ERRORS = [
      "--method does not apply"),
     ((), ("build", "1 2 3", "--out", ""), "empty path"),
     ((), ("decompose", "3 4 1 2", "--render", "--out", ""), "empty path"),
+    # an integer is an optional sign and ASCII digits 0-9: no underscore,
+    # no other script's digits, no decimal point
+    ((), ("enumerate", "square", "1_0"), "not an integer"),
+    ((), ("enumerate", "square", "\u0665"), "not an integer"),
+    ((), ("enumerate", "convex", "1.0"), "not an integer"),
+    ((), ("verify", "--max-size", "1_0"), "not an integer"),
+    ((), ("verify", "--max-size", "\u0666"), "not an integer"),
+    ((), ("build", "1 2", "--format", "svg", "--cell-px", "2_4"), "not an integer"),
+    ((), ("decompose", "3 4 1 2", "--render", "--cell-px", "2.0"), "not an integer"),
+    ((), ("classify", "\u0661 \u0662"), "not an integer"),
+    ((), ("classify", "2_0 1"), "not an integer"),
+    ((), ("build", "2 1.0"), "not an integer"),
 ]
 
 
@@ -315,6 +327,23 @@ def test_usage_errors_exit_2_with_one_line(capsys, monkeypatch, env, argv, messa
     assert code == 2
     assert out.out == ""
     assert len(out.err.splitlines()) == 1 and message in out.err
+
+
+def test_a_signed_integer_reads_as_before(capsys):
+    assert run(capsys, "enumerate", "square", "+5") == (0, "104\n", "")
+    assert parse_permutation("+2 1") == (2, 1)
+    with pytest.raises(ParseError, match="value -1 outside 1..2"):
+        parse_permutation("2 -1")
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "square", "9", "--by", "fixed-points"),
+    ("enumerate", "ctilde", "5", "--method", "fibers"),
+])
+def test_enumerate_option_misuse_names_the_subcommand(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("permutomino enumerate: error: ") and "does not apply" in err
 
 
 IDENTITY_20 = " ".join(map(str, range(1, 21)))  # 18 free fixed points
@@ -818,6 +847,17 @@ def test_package_names_are_their_home_modules_objects():
         assert name in dir(permutomino)
     with pytest.raises(AttributeError):
         permutomino.no_such_name
+
+
+def test_every_module_parses_as_the_declared_minimum_python():
+    """Every module is valid syntax for the `requires-python` of pyproject.toml (3.10)."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    declared = re.search(r'requires-python = ">=3\.(\d+)"', (root / "pyproject.toml").read_text())
+    minimum = (3, int(declared[1]))
+    sources = sorted((root / "src" / "permutomino").glob("*.py"))
+    assert minimum == (3, 10) and len(sources) > 10
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=minimum)
 
 
 def test_classify_scans_each_envelope_once(capsys, monkeypatch):

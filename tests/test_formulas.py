@@ -115,3 +115,25 @@ def test_centered_and_stacks_count_convex_shapes_by_their_rows(n, convex_by_size
         full_bottom += rows[min(rows)] == width
     assert full_row == formulas.centered(n)
     assert full_bottom == formulas.stacks(n)
+
+
+@pytest.mark.parametrize("family, first, message, initial", [
+    ("central-binomial", 0, "central binomial needs n >= 0", [1]),
+    ("centered", 1, "size must be >= 1", [1]),
+    ("bicentered", 1, "size must be >= 1", [1, 1, 4]),
+    ("stacks", 1, "size must be >= 1", [1]),
+])
+def test_division_free_families_declare_their_range_and_initial_terms(
+        family, first, message, initial):
+    """The four forms with no Fraction evaluation: the OutOfRange message just
+    below the first index, and the published terms at the first indices."""
+    fn = formulas.FAMILIES[family]
+    with pytest.raises(OutOfRange) as exc:
+        fn(first - 1)
+    assert str(exc.value) == message
+    assert [fn(n) for n in range(first, first + len(initial))] == initial
+
+
+def test_each_family_is_the_module_function_of_its_name():
+    for family, fn in formulas.FAMILIES.items():
+        assert getattr(formulas, fn.__name__) is fn, family
