@@ -12,11 +12,9 @@ device, a stream closed before start) exits 2 with one line; with standard
 error closed that line, or any note, is lost and the code kept.  Sizes above
 a bound are reported before anything is printed, and an empty `--out` path,
 or one whose directory does not exist, before anything is written.
-Counts are read from one record per size, computed without a scan, up to size
-`counting.COUNT_BOUND`; permutation listings stop at `counting.SCAN_BOUND`.
-`build --all` and the convex and permutation listings stream their rows, so
-their memory does not grow with the output; other geometric listings keep
-only their rows.
+`enumerate` counts and lists a class by the routes of `counting.ROUTES`,
+each with its own bound; `--method` picks a count route where there are two.
+`build --all` streams its shapes, so its memory does not grow with the output.
 `--workers` is ignored (IGNORED).
 At import this module loads only argparse, errno, io, os, sys and `errors`;
 each subcommand imports what it runs in its own body (`render` only to
@@ -40,8 +38,9 @@ from .errors import (Indecomposable, InvalidSequence, NotAssociated, NotSquare, 
 
 PERM_CLASSES = ("ctilde", "square", "decomposable")
 GEO_CLASSES = ("convex", "directed", "parallelogram", "symmetric", "column-convex")
-# the classes each `enumerate --by` applies to; `--method` applies to convex only
-BY_CLASSES = {"fixed-points": ("convex", "ctilde"), "components": ("square", "decomposable")}
+# each `enumerate --by`: its classes, the count record key of its strata, their label
+BY_CLASSES = {"fixed-points": (("convex", "ctilde"), "by_free_fixed_points", "free-fixed-points"),
+              "components": (("square", "decomposable"), "components", "components")}
 IGNORED = "ignored; accepted only so that existing command lines keep working"
 # (exception types, message prefix, exit code) of each error main reports in
 # one stderr line; an OSError is unwritable standard output
@@ -150,41 +149,31 @@ def cmd_build(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    n, name, by = args.size, args.klass, args.by
-    if by and name not in BY_CLASSES[by]:
-        args.parser.error(f"--by {by} does not apply to class {name} "
-                          f"(only to {' and '.join(BY_CLASSES[by])})")
-    if args.method and name != "convex":
-        args.parser.error(f"--method does not apply to class {name} (only to convex)")
     from . import counting
 
+    n, name, by = args.size, args.klass, args.by
+    counts, lister = counting.ROUTES[name]
+    if by and name not in BY_CLASSES[by][0]:
+        args.parser.error(f"--by {by} does not apply to class {name} "
+                          f"(only to {' and '.join(BY_CLASSES[by][0])})")
+    if args.method and len(counts) < 2:
+        only = " and ".join(c for c, (routes, _) in counting.ROUTES.items() if len(routes) > 1)
+        args.parser.error(f"--method does not apply to class {name} (only to {only})")
+    count = counts[args.method] if args.method else next(iter(counts.values()))
     # bounds come before any output: a listing's, then the count record's, then a walk's
-    listed = rows = ()
-    if args.list and name in PERM_CLASSES:
-        listed = counting.perm_listing(name, n)
-    elif args.list:  # (pi1, word) rows; the fibers stream theirs
-        rows = (((p.pi1, p.word) for p in counting.convex_via_fibers(n)) if name == "convex"
-                else counting.listing(name, n))
-    walked = name in GEO_CLASSES and (name != "convex" or args.method == "intervals")
-    stats = counting.scan_stats(n) if by or not walked else {}
-    if not walked:
-        print(stats[name])
-    elif args.list and name != "convex":  # the listing holds its rows
-        print(len(rows))
-    else:
-        print(sum(1 for _ in counting.geo_walk(name, n)))
-    if by == "fixed-points":
-        for k, v in stats["by_free_fixed_points"].items():
-            print(f"free-fixed-points {k}: {v}"
-                  + (f" permutations, {v << k} permutominoes" if name == "convex" else ""))
-    elif by == "components":
-        for k, v in stats["components"].items():
-            if k > 1 or name == "square":
-                print(f"components {k}: {v}")
-    for pi1, word in rows:
-        print(f"{word or '(empty)'}  pi1={' '.join(map(str, pi1))}")
-    for p in listed:
-        print(" ".join(map(str, p)))
+    rows = lister(name, n) if args.list else ()
+    record = counting.scan_stats(n) if by else None
+    # a listing held as a list (a sorted walk) is its own count
+    print(len(rows) if isinstance(rows, list) else count(name, n, record))
+    if by:
+        _, key, label = BY_CLASSES[by]
+        for k, v in record[key].items():
+            if k > 1 or name != "decomposable":
+                print(f"{label} {k}: {v}"
+                      + (f" permutations, {v << k} permutominoes" if name == "convex" else ""))
+    for row in rows:  # a permutation, or a shape's (pi1, word)
+        print(" ".join(map(str, row)) if name in PERM_CLASSES
+              else f"{row[1] or '(empty)'}  pi1={' '.join(map(str, row[0]))}")
     return 0
 
 

@@ -1,17 +1,14 @@
-"""Permutation counts and permutomino listings, built on the kernels.
+"""Counts and listings of every `enumerate` class, and ROUTES, the table of
+the routes that count or list each class.
 
-Every permutation count is a field of scan_stats(n), the record of
-_kernels.count_stats, which counts over the square generator's states in one
-table shared by every size, so counts go up to COUNT_BOUND without visiting a
-permutation; its convex field is the fiber sum, and the independent geometric
-count is the length of geo_walk("convex", n).  The square agreement check
-walks all of S_n in this process.
-Permutation listings stream the square generator, filtered, since every
-listed permutation class is a subset of the square permutations.  Geometric
-counts and listings fold over the interval oracle's walk: convex and
-column-convex over their own, every other class over the convex walk filtered
-by the class flag that CLASS_FLAGS names; a listing keeps only its (pi1, word)
-rows.  The oracle and the permutation and shape modules are imported by the
+A route is a function of a class name and a size that counts or lists the
+class up to a bound, which it checks when called.  A count route reads the
+count record scan_stats(n), which _kernels.count_stats makes without
+visiting a permutation, or counts the interval oracle's walk, geo_walk.  A
+list route streams the square generator, filtered, or the fibers, or sorts a
+walk's rows.  CLASS_FLAGS is the one map from class to boundary.classify
+flag; oracle_counts folds each size's convex walk into every flagged class's
+count.  The oracle and the permutation and shape modules are imported by the
 functions that call them, so a count loads none of them.
 """
 from __future__ import annotations
@@ -26,7 +23,7 @@ from .errors import check_size
 SCAN_BOUND = 10  # square_agreement walks S_10's ~3.6M permutations; listings stop here too
 FIBER_BOUND = 7  # convex_via_fibers streams 1836 shapes at size 7 (~0.2 s), 8468 at size 8 (~1 s)
 
-# CLI class name -> boundary.classify flag that picks it out of the convex listing
+# class -> the boundary.classify flag that picks it out of the convex walk
 CLASS_FLAGS = {
     "directed": "directed",
     "parallelogram": "parallelogram",
@@ -116,3 +113,36 @@ def perm_listing(class_name: str, n: int) -> Iterator[tuple[int, ...]]:
     if class_name != "square":
         raise ValueError(f"no permutation listing for class {class_name!r}")
     return squares
+
+
+def oracle_counts(sizes: range) -> dict[str, dict[int, int]]:
+    """counts[name][n]: the convex permutominoes of size n and those of each
+    class in CLASS_FLAGS, for every n in sizes, in one oracle walk per size."""
+    from . import oracles
+
+    counts = {name: dict.fromkeys(sizes, 0) for name in ("convex", *CLASS_FLAGS)}
+    for n in sizes:
+        for p in oracles.walk(n):
+            counts["convex"][n] += 1
+            for name, flag in CLASS_FLAGS.items():
+                counts[name][n] += p.flags[flag]
+    return counts
+
+
+def from_record(class_name: str, n: int, record: dict | None = None) -> int:
+    """The class's field of the count record of size n, or of the record given."""
+    return (scan_stats(n) if record is None else record)[class_name]
+
+
+def from_walk(class_name: str, n: int, record: dict | None = None) -> int:
+    """The number of shapes in the class's oracle walk of size n (a record is not read)."""
+    return sum(1 for _ in geo_walk(class_name, n))
+
+
+# class -> (its count routes by `--method` name, the default first, its list route)
+ROUTES = {
+    **dict.fromkeys(("ctilde", "square", "decomposable"), ({"record": from_record}, perm_listing)),
+    "convex": ({"fibers": from_record, "intervals": from_walk},
+               lambda name, n: ((p.pi1, p.word) for p in convex_via_fibers(n))),
+    **dict.fromkeys((*CLASS_FLAGS, "column-convex"), ({"intervals": from_walk}, listing)),
+}

@@ -26,13 +26,7 @@ class Entry(NamedTuple):
     elapsed: float = 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "sizes": self.sizes,
-            "status": self.status,
-            "detail": self.detail,
-            "elapsed": round(self.elapsed, 6),
-        }
+        return {**self._asdict(), "elapsed": round(self.elapsed, 6)}
 
 
 class VerificationReport(NamedTuple):
@@ -97,24 +91,11 @@ def sequence_class_count(n: int, k: int, directed_counts, parallelogram_counts) 
     return ways[n]
 
 
-def _oracle_counts(n: int) -> list[int]:
-    """[convex, directed, parallelogram, symmetric] at size n, in one oracle walk."""
-    counts = [0, 0, 0, 0]
-    for p in oracles.walk(n):
-        flags = p.flags
-        counts[0] += 1
-        counts[1] += flags["directed"]
-        counts[2] += flags["parallelogram"]
-        counts[3] += flags["symmetric_xy"]
-    return counts
-
-
 def verify_identities(max_size: int, strict_paper: bool = False) -> VerificationReport:
     """Run every identity up to max_size (interval-oracle rows up to the oracle's bound).
 
-    Each size is walked by the oracle once, and one pass over the walk counts
-    the convex shapes and the directed, parallelogram and symmetric flags.
-    Raises SizeTooLarge before any count when max_size > counting.COUNT_BOUND.
+    Each size is walked by the oracle once.  Raises SizeTooLarge before any
+    count when max_size > counting.COUNT_BOUND.
     """
     if max_size < 2:
         raise ValueError("max_size must be at least 2")
@@ -124,21 +105,21 @@ def verify_identities(max_size: int, strict_paper: bool = False) -> Verification
 
     # one count record per size, read as `enumerate` reads it, and one oracle walk
     stats = {n: counting.scan_stats(n) for n in every}
-    total, directed, parallelogram, symmetric = (
-        dict(zip(geo, column)) for column in zip(*map(_oracle_counts, geo)))
+    shapes = counting.oracle_counts(geo)
 
     def bijection(n, s):
         """The first k where |decomposable with k components| != |T_{n,k}|, else k = n."""
         for k in range(2, n + 1):
             lhs = s["components"].get(k, 0)
-            rhs = sequence_class_count(n, k, directed, parallelogram)
+            rhs = sequence_class_count(n, k, shapes["directed"], shapes["parallelogram"])
             if lhs != rhs or k == n:
                 return lhs, rhs, f"n={n},k={k}: {lhs} = {rhs}"
 
     rows = [
         ("convex = sum of 2^k over free-fixed-point classes (closed form)", every,
          lambda n, s: (s["convex"], formulas.convex_permutomino(n))),
-        ("convex: fiber sum vs interval oracle", geo, lambda n, s: (s["convex"], total[n])),
+        ("convex: fiber sum vs interval oracle", geo,
+         lambda n, s: (s["convex"], shapes["convex"][n])),
         ("ctilde closed form (exact rational factor)", every,
          lambda n, s: (s["ctilde"], formulas.ctilde(n))),
         ("ctilde = square - decomposable", from2,
@@ -165,11 +146,11 @@ def verify_identities(max_size: int, strict_paper: bool = False) -> Verification
          lambda n, s: (s["convex"], s["ctilde"] + (surplus := formulas.fixed_point_surplus(n)),
                        f"n={n}: {s['convex']} = {s['ctilde']} + {surplus}")),
         ("directed convex oracle vs closed form", geo,
-         lambda n, s: (directed[n], formulas.directed_convex(n))),
+         lambda n, s: (shapes["directed"][n], formulas.directed_convex(n))),
         ("parallelogram oracle vs catalan", geo,
-         lambda n, s: (parallelogram[n], formulas.parallelogram(n))),
+         lambda n, s: (shapes["parallelogram"][n], formulas.parallelogram(n))),
         ("symmetric oracle vs closed form", geo,
-         lambda n, s: (symmetric[n], formulas.symmetric(n))),
+         lambda n, s: (shapes["symmetric"][n], formulas.symmetric(n))),
         ("decomposable classes match permutomino sequences", range(2, geo.stop), bijection),
     ]
     printed_rows = [

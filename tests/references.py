@@ -6,7 +6,8 @@ own lattice tracer), class flags and reflections that the boundary path
 replaced, the interval-stack generator and rotated stack word that the
 oracle's recursion replaced, the value-level square-permutation search that
 the generator's moves replaced, the oracle's walk sorted into one list per
-size, the upper-unimodal test that every upper envelope passes, the
+size, the upper-unimodal test that every upper envelope passes, the square
+test and the split points read off records and prefix minima, the
 composition sum behind the sequence counts T_{n,k}, the ASCII and SVG cell
 parsers, the closed forms looked up by name, and the Fraction evaluations of
 the closed forms that the integer ones replaced.
@@ -14,6 +15,7 @@ the closed forms that the integer ones replaced.
 import re
 from collections import defaultdict
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 
 from permutomino import boundary, formulas, oracles
@@ -283,6 +285,23 @@ def is_upper_unimodal(values) -> bool:
     while i + 1 < len(values) and values[i] > values[i + 1]:
         i += 1
     return i + 1 >= len(values)
+
+
+def is_square_by_records(p) -> bool:
+    """True iff every entry of p is a left-to-right or right-to-left maximum
+    or minimum, the definition of a square permutation, in O(n)."""
+    rising_min, rising_max = list(accumulate(p, min)), list(accumulate(p, max))
+    falling_min = list(accumulate(reversed(p), min))[::-1]
+    falling_max = list(accumulate(reversed(p), max))[::-1]
+    return all(v in (rising_min[i], rising_max[i], falling_min[i], falling_max[i])
+               for i, v in enumerate(p))
+
+
+def prefix_minimum_splits(p) -> set[int]:
+    """The r in 1..n-1 whose length-r prefix has minimum n - r + 1, that is,
+    holds the top r values: the split points, from the prefix minima."""
+    n = len(p)
+    return {r for r, low in enumerate(accumulate(p, min), start=1) if r < n and low == n - r + 1}
 
 
 def composition_class_count(n: int, k: int, directed_counts, parallelogram_counts) -> int:

@@ -1,6 +1,6 @@
 import pytest
 
-from permutomino import counting, formulas
+from permutomino import cli, counting, formulas, oracles
 from permutomino.boundary import Permutomino
 from permutomino.errors import SizeTooLarge
 from permutomino.membership import is_associated
@@ -105,3 +105,58 @@ def test_geometric_listing_dispatch():
     with pytest.raises(ValueError):
         counting.listing("square", 3)
 
+
+def test_the_route_table_covers_every_enumerate_class():
+    assert set(counting.ROUTES) == set(cli.PERM_CLASSES + cli.GEO_CLASSES)
+
+
+def test_each_by_option_reads_strata_that_its_classes_count_records_hold():
+    """A class that `--by` applies to counts, by default, from the count
+    record, and that record holds the strata `--by` prints."""
+    for classes, key, _ in cli.BY_CLASSES.values():
+        assert key in ("by_free_fixed_points", "components")
+        for name in classes:
+            counts, _ = counting.ROUTES[name]
+            assert next(iter(counts.values())) is counting.from_record
+            assert all(key in counting.scan_stats(n) for n in range(1, 8))
+
+
+@pytest.mark.parametrize("name", cli.PERM_CLASSES + cli.GEO_CLASSES)
+def test_method_applies_exactly_to_the_classes_with_two_count_routes(capsys, name):
+    counts, _ = counting.ROUTES[name]
+    for method in sorted({method for routes, _ in counting.ROUTES.values() for method in routes}):
+        try:
+            code = cli.main(["enumerate", name, "3", "--method", method])
+        except SystemExit as exc:  # a usage error
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == (0 if len(counts) > 1 and method in counts else 2), method
+        if len(counts) < 2 and method in ("fibers", "intervals"):
+            assert err.endswith("--method does not apply to class "
+                                f"{name} (only to convex) (see --help)\n")
+
+
+# the largest size at which a count route of each name is compared with its
+# class's listing: the fibers' bound, the oracle's, or 8 for the permutation
+# classes, whose listings run to SCAN_BOUND = 10
+COMPARED_UP_TO = {"record": 8, "fibers": counting.FIBER_BOUND, "intervals": oracles.DEFAULT_BOUND}
+
+
+@pytest.mark.parametrize("name", cli.PERM_CLASSES + cli.GEO_CLASSES)
+def test_each_count_route_equals_its_listings_length(name):
+    """Wherever a count route and the list route of a class both run, the
+    count is the number of rows listed."""
+    counts, lister = counting.ROUTES[name]
+    compared = {method: 0 for method in counts}
+    for n in range(1, 9):
+        try:
+            listed = sum(1 for _ in lister(name, n))
+        except SizeTooLarge:
+            continue
+        for method, count in counts.items():
+            try:
+                assert count(name, n) == listed, (method, n)
+            except SizeTooLarge:
+                continue
+            compared[method] = n
+    assert compared == {method: COMPARED_UP_TO[method] for method in counts}

@@ -1,10 +1,13 @@
-"""Round trips on square permutations of size 30 to 80, far above the sizes
-that the exhaustive tests reach.
+"""Round trips on square permutations of size 30 to 80, and the square test
+and split points on near-squares of size 30 to 200, far above the sizes that
+the exhaustive tests reach.
 
 The permutations are drawn by a random walk over `_kernels.moves`, the square
 generator's own moves, so every draw is square.  The walk is biased: few
 unconstrained draws are decomposable, so the bijection's round trip draws
-walks made to pass through a split state.
+walks made to pass through a split state.  A near-square is such a draw with
+one to three entries swapped, so most near-squares are not square and some
+are, and both kinds are checked against definitions in `references`.
 """
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -14,13 +17,14 @@ from permutomino.bijection import permutation_to_sequence, sequence_to_permutati
 from permutomino.boundary import from_boundary_word, permutomino_from_matrix, reentrant_matrix
 from permutomino.membership import Fiber
 from permutomino.render import from_json, to_json
+from references import is_square_by_records, prefix_minimum_splits
 
 SIZES = st.integers(30, 80)
 LARGE = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
 @st.composite
-def square_permutations(draw, split=False):
+def square_permutations(draw, split=False, sizes=SIZES):
     """A square permutation drawn move by move from the generator's states.
 
     With split=True the walk first fills a prefix with the top r values, for a
@@ -28,7 +32,7 @@ def square_permutations(draw, split=False):
     (see _kernels.count_stats).  Until then it takes no value <= n - r, which
     always leaves a move: the largest unused value, in the top block.
     """
-    n = draw(SIZES)
+    n = draw(sizes)
     r = draw(st.integers(1, n - 1)) if split else n
     low = n - r
     first = draw(st.integers(low + 1, n))
@@ -66,3 +70,37 @@ def test_bijection_round_trips_at_large_sizes(p):
     seq = permutation_to_sequence(p)
     assert len(seq) == len(perms.decompose(p)) >= 2
     assert sequence_to_permutation(seq) == p
+
+
+@st.composite
+def near_squares(draw):
+    """A square of size 30 to 200 drawn as above, through a split state or
+    not, then one to three transpositions, each of adjacent positions, of
+    adjacent values or of any two entries."""
+    p = list(draw(square_permutations(draw(st.booleans()), st.integers(30, 200))))
+    n = len(p)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("positions", "values", "entries")))
+        if kind == "positions":
+            i = draw(st.integers(0, n - 2))
+            j = i + 1
+        elif kind == "values":
+            v = draw(st.integers(1, n - 1))
+            i, j = p.index(v), p.index(v + 1)
+        else:
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        p[i], p[j] = p[j], p[i]
+    return tuple(p)
+
+
+@LARGE
+@given(square_permutations(sizes=st.integers(30, 200)))
+def test_every_generated_square_has_only_record_entries(p):
+    assert is_square_by_records(p)
+
+
+@LARGE
+@given(near_squares())
+def test_square_test_and_split_points_match_their_definitions_near_squares(p):
+    assert perms.is_square(p) == is_square_by_records(p)
+    assert perms.split_points(p) == prefix_minimum_splits(p)
