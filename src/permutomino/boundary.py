@@ -27,8 +27,8 @@ from __future__ import annotations
 from collections import defaultdict
 from functools import cached_property
 from itertools import accumulate, compress
-from operator import ne
-from typing import Mapping, NamedTuple, Sequence
+from operator import index, ne
+from typing import NamedTuple, Sequence
 
 from .errors import InvalidMatrix, NotClosed, NotConvex, NotPermutomino, SelfIntersecting
 
@@ -45,6 +45,8 @@ _MIRROR_X = str.maketrans("EW", "WE")
 _TRANSPOSE = str.maketrans("NESW", "WSEN")
 _DROP_VERTICAL = str.maketrans("", "", "NS")
 _DROP_HORIZONTAL = str.maketrans("", "", "EW")
+# the unit step (dx, dy) of each letter
+_STEP = {"N": (0, 1), "E": (1, 0), "S": (0, -1), "W": (-1, 0)}
 
 
 def _walk(word: str) -> list[int]:
@@ -341,13 +343,6 @@ class LabeledMatrix(NamedTuple):
     def by_label(self, label: str) -> list[tuple[int, int]]:
         return sorted((x, y) for x, y, lab in self.points if lab == label)
 
-    def retyped(self, changes: Mapping[tuple[int, int], str]) -> "LabeledMatrix":
-        """A copy with the labels at the given (x, y) points replaced."""
-        new_points = set()
-        for x, y, lab in self.points:
-            new_points.add((x, y, changes.get((x, y), lab)))
-        return LabeledMatrix(self.dim, frozenset(new_points))
-
 
 def reentrant_matrix(p: Permutomino) -> LabeledMatrix:
     """Labeled reentrant-point matrix of a convex permutomino (dim = size - 2)."""
@@ -362,31 +357,37 @@ def reentrant_matrix(p: Permutomino) -> LabeledMatrix:
 def validate_matrix(matrix: LabeledMatrix, size: int) -> None:
     """Check every validity condition, raising InvalidMatrix naming the first violated.
 
-    Conditions: permutation matrix on {2..size-1}; corner-order inequalities
-    between the four label classes; no alpha/gamma or beta/delta path crossing;
-    strictly monotone ordinates within each label class; and the diagonal
-    bounds (alpha on or above y=x, gamma on or below, beta on or above
-    x+y=size+1, delta on or below).
+    Conditions: (x, y, label) triples with integer coordinates on {2..size-1}
+    forming a permutation matrix; corner-order inequalities between the four
+    label classes; strictly monotone ordinates within each label class; and
+    the diagonal bounds (alpha on or above y=x, gamma on or below, beta on or
+    above x+y=size+1, delta on or below).  The bounds exclude crossing paths:
+    an alpha right of a gamma lies above it (ya >= xa > xc >= yc), and a
+    beta left of a delta lies above it (xb + yb >= size+1 >= xd + yd).
     """
     if size < 2:
         raise InvalidMatrix("size", f"size {size} < 2")
     if matrix.dim != size - 2 or len(matrix.points) != size - 2:
         raise InvalidMatrix("dimension", f"want {size - 2} points, got {len(matrix.points)}")
     coords = range(2, size)
-    for x, y, lab in matrix.points:
+    for point in matrix.points:
+        if not (isinstance(point, tuple) and len(point) == 3):
+            raise InvalidMatrix("point", f"{point!r} is not an (x, y, label) triple")
+        x, y, lab = point
         if lab not in LABELS:
             raise InvalidMatrix("label", f"unknown label {lab!r}")
-        if x not in coords or y not in coords:
+        try:
+            inside = index(x) in coords and index(y) in coords
+        except TypeError:  # not an integer, such as 2.0
+            inside = False
+        if not inside:
             raise InvalidMatrix("range", f"point ({x},{y}) outside {{2..{size - 1}}}")
     if len({x for x, _, _ in matrix.points}) != len(matrix.points) or len(
         {y for _, y, _ in matrix.points}
     ) != len(matrix.points):
         raise InvalidMatrix("permutation-matrix", "repeated abscissa or ordinate")
 
-    alphas = matrix.by_label(ALPHA)
-    betas = matrix.by_label(BETA)
-    gammas = matrix.by_label(GAMMA)
-    deltas = matrix.by_label(DELTA)
+    alphas, betas, gammas, deltas = map(matrix.by_label, LABELS)
 
     for xa, ya in alphas:
         for xb, yb in betas:
@@ -395,29 +396,20 @@ def validate_matrix(matrix: LabeledMatrix, size: int) -> None:
         for xd, yd in deltas:
             if not ya > yd:
                 raise InvalidMatrix("corner-order", f"alpha ({xa},{ya}) not above delta ({xd},{yd})")
-        for xc, yc in gammas:
-            if xa > xc and ya < yc:
-                raise InvalidMatrix("path-crossing", f"alpha ({xa},{ya}) below-right of gamma ({xc},{yc})")
     for xd, yd in deltas:
         for xc, yc in gammas:
             if not xd < xc:
                 raise InvalidMatrix("corner-order", f"delta ({xd},{yd}) not left of gamma ({xc},{yc})")
-        for xb, yb in betas:
-            if xb < xd and yb < yd:
-                raise InvalidMatrix("path-crossing", f"beta ({xb},{yb}) below-left of delta ({xd},{yd})")
     for xb, yb in betas:
         for xc, yc in gammas:
             if not yb > yc:
                 raise InvalidMatrix("corner-order", f"beta ({xb},{yb}) not above gamma ({xc},{yc})")
 
-    for pts, increasing, lab in (
-        (alphas, True, ALPHA), (gammas, True, GAMMA), (betas, False, BETA), (deltas, False, DELTA),
-    ):
+    # the ordinates are distinct, so sorted means strictly monotone
+    for lab, pts in zip(LABELS, (alphas, betas, gammas, deltas)):
+        increasing = lab in (ALPHA, GAMMA)
         ys = [y for _, y in pts]
-        ordered = all(a < b for a, b in zip(ys, ys[1:])) if increasing else all(
-            a > b for a, b in zip(ys, ys[1:])
-        )
-        if not ordered:
+        if ys != sorted(ys, reverse=not increasing):
             raise InvalidMatrix("monotone-ordinates", f"{lab} ordinates not strictly "
                                 f"{'increasing' if increasing else 'decreasing'}")
 
@@ -435,63 +427,51 @@ def validate_matrix(matrix: LabeledMatrix, size: int) -> None:
             raise InvalidMatrix("diagonal", f"delta ({x},{y}) above x+y={size + 1}")
 
 
+def _staircase(start, chain, end, first: str, second: str) -> str:
+    """The path from start through the chain's points to end, each step by
+    `first` letters, then by `second` letters (none for a negative count)."""
+    (fx, fy), (sx, sy) = _STEP[first], _STEP[second]
+    word = ""
+    x0, y0 = start
+    for x1, y1 in (*chain, end):
+        word += first * ((x1 - x0) * fx + (y1 - y0) * fy) + second * ((x1 - x0) * sx + (y1 - y0) * sy)
+        x0, y0 = x1, y1
+    return word
+
+
 def corner_word(alphas, betas, gammas, deltas, n: int) -> str:
     """The boundary word of the convex permutomino of size n with these
     reentrant points, each list of (x, y) sorted by abscissa.
 
-    Threads four corner-to-corner chains from D, the lowest leftmost point:
-    up-left through the deltas to A, up-right through the alphas to B, down-right
-    through the betas to C, down-left through the gammas back to D.  The special
-    corners are pinned by the points (B sits on top of the leftmost beta column,
-    A at the height of the leftmost delta, and so on, degenerating to (1,1) /
-    (n,n) when a chain is empty).  Nothing is validated here.
+    One staircase rule threads four chains between the special corners: from
+    D, the lowest leftmost point, west then north through the deltas (right to
+    left) to A, north then east through the alphas to B, east then south
+    through the betas to C, south then west through the gammas (right to left)
+    back to D.  The special corners are pinned by the points (B sits on top of
+    the leftmost beta column, A at the height of the leftmost delta, and so
+    on, degenerating to (1,1) / (n,n) when a chain is empty).  Nothing is
+    validated here.
     """
     corner_a = (1, deltas[0][1]) if deltas else (1, 1)
     corner_d = (deltas[-1][0], 1) if deltas else (1, 1)
     corner_b = (betas[0][0], n) if betas else (n, n)
     corner_c = (n, betas[-1][1]) if betas else (n, n)
-
-    parts: list[str] = []
-    # delta path, D up-left to A: NW reentrants visited right to left
-    if deltas:
-        parts.append("N" * (deltas[-1][1] - 1))
-        rev = list(reversed(deltas))
-        for right, left in zip(rev, rev[1:]):
-            parts.append("W" * (right[0] - left[0]) + "N" * (left[1] - right[1]))
-        parts.append("W" * (deltas[0][0] - 1))
-    # alpha path, A up-right to B: EN reentrants left to right
-    prev = corner_a
-    for x, y in alphas:
-        parts.append("N" * (y - prev[1]) + "E" * (x - prev[0]))
-        prev = (x, y)
-    parts.append("N" * (n - prev[1]) + "E" * (corner_b[0] - prev[0]))
-    # beta path, B down-right to C: SE reentrants left to right
-    prev = corner_b
-    for x, y in betas:
-        parts.append("E" * (x - prev[0]) + "S" * (prev[1] - y))
-        prev = (x, y)
-    if betas:
-        parts.append("E" * (n - prev[0]))
-    # gamma path, C down-left to D: WS reentrants right to left
-    prev = corner_c
-    for x, y in reversed(gammas):
-        parts.append("S" * (prev[1] - y) + "W" * (prev[0] - x))
-        prev = (x, y)
-    parts.append("S" * (prev[1] - 1) + "W" * (prev[0] - corner_d[0]))
-    return "".join(parts)
+    return (_staircase(corner_d, deltas[::-1], corner_a, "W", "N")
+            + _staircase(corner_a, alphas, corner_b, "N", "E")
+            + _staircase(corner_b, betas, corner_c, "E", "S")
+            + _staircase(corner_c, gammas[::-1], corner_d, "S", "W"))
 
 
 def permutomino_from_matrix(matrix: LabeledMatrix, size: int) -> Permutomino:
     """The unique convex permutomino whose labeled reentrant points equal the matrix.
 
-    Inverse of :func:`reentrant_matrix`: the matrix is validated, its four
-    label classes are threaded by :func:`corner_word`, the one builder of
-    convex boundary words (fibers feed it their corner matrix read off the
-    envelopes), and the word is validated and read back.
+    Inverse of :func:`reentrant_matrix`: the matrix is validated, its label
+    classes, in LABELS order, are threaded by :func:`corner_word`, the one
+    builder of convex boundary words (fibers feed it their own chains), and
+    the word is validated and read back.
     """
     validate_matrix(matrix, size)
-    word = corner_word(matrix.by_label(ALPHA), matrix.by_label(BETA),
-                       matrix.by_label(GAMMA), matrix.by_label(DELTA), size)
+    word = corner_word(*map(matrix.by_label, LABELS), size)
     try:
         result = from_boundary_word(word)
     except Exception as exc:  # conditions above should make this unreachable

@@ -6,10 +6,11 @@ the whole fiber of permutominoes over p has size 2^|F(p)| where F(p) is the set
 of free fixed points: fixed points on the strictly increasing part of the upper
 envelope, other than 1 and n.  Each choice of alpha/gamma typing for the free
 fixed points gives one permutomino of the fiber: its corner matrix is read off
-the envelopes, the chosen points are retyped gamma, and boundary.corner_word,
-the one builder of convex boundary words, threads it.  `Fiber.shape` is the
-only place that builds such a shape; `fiber`, `canonical_permutomino` and the
-bijection all go through a `Fiber`.
+the envelopes as four chains, one per label, the chosen points are moved from
+the alphas to the gammas, and boundary.corner_word, the one builder of convex
+boundary words, threads each chain as a monotone staircase between two special
+corners.  `Fiber.shape` is the only place that builds such a shape; `fiber`,
+`canonical_permutomino` and the bijection all go through a `Fiber`.
 """
 from __future__ import annotations
 

@@ -7,10 +7,11 @@ replaced, the interval-stack generator and rotated stack word that the
 oracle's recursion replaced, the value-level square-permutation search that
 the generator's moves replaced, the oracle's walk sorted into one list per
 size, the upper-unimodal test that every upper envelope passes, the square
-test and the split points read off records and prefix minima, the
-composition sum behind the sequence counts T_{n,k}, the ASCII and SVG cell
-parsers, the closed forms looked up by name, and the Fraction evaluations of
-the closed forms that the integer ones replaced.
+test and the split points read off records and prefix minima, the lower
+envelope and the free fixed points read off maxima, the composition sum
+behind the sequence counts T_{n,k}, the ASCII and SVG cell parsers, the
+closed forms looked up by name, and the Fraction evaluations of the closed
+forms that the integer ones replaced.
 """
 import re
 from collections import defaultdict
@@ -302,6 +303,21 @@ def prefix_minimum_splits(p) -> set[int]:
     holds the top r values: the split points, from the prefix minima."""
     n = len(p)
     return {r for r, low in enumerate(accumulate(p, min), start=1) if r < n and low == n - r + 1}
+
+
+def lower_envelope_by_definition(p) -> list[tuple[int, int]]:
+    """The (position, value) pairs of the lower envelope, from its definition:
+    both ends, and every entry that is neither a left-to-right nor a
+    right-to-left maximum."""
+    last = len(p) - 1
+    return [(i + 1, v) for i, v in enumerate(p)
+            if i in (0, last) or not (v == max(p[:i + 1]) or v == max(p[i:]))]
+
+
+def free_fixed_points_by_definition(p) -> tuple[int, ...]:
+    """The fixed points f, 1 < f < n, on the strictly increasing part of the
+    upper envelope, that is, whose entry is a left-to-right maximum."""
+    return tuple(f for f in range(2, len(p)) if p[f - 1] == f == max(p[:f]))
 
 
 def composition_class_count(n: int, k: int, directed_counts, parallelogram_counts) -> int:

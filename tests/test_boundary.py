@@ -217,6 +217,20 @@ def test_invalid_matrices_report_conditions():
     assert exc.value.condition == "label"
 
 
+@pytest.mark.parametrize("point, condition", [
+    ((2.0, 2, ALPHA), "range"),  # 2.0 is in range(2, 3), but not an integer
+    ((2, 2.0, ALPHA), "range"),
+    ((2, "2", ALPHA), "range"),
+    ((2, 2), "point"),
+    ((2, 2, ALPHA, 1), "point"),
+    (7, "point"),
+])
+def test_malformed_matrix_points_are_invalid_matrices(point, condition):
+    with pytest.raises(InvalidMatrix) as exc:
+        permutomino_from_matrix(LabeledMatrix(1, frozenset({point})), 3)
+    assert exc.value.condition == condition
+
+
 def _all_labeled_matrices(size):
     coords = range(2, size)
     dim = size - 2

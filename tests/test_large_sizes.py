@@ -1,23 +1,37 @@
-"""Round trips on square permutations of size 30 to 80, and the square test
-and split points on near-squares of size 30 to 200, far above the sizes that
-the exhaustive tests reach.
+"""Round trips on square permutations of size 30 to 80; the square test,
+split points, membership witnesses and free fixed points on near-squares of
+size 30 to 200 (the pattern test up to size 30); and the corner-matrix
+characterization on near-valid matrices of size 7 to 20: all far above the
+sizes that the exhaustive tests reach.
 
 The permutations are drawn by a random walk over `_kernels.moves`, the square
 generator's own moves, so every draw is square.  The walk is biased: few
 unconstrained draws are decomposable, so the bijection's round trip draws
 walks made to pass through a split state.  A near-square is such a draw with
 one to three entries swapped, so most near-squares are not square and some
-are, and both kinds are checked against definitions in `references`.
+are, and both kinds are checked against definitions in `references`.  A
+near-valid matrix is the corner matrix of a fiber shape with zero to two
+points relabeled or swapped, so about half of them are valid.
 """
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from permutomino import _kernels, perms
 from permutomino.bijection import permutation_to_sequence, sequence_to_permutation
-from permutomino.boundary import from_boundary_word, permutomino_from_matrix, reentrant_matrix
-from permutomino.membership import Fiber
+from permutomino.boundary import (
+    LABELS, LabeledMatrix, corner_word, from_boundary_word, permutomino_from_matrix,
+    reentrant_matrix, validate_matrix,
+)
+from permutomino.errors import InvalidMatrix, NotAssociated, PermutominoError
+from permutomino.membership import (
+    DECOMPOSABLE, NOT_UNIMODAL, Fiber, free_fixed_points, membership_verdict,
+)
 from permutomino.render import from_json, to_json
-from references import is_square_by_records, prefix_minimum_splits
+from references import (
+    free_fixed_points_by_definition, is_square_by_records, lower_envelope_by_definition,
+    prefix_minimum_splits,
+)
 
 SIZES = st.integers(30, 80)
 LARGE = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -73,11 +87,11 @@ def test_bijection_round_trips_at_large_sizes(p):
 
 
 @st.composite
-def near_squares(draw):
-    """A square of size 30 to 200 drawn as above, through a split state or
-    not, then one to three transpositions, each of adjacent positions, of
-    adjacent values or of any two entries."""
-    p = list(draw(square_permutations(draw(st.booleans()), st.integers(30, 200))))
+def near_squares(draw, sizes=st.integers(30, 200)):
+    """A square drawn as above, through a split state or not, then one to
+    three transpositions, each of adjacent positions, of adjacent values or of
+    any two entries."""
+    p = list(draw(square_permutations(draw(st.booleans()), sizes)))
     n = len(p)
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(("positions", "values", "entries")))
@@ -104,3 +118,82 @@ def test_every_generated_square_has_only_record_entries(p):
 def test_square_test_and_split_points_match_their_definitions_near_squares(p):
     assert perms.is_square(p) == is_square_by_records(p)
     assert perms.split_points(p) == prefix_minimum_splits(p)
+
+
+# the pattern test ranks every 5-subset, 0.09 s at size 30, so few draws
+@settings(max_examples=8, deadline=None)
+@given(near_squares(sizes=st.integers(26, 30)))
+def test_square_test_matches_the_pattern_test_near_squares(p):
+    assert perms.is_square(p) == perms.is_square_by_patterns(p)
+
+
+# near-squares are rarely realizable or split, so squares are drawn too
+@LARGE
+@given(st.one_of(near_squares(), square_permutations(False, st.integers(30, 200)),
+                 square_permutations(True, st.integers(30, 200))))
+def test_membership_witnesses_and_free_fixed_points_match_their_definitions(p):
+    n = len(p)
+    verdict = membership_verdict(p)
+    if verdict.reason == NOT_UNIMODAL:
+        # three entries of the lower envelope that rise, then fall
+        a, b, c = verdict.witness
+        assert {a, b, c} <= set(lower_envelope_by_definition(p))
+        assert a[0] < b[0] < c[0] and a[1] < b[1] > c[1]
+        assert not is_square_by_records(p)
+    elif verdict.reason == DECOMPOSABLE:
+        # the shortest prefix that holds the top values
+        r = verdict.witness
+        holds_top = [set(p[:k]) == set(range(n - k + 1, n + 1)) for k in range(1, r + 1)]
+        assert r < n and holds_top[-1] and not any(holds_top[:-1])
+        assert is_square_by_records(p)
+    else:
+        assert verdict.member and is_square_by_records(p) and not prefix_minimum_splits(p)
+    if verdict.member:
+        assert free_fixed_points(p) == free_fixed_points_by_definition(p)
+    else:
+        with pytest.raises(NotAssociated):
+            free_fixed_points(p)
+
+
+@st.composite
+def near_valid_matrices(draw):
+    """The corner matrix of a fiber shape of size 7 to 20, then zero to two
+    perturbations, each a point relabeled, two points' ordinates swapped or
+    two points' labels swapped.  The points are kept sorted by abscissa, so
+    the point a draw picks does not depend on the order of a set."""
+    p = draw(square_permutations(sizes=st.integers(7, 20)))
+    assume(perms.is_indecomposable(p))
+    over = Fiber(p)
+    gamma = draw(st.lists(st.sampled_from(over.free), unique=True)) if over.free else []
+    matrix = reentrant_matrix(over.shape(sorted(gamma)))
+    points = sorted(matrix.points)
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(("label", "ordinates", "labels")))
+        i, j = draw(st.integers(0, len(points) - 1)), draw(st.integers(0, len(points) - 1))
+        (xi, yi, li), (xj, yj, lj) = points[i], points[j]
+        if kind == "label":
+            points[i] = (xi, yi, draw(st.sampled_from(LABELS)))
+        elif kind == "ordinates":
+            points[i], points[j] = (xi, yj, li), (xj, yi, lj)
+        else:
+            points[i], points[j] = (xi, yi, lj), (xj, yj, li)
+    return len(p), LabeledMatrix(matrix.dim, frozenset(points))
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_valid_matrices())
+def test_matrix_conditions_hold_iff_the_threaded_word_gives_the_matrix_back(drawn):
+    """validate_matrix accepts a matrix iff corner_word threads it into the
+    word of a convex permutomino whose corner matrix is that matrix."""
+    n, matrix = drawn
+    try:
+        validate_matrix(matrix, n)
+        valid = True
+    except InvalidMatrix:
+        valid = False
+    try:
+        shape = from_boundary_word(corner_word(*map(matrix.by_label, LABELS), n))
+        rebuilt = shape.is_convex and reentrant_matrix(shape) == matrix
+    except (PermutominoError, ValueError):
+        rebuilt = False
+    assert valid == rebuilt

@@ -171,7 +171,8 @@ def test_fiber_matches_the_matrix_route():
             base = reentrant_matrix(canonical_permutomino(p))
             free = membership.free_fixed_values(p)
             want = {
-                permutomino_from_matrix(base.retyped({(f, f): GAMMA for f in chosen}), n)
+                permutomino_from_matrix(LabeledMatrix(base.dim, frozenset(
+                    (x, y, GAMMA if x == y and x in chosen else lab) for x, y, lab in base.points)), n)
                 for k in range(len(free) + 1)
                 for chosen in combinations(free, k)
             }
