@@ -3,9 +3,10 @@
 The package decides which permutations occur as the odd-vertex permutation of
 a convex permutomino, constructs the full fiber of permutominoes over such a
 permutation, converts between permutominoes and their labeled reentrant-corner
-matrices, realizes the bijection between decomposable square permutations and
-sequences of directed-convex/parallelogram permutominoes, and cross-verifies
-every closed-form count against exhaustive enumeration.
+matrices (permutomino.matrix), realizes the bijection between decomposable
+square permutations and sequences of directed-convex/parallelogram
+permutominoes, and cross-verifies every closed-form count against exhaustive
+enumeration.
 
 The names in __all__ are read lazily from their home modules, which _HOMES
 maps them to: `import permutomino` loads no submodule, and `permutomino.fiber`
@@ -18,9 +19,12 @@ __version__ = "0.1.0"
 # public name -> the submodule that defines it
 _HOMES = {
     **dict.fromkeys((
-        "EMPTY", "LabeledMatrix", "Permutomino", "classify", "from_boundary_word",
-        "permutomino_from_matrix", "reentrant_matrix", "reflect_x", "reflect_y", "transpose",
+        "EMPTY", "Permutomino", "classify", "from_boundary_word", "reflect_x", "reflect_y",
+        "transpose",
     ), "boundary"),
+    **dict.fromkeys((
+        "LabeledMatrix", "permutomino_from_matrix", "reentrant_matrix",
+    ), "matrix"),
     **dict.fromkeys((
         "PermutominoSequence", "permutation_to_sequence", "sequence_to_permutation",
     ), "bijection"),

@@ -8,8 +8,9 @@ envelope, other than 1 and n.  Each choice of alpha/gamma typing for the free
 fixed points gives one permutomino of the fiber: its corner matrix is read off
 the envelopes as four chains, one per label, the chosen points are moved from
 the alphas to the gammas, and boundary.corner_word, the one builder of convex
-boundary words, threads each chain as a monotone staircase between two special
-corners.  `Fiber.shape` is the only place that builds such a shape; `fiber`,
+boundary words (matrix.permutomino_from_matrix threads a corner matrix with it
+too), threads each chain as a monotone staircase between two special corners.
+`Fiber.shape` is the only place that builds such a shape; `fiber`,
 `canonical_permutomino` and the bijection all go through a `Fiber`.
 """
 from __future__ import annotations

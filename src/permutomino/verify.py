@@ -11,7 +11,6 @@ expected: it lists its first three mismatches as 'discrepant', not a failure.
 from __future__ import annotations
 
 import time
-from math import comb
 from typing import NamedTuple
 
 from . import counting, formulas, oracles
@@ -140,7 +139,7 @@ def verify_identities(max_size: int, strict_paper: bool = False) -> Verification
         ("one-direction surplus (definitional closed combination)", from2,
          lambda n, s: (s["ctilde"] - s["square"] // 2, formulas.asym_surplus(n))),
         ("square = convex + central binomial", from2,
-         lambda n, s: (s["square"], s["convex"] + (c := comb(2 * (n - 2), n - 2)),
+         lambda n, s: (s["square"], s["convex"] + (c := formulas.central_binomial(n - 2)),
                        f"n={n}: {s['square']} = {s['convex']} + {c}")),
         ("convex = realizable + free-fixed-point surplus", from2,
          lambda n, s: (s["convex"], s["ctilde"] + (surplus := formulas.fixed_point_surplus(n)),

@@ -6,12 +6,14 @@ from hypothesis import strategies as st
 
 from permutomino import boundary, perms
 from permutomino.boundary import (
-    ALPHA, BETA, DELTA, GAMMA, EMPTY, LabeledMatrix, Permutomino,
-    from_boundary_word, permutomino_from_matrix, reentrant_matrix,
-    reflect_x, reflect_y, transpose, validate_matrix,
+    ALPHA, BETA, DELTA, GAMMA, EMPTY, Permutomino, from_boundary_word,
+    reflect_x, reflect_y, transpose,
 )
 from permutomino.errors import (
     InvalidMatrix, NotClosed, NotConvex, NotPermutomino, PermutominoError, SelfIntersecting,
+)
+from permutomino.matrix import (
+    LabeledMatrix, permutomino_from_matrix, reentrant_matrix, validate_matrix,
 )
 from references import (STEPS, cell_flags, cell_reflections, reference_size, sorted_walk,
                         word_from_cells)

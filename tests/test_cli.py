@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permutomino import _kernels, counting, formulas, oracles
+from permutomino import _kernels, counting, formulas, matrix, oracles
 from permutomino.cli import GEO_CLASSES, PERM_CLASSES, main, parse_permutation
 from permutomino.errors import ParseError
 from permutomino.membership import FREE_FIXED_BOUND
@@ -727,7 +727,7 @@ def modules_after(code: str) -> set[str]:
 
 # the permutation and shape modules: only the subcommands that run them load them
 SHAPE_MODULES = {f"permutomino.{name}"
-                 for name in ("boundary", "membership", "perms", "bijection", "render")}
+                 for name in ("boundary", "matrix", "membership", "perms", "bijection", "render")}
 NOT_AT_IMPORT = (
     "concurrent.futures", "multiprocessing", "xml.sax", "urllib.request", "http.client",
     "email", "dataclasses", "json", "permutomino.counting", "permutomino.verify",
@@ -807,6 +807,14 @@ def test_the_oracle_imports_nothing_from_the_package_but_boundary_and_errors():
     """The interval oracle shares no code with the permutation side: its source
     imports only boundary and errors from the package."""
     relative, absolute = imports_of(oracles)
+    assert relative == {"boundary", "errors"}
+    assert not package_modules(absolute)
+
+
+def test_the_matrix_route_imports_nothing_from_the_package_but_boundary_and_errors():
+    """The corner-matrix route sits on the word validator alone: its source
+    imports only boundary and errors from the package."""
+    relative, absolute = imports_of(matrix)
     assert relative == {"boundary", "errors"}
     assert not package_modules(absolute)
 

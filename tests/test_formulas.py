@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from permutomino import formulas
+from permutomino import formulas, oracles
 from permutomino.formulas import NonIntegerResult, OutOfRange
 from references import FRACTION_FORMS, closed_form
 
@@ -137,3 +137,21 @@ def test_division_free_families_declare_their_range_and_initial_terms(
 def test_each_family_is_the_module_function_of_its_name():
     for family, fn in formulas.FAMILIES.items():
         assert getattr(formulas, fn.__name__) is fn, family
+
+
+def test_bicentered_matches_the_shapes_with_a_full_row_and_column_only_up_to_size_5():
+    """The convex permutominoes with both a full-width row and a full-height
+    column, read off the cells of the interval oracle's walk, number 1, 4, 14,
+    48, 166, 584 for n = 2..7; bicentered agrees with them only for n <= 5."""
+    counts = []
+    for n in range(2, 8):
+        both = 0
+        for shape in oracles.walk(n, bound=7):
+            rows = Counter(y for _, y in shape.cells)
+            columns = Counter(x for x, _ in shape.cells)
+            both += len(columns) in rows.values() and len(rows) in columns.values()
+        counts.append(both)
+    assert counts == [1, 4, 14, 48, 166, 584]
+    bicentered = [formulas.bicentered(n) for n in range(2, 8)]
+    assert bicentered[:4] == counts[:4]
+    assert bicentered[4:] == [164, 560]

@@ -19,11 +19,11 @@ from hypothesis import strategies as st
 
 from permutomino import _kernels, perms
 from permutomino.bijection import permutation_to_sequence, sequence_to_permutation
-from permutomino.boundary import (
-    LABELS, LabeledMatrix, corner_word, from_boundary_word, permutomino_from_matrix,
-    reentrant_matrix, validate_matrix,
-)
+from permutomino.boundary import LABELS, corner_word, from_boundary_word
 from permutomino.errors import InvalidMatrix, NotAssociated, PermutominoError
+from permutomino.matrix import (
+    LabeledMatrix, permutomino_from_matrix, reentrant_matrix, validate_matrix,
+)
 from permutomino.membership import (
     DECOMPOSABLE, NOT_UNIMODAL, Fiber, free_fixed_points, membership_verdict,
 )

@@ -13,12 +13,10 @@ from permutomino.boundary import (
     DELTA,
     EMPTY,
     GAMMA,
-    LabeledMatrix,
     Permutomino,
-    permutomino_from_matrix,
-    reentrant_matrix,
 )
 from permutomino.errors import NotAssociated, SizeTooLarge
+from permutomino.matrix import LabeledMatrix, permutomino_from_matrix, reentrant_matrix
 from permutomino.membership import (
     canonical_permutomino,
     fiber,
@@ -184,13 +182,13 @@ def test_fiber_matches_the_matrix_route():
 def test_fibers_do_not_validate_matrices(monkeypatch):
     """Fibers share the corner-word builder with permutomino_from_matrix, but
     not its per-shape matrix validation."""
-    from permutomino import bijection, boundary
+    from permutomino import bijection, matrix
 
     def refuse(*args):
         raise AssertionError("matrix route called")
 
-    monkeypatch.setattr(boundary, "validate_matrix", refuse)
-    monkeypatch.setattr(boundary, "permutomino_from_matrix", refuse)
+    monkeypatch.setattr(matrix, "validate_matrix", refuse)
+    monkeypatch.setattr(matrix, "permutomino_from_matrix", refuse)
     assert len(list(fiber((2, 1, 3, 4, 7, 6, 5)))) == 4
     assert canonical_permutomino((1, 2, 3, 4, 5)).pi1 == (1, 2, 3, 4, 5)
     seq = bijection.permutation_to_sequence((16, 15, 18, 19, 17, 14, 12, 13, 9, 7,

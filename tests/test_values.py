@@ -5,7 +5,8 @@ import pytest
 
 import permutomino
 from permutomino.bijection import PermutominoSequence
-from permutomino.boundary import ALPHA, EMPTY, GAMMA, LabeledMatrix, Permutomino, from_boundary_word
+from permutomino.boundary import ALPHA, EMPTY, GAMMA, Permutomino, from_boundary_word
+from permutomino.matrix import LabeledMatrix
 from permutomino.membership import MembershipVerdict, membership_verdict
 from permutomino.perms import Envelopes, Subsequence, envelopes
 from permutomino.verify import Entry, VerificationReport
