@@ -15,13 +15,14 @@ permutation matrix on {2..n-1} in these four symbols (permutomino.matrix), and
 `corner_word` threads such corners back into the boundary word.
 
 The boundary word is the only shape representation reasoned with here.  It is
-validated in one walk that also gives its corners, and a permutomino keeps
-those corners: pi1, pi2 and the class flags are read off them and the word, and
-a reflection maps the word letter by letter.  The lattice path and the cell
-set are traced only to draw a shape.
+validated in one walk that also finds its corners, and a permutomino holds
+what that walk found: its size, its word and its corners.  Shapes are built
+only by `from_boundary_word`, or are `EMPTY`.  pi1, pi2 and the class flags are
+read off the corners and the word, and a reflection maps the word letter by
+letter.  The lattice path and the cell set are traced only to draw a shape.
 
-The size-1 permutomino is the empty one: no boundary, pi1 = pi2 = (1) by
-convention.
+The size-1 permutomino is the empty one, `EMPTY`: no boundary, no corners, no
+path, no cells, and pi1 = pi2 = (1) by convention.
 """
 from __future__ import annotations
 
@@ -80,17 +81,6 @@ def _start_at_lowest_leftmost(word: str) -> str:
     return word[start:] + word[:start]
 
 
-def _corners(points: Sequence[tuple[int, int]], word: str):
-    """Corners of a closed path as (point, arrive, depart), in path order."""
-    out = []
-    for i in range(len(word)):
-        arrive = word[i - 1]
-        depart = word[i]
-        if arrive != depart:
-            out.append((points[i], arrive, depart))
-    return out
-
-
 def _cells_from_path(points: Sequence[tuple[int, int]]) -> frozenset[tuple[int, int]]:
     """Cells enclosed by a simple closed rectilinear path (parity fill by row)."""
     vertical = defaultdict(set)  # abscissa -> cell rows covered by a vertical edge
@@ -125,35 +115,23 @@ class _lazy(cached_property):
         return value
 
 
-def _by_abscissa(corners: Sequence[tuple[tuple[int, int], str, str]]) -> tuple[int, ...]:
-    """The ordinates of corners whose abscissas are 1..len(corners), in abscissa order.
-
-    Validation has checked that the even corners' abscissas are 1..n, and
-    each odd corner ends the vertical side that the even corner before it
-    starts, so the odd corners' abscissas are 1..n as well.
-    """
-    if not corners:
-        return (1,)  # the empty permutomino, by convention
-    ordinates = [0] * len(corners)
-    for (x, y), _, _ in corners:
-        ordinates[x - 1] = y
-    return tuple(ordinates)
-
-
 class Permutomino:
-    """A validated permutomino, identified by its size and boundary word.
+    """A validated permutomino: its size, its boundary word and its corners,
+    (point, arrive-letter, depart-letter) clockwise from the lowest leftmost.
 
-    ``word`` is None only for the size-1 empty permutomino, ``EMPTY``.  Build
-    the others through :func:`from_boundary_word`, which seeds the corners;
-    the rest (pi1/pi2, vertices, class flags) is read off the corners lazily,
-    and the path and the cells, which only drawing reads, are traced lazily.
+    :func:`from_boundary_word` builds every shape but ``EMPTY``, the size-1
+    empty permutomino, whose word is None and whose fields are all set.  The
+    rest (pi1/pi2, vertices, class flags) is read off the corners lazily, and
+    the path and the cells, which only drawing reads, are traced lazily.
     Read-only; equal, and hashed alike, when the sizes and the words are equal.
     """
 
-    def __init__(self, size: int, word: str | None):
+    def __init__(self, size: int, word: str | None,
+                 corners: tuple[tuple[tuple[int, int], str, str], ...]):
         fields = self.__dict__
         fields["size"] = size
         fields["word"] = word
+        fields["corners"] = corners
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -172,8 +150,6 @@ class Permutomino:
     @_lazy
     def path(self) -> tuple[tuple[int, int], ...]:
         """Lattice points of the boundary walk, in the (1,1)-anchored frame."""
-        if self.word is None:
-            return ()
         length = len(self.word)
         width = 2 * length + 1
         # each point decoded as _point decodes it, (y, x + L), then shifted
@@ -184,16 +160,7 @@ class Permutomino:
 
     @_lazy
     def cells(self) -> frozenset[tuple[int, int]]:
-        if self.word is None:
-            return frozenset()
         return _cells_from_path(self.path)
-
-    @_lazy
-    def corners(self) -> tuple[tuple[tuple[int, int], str, str], ...]:
-        """(point, arrive-letter, depart-letter) clockwise from the lowest leftmost."""
-        if self.word is None:
-            return ()
-        return tuple(_corners(self.path, self.word))
 
     @_lazy
     def vertices(self) -> tuple[tuple[int, int], ...]:
@@ -208,13 +175,16 @@ class Permutomino:
         return tuple([(pt, _REENTRANT_LABEL[a, d]) for pt, a, d in self.corners
                       if (a, d) in _REENTRANT_LABEL])
 
+    # validation checked that the even corners' abscissas are 1..n, and each
+    # odd corner ends the vertical side that the even corner before it starts,
+    # so either half, sorted, holds one ordinate per abscissa 1..n in order
     @_lazy
     def pi1(self) -> tuple[int, ...]:
-        return _by_abscissa(self.corners[0::2])
+        return tuple([y for _, y in sorted(self.vertices[0::2])])
 
     @_lazy
     def pi2(self) -> tuple[int, ...]:
-        return _by_abscissa(self.corners[1::2])
+        return tuple([y for _, y in sorted(self.vertices[1::2])])
 
     @_lazy
     def flags(self) -> dict[str, bool]:
@@ -231,7 +201,8 @@ class Permutomino:
         return f"Permutomino(size={self.size}, word={self.word!r})"
 
 
-EMPTY = Permutomino(1, None)
+EMPTY = Permutomino(1, None, ())
+EMPTY.__dict__.update(path=(), cells=frozenset(), pi1=(1,), pi2=(1,))
 
 
 def from_boundary_word(word: str) -> Permutomino:
@@ -248,8 +219,8 @@ def from_boundary_word(word: str) -> Permutomino:
     whose interior has no hole and walks back to the word itself (NS, which
     encloses nothing, is NotClosed).  One maximal side starts at each corner
     and a simple path neither splits nor joins sides, so the sides are counted
-    at the corners.  The result has its corners seeded; its path is traced
-    only if it is drawn.
+    at the corners.  The result holds the corners; its path is traced only
+    if it is drawn.
     """
     if not word:
         raise ValueError("empty boundary word (the size-1 permutomino has none)")
@@ -284,14 +255,12 @@ def from_boundary_word(word: str) -> Permutomino:
             for c in range(1, max(starts) + 1):
                 if starts.count(c) != 1:
                     raise NotPermutomino(axis, c, starts.count(c))
-    # sides alternate around the loop, so both axes give the size once they pass
-    result = Permutomino(len(turns) // 2, word)
-    # seed the lazy field; through a list, because tuple() of a zip starts at
+    # sides alternate around the loop, so both axes give the size once they
+    # pass; the corners go through a list, because tuple() of a zip starts at
     # 10 slots and resizes, and each resized tuple then parks in the free list
     # of its final size (~2,000 of them, ~0.3 MB over a size-7 listing)
-    result.__dict__["corners"] = tuple([
-        *zip(points, map(arrive.__getitem__, turns), map(word.__getitem__, turns))])
-    return result
+    return Permutomino(len(turns) // 2, word, tuple([
+        *zip(points, map(arrive.__getitem__, turns), map(word.__getitem__, turns))]))
 
 
 def classify(p: Permutomino) -> dict[str, bool]:

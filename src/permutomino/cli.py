@@ -11,7 +11,8 @@ that cannot be written for any reason (a reader that closed the pipe, a full
 device, a stream closed before start) exits 2 with one line; with standard
 error closed that line, or any note, is lost and the code kept.  Sizes above
 a bound are reported before anything is printed, and an empty `--out` path,
-or one whose directory does not exist, before anything is written.
+or one whose directory does not exist, before anything is written; `build`
+and `decompose --render` draw ascii and svg up to `render.DRAW_BOUND`.
 `enumerate` counts and lists a class by the routes of `counting.ROUTES`,
 each with its own bound; `--method` picks a count route where there are two.
 `build --all` streams its shapes, so its memory does not grow with the output.
@@ -140,9 +141,10 @@ def cmd_classify(args) -> int:
 
 def cmd_build(args) -> int:
     from .membership import canonical_permutomino, fiber
-    from .render import write
+    from .render import check_drawable, write
 
     p = parse_permutation(args.perm)
+    check_drawable(args.format, len(p))
     shapes = fiber(p) if args.all else [canonical_permutomino(p)]
     write(shapes, args.format, args.cell_px, args.out)
     return 0
@@ -201,6 +203,10 @@ def cmd_decompose(args) -> int:
     seq = permutation_to_sequence(p)
     if sequence_to_permutation(seq) != p:
         raise AssertionError(f"no round trip for {p}")
+    if args.render:  # every part is checked before any line is printed
+        from .render import check_drawable, write
+
+        check_drawable(args.format, max(part.size for part in seq))
     print(f"components: {len(seq)}")
     for i, part in enumerate(seq, start=1):
         kind = "directed convex" if i in (1, len(seq)) else "parallelogram"
@@ -210,8 +216,6 @@ def cmd_decompose(args) -> int:
             print(f"part {i}: size {part.size}  {kind}  boundary {part.word}  "
                   f"pi2={' '.join(map(str, part.pi2))}")
     if args.render:
-        from .render import write
-
         parts = [part for part in seq if part.size > 1]
         if not write(parts, args.format, args.cell_px, args.out) and args.out:
             _note(f"no shape to render: {args.out} not written")

@@ -26,7 +26,8 @@ chunks byte for byte to `json.dumps` over `to_jsonable`.
 
 ASCII grids use '#' for a cell and '.' for empty, rows printed top to bottom;
 SVG uses the mathematical orientation (y axis upward), cells as rects, salient
-corners as hollow squares and reentrant corners as labeled dots.
+corners as hollow squares and reentrant corners as labeled dots.  Both draw
+every cell, so the CLI draws no shape above `DRAW_BOUND` (`check_drawable`).
 
 `write` sends the CLI's renderings to stdout or to `--out` files, each shape as
 soon as it is drawn, so a streamed fiber is never held whole.
@@ -39,9 +40,21 @@ from itertools import chain, count
 from typing import Iterable, Iterator
 
 from .boundary import EMPTY, Permutomino, from_boundary_word
-from .errors import OutputError
+from .errors import OutputError, check_size
 
 _GLYPH = {"alpha": "α", "beta": "β", "gamma": "γ", "delta": "δ"}  # none needs XML escaping
+# ascii and svg draw every cell; the fullest convex shapes of sizes 5-7 fill
+# 3/4 of the (n-1)^2 box, and at this size that pattern, pi1 = 1, 101..199,
+# 2..100, 200, is 29,701 cells, drawn as svg in about 0.2 s and 30 MB (32 MB
+# near size 210)
+DRAW_BOUND = 200
+
+
+def check_drawable(fmt: str, size: int) -> None:
+    """SizeTooLarge when fmt draws cells (ascii, svg) and size is above
+    DRAW_BOUND; JSON is not bounded."""
+    if fmt != "json":
+        check_size(size, DRAW_BOUND, f"{fmt} drawings are")
 
 
 def to_jsonable(p: Permutomino) -> dict:

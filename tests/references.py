@@ -3,8 +3,9 @@
 Each function here is a second route to something the library computes, or a
 parser that reads library output back: the cell-side walk, validator (with its
 own lattice tracer), class flags and reflections that the boundary path
-replaced, the interval-stack generator and rotated stack word that the
-oracle's recursion replaced, the value-level square-permutation search that
+replaced, the path-side corner tracer that validation's corners replaced, the
+interval-stack generator and rotated stack word that the oracle's recursion
+replaced, the value-level square-permutation search that
 the generator's moves replaced, the oracle's walk sorted into one list per
 size, the upper-unimodal test that every upper envelope passes, the square
 test and the split points read off records and prefix minima, the lower
@@ -84,6 +85,21 @@ def traced_points(word):
         x, y = x + dx, y + dy
         points.append((x, y))
     return points
+
+
+def anchored_points(word):
+    """The points of `traced_points`, moved into the (1,1)-anchored frame."""
+    points = traced_points(word)
+    dx = 1 - min(x for x, _ in points)
+    dy = 1 - min(y for _, y in points)
+    return [(x + dx, y + dy) for x, y in points]
+
+
+def traced_corners(word):
+    """Corners of the word's anchored path as (point, arrive, depart), in path
+    order; none for the empty word."""
+    return tuple((point, word[i - 1], word[i]) for i, point in enumerate(anchored_points(word)[:-1])
+                 if word[i - 1] != word[i])
 
 
 def _runs(values):

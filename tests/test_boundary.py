@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from permutomino import boundary, perms
 from permutomino.boundary import (
-    ALPHA, BETA, DELTA, GAMMA, EMPTY, Permutomino, from_boundary_word,
-    reflect_x, reflect_y, transpose,
+    ALPHA, BETA, DELTA, GAMMA, EMPTY, from_boundary_word, reflect_x, reflect_y, transpose,
 )
 from permutomino.errors import (
     InvalidMatrix, NotClosed, NotConvex, NotPermutomino, PermutominoError, SelfIntersecting,
@@ -15,8 +14,8 @@ from permutomino.errors import (
 from permutomino.matrix import (
     LabeledMatrix, permutomino_from_matrix, reentrant_matrix, validate_matrix,
 )
-from references import (STEPS, cell_flags, cell_reflections, reference_size, sorted_walk,
-                        word_from_cells)
+from references import (STEPS, anchored_points, cell_flags, cell_reflections, reference_size,
+                        sorted_walk, traced_corners, word_from_cells)
 
 
 def test_single_cell():
@@ -82,8 +81,8 @@ def closed_words(max_len):
 def test_validator_matches_the_cell_round_trip_on_every_short_word():
     """Every simple polygon of perimeter <= 18: the same error or the same size
     as the cell-filling reference, and every accepted word is the boundary
-    walk of its own cells, with the seeded corners equal to the corners of a
-    freshly traced path."""
+    walk of its own cells, with the stored corners and the path equal to those
+    of the reference's own trace of the word."""
     words = closed_words(18)
     accepted = 0
     for word in words:
@@ -96,9 +95,8 @@ def test_validator_matches_the_cell_round_trip_on_every_short_word():
             continue
         p = from_boundary_word(word)
         assert p.size == want
-        fresh = Permutomino(p.size, word)
-        assert vars(p)["corners"] == tuple(boundary._corners(fresh.path, word))
-        assert p.path == fresh.path
+        assert vars(p)["corners"] == traced_corners(word)
+        assert p.path == tuple(anchored_points(word))
         assert word_from_cells(p.cells) == word
         accepted += 1
     assert len(words) == 18957 and accepted == 203
@@ -137,8 +135,8 @@ def test_pi1_and_pi2_are_the_sorted_corner_ordinates():
     shapes = [p for n in range(1, 7) for p in sorted_walk(n, convex=False)]
     shapes += [p for n in range(1, 8) for p in convex_via_fibers(n)]
     for p in shapes:
-        # the corners of the traced path, not the ones validation seeded
-        vertices = [point for point, _, _ in boundary._corners(p.path, p.word or "")]
+        # the corners of the reference's trace, not the ones validation stored
+        vertices = [point for point, _, _ in traced_corners(p.word or "")]
         assert p.pi1 == (tuple(y for _, y in sorted(vertices[0::2])) or (1,)), p
         assert p.pi2 == (tuple(y for _, y in sorted(vertices[1::2])) or (1,)), p
 
@@ -350,7 +348,8 @@ def test_path_flags_and_word_reflections_match_the_cells():
         shapes += sorted_walk(n, convex=False)
     directed_starts_not_convex = 0
     for p in shapes:
-        q = Permutomino(p.size, p.word)
+        q = from_boundary_word(p.word)
+        assert q.corners == traced_corners(p.word), p
         cells = boundary._cells_from_path(q.path)
         want = cell_flags(cells)
         assert q.flags == want, p

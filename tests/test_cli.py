@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permutomino import _kernels, counting, formulas, matrix, oracles
+from permutomino import _kernels, counting, formulas, matrix, oracles, render
 from permutomino.cli import GEO_CLASSES, PERM_CLASSES, main, parse_permutation
 from permutomino.errors import ParseError
 from permutomino.membership import FREE_FIXED_BOUND
@@ -364,6 +364,38 @@ def test_bounds_are_checked_before_output(capsys, argv):
     assert code == 4
     assert out == ""
     assert len(err.splitlines()) == 1 and "size too large" in err
+
+
+def _fullest(n):
+    """1, m+1..n-1, 2..m, n for m = n // 2: its convex permutomino fills 3/4
+    of its box, as the fullest ones of sizes 5-7 do."""
+    m = n // 2
+    return " ".join(map(str, (1, *range(m + 1, n), *range(2, m + 1), n)))
+
+
+@pytest.mark.parametrize("fmt", ["ascii", "svg"])
+def test_drawings_are_bounded_before_output(capsys, fmt):
+    """`build` and `decompose --render` draw up to render.DRAW_BOUND; a shape
+    one larger exits 4 with one stderr line and nothing on stdout, checked
+    before decompose prints its parts.  JSON is not bounded."""
+    bound = render.DRAW_BOUND
+    cell = 'class="cell"' if fmt == "svg" else "#"
+    for n in (bound, bound + 1):
+        # the decomposed square's first part is the identity of size n
+        split = " ".join(map(str, (*range(2, n + 2), 1)))
+        for argv in (("build", _fullest(n)), ("decompose", split, "--render")):
+            code, out, err = run(capsys, *argv, "--format", fmt)
+            if n > bound:
+                assert (code, out) == (4, ""), argv
+                assert err == f"size too large: {fmt} drawings are bounded at size {bound}, got {n}\n"
+            else:
+                assert code == 0 and err == "", argv
+                # 3/4 of the box, rounded up, for the fullest shape; the
+                # identity's staircase for the decomposed part
+                cells = -(-3 * (n - 1) ** 2 // 4) if argv[0] == "build" else n * (n - 1) // 2
+                assert out.count(cell) == cells, argv
+    code, out, err = run(capsys, "build", _fullest(bound + 1), "--format", "json")
+    assert code == 0 and json.loads(out)["size"] == bound + 1 and err == ""
 
 
 # sizes 1-6 and one over each bound: the oracle's, the fiber listing's, the

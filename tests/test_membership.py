@@ -179,23 +179,6 @@ def test_fiber_matches_the_matrix_route():
     assert shapes == 10805
 
 
-def test_fibers_do_not_validate_matrices(monkeypatch):
-    """Fibers share the corner-word builder with permutomino_from_matrix, but
-    not its per-shape matrix validation."""
-    from permutomino import bijection, matrix
-
-    def refuse(*args):
-        raise AssertionError("matrix route called")
-
-    monkeypatch.setattr(matrix, "validate_matrix", refuse)
-    monkeypatch.setattr(matrix, "permutomino_from_matrix", refuse)
-    assert len(list(fiber((2, 1, 3, 4, 7, 6, 5)))) == 4
-    assert canonical_permutomino((1, 2, 3, 4, 5)).pi1 == (1, 2, 3, 4, 5)
-    seq = bijection.permutation_to_sequence((16, 15, 18, 19, 17, 14, 12, 13, 9, 7,
-                                              11, 10, 8, 3, 1, 6, 5, 2, 4))
-    assert len(seq) == 5
-
-
 def test_each_shape_is_checked_against_its_own_chains(monkeypatch):
     """A corner word that drops the gamma typing still gives a convex shape
     over p, the canonical one; its reentrant corners are not the chains asked

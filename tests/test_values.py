@@ -1,15 +1,21 @@
 """Value semantics of the package's record types: equal fields make equal
 objects with equal hashes, different fields make unequal objects, and no
 field can be assigned or deleted."""
+import json
+
 import pytest
 
 import permutomino
 from permutomino.bijection import PermutominoSequence
-from permutomino.boundary import ALPHA, EMPTY, GAMMA, Permutomino, from_boundary_word
+from permutomino.boundary import (
+    ALPHA, EMPTY, GAMMA, Permutomino, classify, from_boundary_word, reflect_x, reflect_y, transpose,
+)
 from permutomino.matrix import LabeledMatrix
 from permutomino.membership import MembershipVerdict, membership_verdict
 from permutomino.perms import Envelopes, Subsequence, envelopes
+from permutomino.render import ascii_art, json_chunks, svg_document, to_jsonable
 from permutomino.verify import Entry, VerificationReport
+from references import cells_from_ascii, cells_from_svg
 
 CELL = from_boundary_word("NESW")
 L_SHAPE = from_boundary_word("NENESSWW")
@@ -17,7 +23,7 @@ ENVELOPES = envelopes((2, 1, 3))
 
 # (a value, a value with the same fields built anew, a value with other fields, a field)
 VALUES = {
-    "Permutomino": (CELL, Permutomino(2, "NESW"), L_SHAPE, "word"),
+    "Permutomino": (CELL, from_boundary_word("NESW"), L_SHAPE, "word"),
     "LabeledMatrix": (LabeledMatrix(1, frozenset({(2, 2, ALPHA)})),
                       LabeledMatrix(1, frozenset({(2, 2, ALPHA)})),
                       LabeledMatrix(1, frozenset({(2, 2, GAMMA)})), "points"),
@@ -29,7 +35,7 @@ VALUES = {
                           MembershipVerdict(False, "decomposable", 1),
                           membership_verdict((1, 2, 3)), "member"),
     "PermutominoSequence": (PermutominoSequence((EMPTY, CELL)),
-                            PermutominoSequence((EMPTY, Permutomino(2, "NESW"))),
+                            PermutominoSequence((EMPTY, from_boundary_word("NESW"))),
                             PermutominoSequence((CELL, EMPTY)), "parts"),
     "Entry": (Entry("row", "1..3", "pass", "n=3: 1 = 1"), Entry("row", "1..3", "pass", "n=3: 1 = 1"),
               Entry("row", "1..3", "fail", "n=3: 1 != 2"), "status"),
@@ -71,7 +77,7 @@ def test_every_public_record_has_a_values_row():
 
 def test_a_permutomino_is_no_other_type_of_value():
     assert CELL != (2, "NESW") and CELL != Subsequence((2, "NESW"))
-    assert {CELL: 1}[Permutomino(2, "NESW")] == 1
+    assert {CELL: 1}[from_boundary_word("NESW")] == 1
 
 
 def test_a_lazy_field_is_stored_on_its_first_read_and_stays_read_only():
@@ -85,3 +91,31 @@ def test_a_lazy_field_is_stored_on_its_first_read_and_stays_read_only():
         with pytest.raises(AttributeError):
             delattr(p, field)
     assert p.pi1 == (1, 2, 3) and p.pi2 == (2, 3, 1)
+
+
+def test_a_permutomino_is_built_only_from_what_validation_found():
+    with pytest.raises(TypeError):
+        Permutomino(2, "NESW")
+    shape = from_boundary_word("NENENESSSWWW")
+    for p in (shape, reflect_x(shape), reflect_y(shape), transpose(shape)):
+        assert list(vars(p)) == ["size", "word", "corners"]
+        assert len(p.corners) == 2 * p.size
+
+
+def test_the_empty_permutomino_holds_what_every_reader_reads():
+    stored = {"size": 1, "word": None, "corners": (), "path": (), "cells": frozenset(),
+              "pi1": (1,), "pi2": (1,)}
+    assert {name: vars(EMPTY)[name] for name in stored} == stored  # set when EMPTY is built
+    assert EMPTY.vertices == EMPTY.salient == EMPTY.reentrant == ()
+    flags = classify(EMPTY)
+    assert set(flags.values()) == {True}
+    assert reflect_x(EMPTY) is reflect_y(EMPTY) is transpose(EMPTY) is EMPTY
+    assert EMPTY.sort_key() == (EMPTY.pi1, "")
+    assert cells_from_ascii(ascii_art(EMPTY)) == EMPTY.cells
+    svg = svg_document(EMPTY)
+    assert cells_from_svg(svg) == EMPTY.cells and "<polygon" not in svg
+    assert to_jsonable(EMPTY) == {
+        "v": 1, "size": 1, "boundary": None, "vertices": [], "pi1": list(EMPTY.pi1),
+        "pi2": list(EMPTY.pi2), "salient": [], "reentrant": [], "classes": flags,
+    }
+    assert "".join(json_chunks([EMPTY])) == json.dumps(to_jsonable(EMPTY), indent=2)
