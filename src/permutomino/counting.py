@@ -63,16 +63,14 @@ def convex_via_fibers(n: int) -> Iterator:
     """Every convex permutomino of size n through the fibers, one at a time,
     in (pi1, boundary word) order like the oracle listings.
 
-    Walks the square permutations, which come in lexicographic order, keeps
-    the realizable (indecomposable) ones and streams each fiber, whose shapes
-    come in word order, so nothing is sorted.  The size is checked here, before
-    any shape is built.
+    Streams the fiber of each permutation of the ctilde listing, which comes
+    in lexicographic order, and each fiber's shapes come in word order, so
+    nothing is sorted.  The size is checked here, before any shape is built.
     """
     from .membership import fiber
-    from .perms import is_indecomposable, square_permutations
 
     check_size(n, FIBER_BOUND, "fiber listing is")
-    return (shape for p in square_permutations(n) if is_indecomposable(p) for shape in fiber(p))
+    return (shape for p in perm_listing("ctilde", n) for shape in fiber(p))
 
 
 def geo_walk(class_name: str, n: int) -> Iterator:

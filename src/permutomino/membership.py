@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple, Sequence
 
 from . import perms
-from .boundary import EMPTY, LABELS, Permutomino, corner_word, from_boundary_word
+from .boundary import ALPHA, EMPTY, GAMMA, LABELS, Permutomino, corner_word, from_boundary_word
 from .errors import NotAssociated, SizeTooLarge
 
 # a fiber has 2^|F(p)| shapes, built and written one at a time, so this bounds
@@ -128,12 +128,12 @@ class Fiber:
     G of free fixed points typed gamma (the rest alpha), built by `shape(G)`.
 
     The constructor checks membership once (NotAssociated, with the reason)
-    and keeps the chains of the canonical corner matrix (G empty): alpha at
-    the interior entries of the rising upper envelope, gamma at those of the
-    climbing lower envelope, beta at (left position, right value) of each
-    consecutive pair on the falling upper envelope, delta at (right position,
-    left value) of each consecutive pair on the sinking lower envelope.
-    Typing f gamma moves (f, f) from the alphas to the gammas.
+    and keeps the chains of the canonical corner matrix (G empty) and their
+    labeled corner set: alpha at the interior entries of the rising upper
+    envelope, gamma at those of the climbing lower envelope, beta at (left
+    position, right value) of each consecutive pair on the falling upper
+    envelope, delta at (right position, left value) of each consecutive pair
+    on the sinking lower envelope.  Typing f gamma moves (f, f) from alpha to gamma.
 
     Iteration builds the shapes one at a time, subset m = 0 .. 2^k - 1 of the
     k free fixed points typing f gamma when f's bit is 1, the smallest free
@@ -155,10 +155,11 @@ class Fiber:
         pivot = next(i for i, (_, v) in enumerate(low) if v == 1)
         self.p = p
         self.free = tuple(free_fixed_values(p))
-        self._alphas = upper[1:top]
-        self._betas = [(x, y) for (x, _), (_, y) in zip(upper[top:], upper[top + 1:])]
-        self._gammas = low[pivot + 1:-1]
-        self._deltas = [(x, y) for (_, y), (x, _) in zip(low[:pivot], low[1:pivot + 1])]
+        self._chains = (upper[1:top],
+                        [(x, y) for (x, _), (_, y) in zip(upper[top:], upper[top + 1:])],
+                        low[pivot + 1:-1],
+                        [(x, y) for (_, y), (x, _) in zip(low[:pivot], low[1:pivot + 1])])
+        self._corners = {(e, label) for label, chain in zip(LABELS, self._chains) for e in chain}
 
     def __len__(self) -> int:
         return 1 << len(self.free)
@@ -177,18 +178,22 @@ class Fiber:
     def shape(self, gamma: Sequence[int]) -> Permutomino:
         """The shape over p with the free fixed points in gamma typed gamma.
 
-        Its four chains are threaded by boundary.corner_word and the word
-        validated; raises AssertionError unless the shape is convex over p and
-        its labeled reentrant corners are exactly those chains.
+        Raises ValueError unless gamma is a subset of `free`.  The chains are
+        threaded by boundary.corner_word and the word validated; raises
+        AssertionError unless the shape is convex over p and its labeled
+        reentrant corners are the canonical ones with gamma's points retyped.
         """
         p = self.p
+        gamma = set(gamma)
+        if not gamma.issubset(self.free):
+            raise ValueError(f"gamma {sorted(gamma)} is not a subset of {p}'s free {self.free}")
         if len(p) == 1:
             return EMPTY
-        chains = ([e for e in self._alphas if e[0] not in gamma], self._betas,
-                  sorted(self._gammas + tuple((f, f) for f in gamma)), self._deltas)
-        word = corner_word(*chains, len(p))
+        alphas, betas, gammas, deltas = self._chains
+        word = corner_word([e for e in alphas if e[0] not in gamma], betas,
+                           sorted(gammas + tuple((f, f) for f in gamma)), deltas, len(p))
         shape = from_boundary_word(word)
-        if shape.pi1 != p or not shape.is_convex or set(shape.reentrant) != {
-                (e, label) for label, chain in zip(LABELS, chains) for e in chain}:
-            raise AssertionError(f"corner word {word!r} does not type {gamma} gamma over {p}")
+        retyped = {((f, f), label) for f in gamma for label in (ALPHA, GAMMA)}
+        if shape.pi1 != p or not shape.is_convex or set(shape.reentrant) != self._corners ^ retyped:
+            raise AssertionError(f"corner word {word!r} does not type {sorted(gamma)} gamma over {p}")
         return shape

@@ -17,10 +17,11 @@ on the way back in.
 dicts, one shape at a time, which is how the CLI streams a fiber: one object
 for one shape, a list otherwise (`[]` for none), laid out as
 `json.dumps(..., indent=2)` lays them out.  It only does layout: it knows the
-field order and that vertices and salient corners are [x, y] pairs; ints go
-through `int.__repr__`, and the only strings, the validated N/E/S/W word and
-the four label names, need no escaping, so they are quoted as they are.
-`json` itself is imported only by `to_json` and `from_json`.
+field order and that vertices and salient corners are [x, y] pairs, and
+writes each line break already indented to the shape's depth in the document;
+ints go through `int.__repr__`, and the only strings, the validated N/E/S/W
+word and the four label names, need no escaping, so they are quoted as they
+are.  `json` itself is imported only by `to_json` and `from_json`.
 `tests/test_render.py::test_json_document_matches_json_dumps` holds the joined
 chunks byte for byte to `json.dumps` over `to_jsonable`.
 
@@ -30,7 +31,8 @@ corners as hollow squares and reentrant corners as labeled dots.  Both draw
 every cell, so the CLI draws no shape above `DRAW_BOUND` (`check_drawable`).
 
 `write` sends the CLI's renderings to stdout or to `--out` files, each shape as
-soon as it is drawn, so a streamed fiber is never held whole.
+soon as it is drawn, so a streamed fiber is never held whole; an SVG document
+goes out a line at a time (`svg_chunks`), so it is not held whole either.
 """
 from __future__ import annotations
 
@@ -45,8 +47,8 @@ from .errors import OutputError, check_size
 _GLYPH = {"alpha": "α", "beta": "β", "gamma": "γ", "delta": "δ"}  # none needs XML escaping
 # ascii and svg draw every cell; the fullest convex shapes of sizes 5-7 fill
 # 3/4 of the (n-1)^2 box, and at this size that pattern, pi1 = 1, 101..199,
-# 2..100, 200, is 29,701 cells, drawn as svg in about 0.2 s and 30 MB (32 MB
-# near size 210)
+# 2..100, 200, is 29,701 cells, a 3.57 MB svg that `build` writes in about
+# 0.2 s and 20 MB
 DRAW_BOUND = 200
 
 
@@ -71,34 +73,29 @@ def to_jsonable(p: Permutomino) -> dict:
     }
 
 
-def _field_list(items: list[str]) -> str:
-    """A shape field's list from its items, each already indented as an item."""
-    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+def _shape_text(p: Permutomino, nl: str) -> str:
+    """One shape's `to_jsonable` dict as json.dumps(indent=2) writes it, with
+    each line break written as nl: "\n" for a lone shape, "\n  " for a list item."""
+    field, item, leaf = nl + "  ", nl + "    ", nl + "      "
 
+    def listed(texts: list[str]) -> str:
+        return f"[{item}" + f",{item}".join(texts) + f"{field}]" if texts else "[]"
 
-def _pair_items(points) -> list[str]:
-    return [f"    [\n      {x!r},\n      {y!r}\n    ]" for x, y in points]
+    def pairs(points) -> str:
+        return listed([f"[{leaf}{x!r},{leaf}{y!r}{item}]" for x, y in points])
 
-
-def _shape_text(p: Permutomino) -> str:
-    """One shape's `to_jsonable` dict as json.dumps(indent=2) writes it."""
-    reentrant = [
-        f'    {{\n      "x": {x!r},\n      "y": {y!r},\n      "label": "{label}"\n    }}'
-        for (x, y), label in p.reentrant
-    ]
-    classes = ",\n".join(
-        f'    "{key}": {"true" if value else "false"}' for key, value in p.flags.items()
-    )
+    reentrant = listed([f'{{{leaf}"x": {x!r},{leaf}"y": {y!r},{leaf}"label": "{label}"{item}}}'
+                        for (x, y), label in p.reentrant])
+    classes = f",{item}".join(
+        f'"{key}": {"true" if value else "false"}' for key, value in p.flags.items())
     boundary = "null" if p.word is None else f'"{p.word}"'
     return (
-        f'{{\n  "v": 1,\n  "size": {p.size!r},\n'
-        f'  "boundary": {boundary},\n'
-        f'  "vertices": {_field_list(_pair_items(p.vertices))},\n'
-        f'  "pi1": {_field_list([f"    {v!r}" for v in p.pi1])},\n'
-        f'  "pi2": {_field_list([f"    {v!r}" for v in p.pi2])},\n'
-        f'  "salient": {_field_list(_pair_items(p.salient))},\n'
-        f'  "reentrant": {_field_list(reentrant)},\n'
-        f'  "classes": {{\n{classes}\n  }}\n}}'
+        f'{{{field}"v": 1,{field}"size": {p.size!r},{field}"boundary": {boundary},'
+        f'{field}"vertices": {pairs(p.vertices)},'
+        f'{field}"pi1": {listed([repr(v) for v in p.pi1])},'
+        f'{field}"pi2": {listed([repr(v) for v in p.pi2])},'
+        f'{field}"salient": {pairs(p.salient)},{field}"reentrant": {reentrant},'
+        f'{field}"classes": {{{item}{classes}{field}}}{nl}}}'
     )
 
 
@@ -117,20 +114,19 @@ def json_chunks(shapes: Iterable[Permutomino]) -> Iterator[str]:
         return
     second = next(shapes, None)
     if second is None:
-        yield _shape_text(first)
+        yield _shape_text(first, "\n")
         return
     opening = "[\n  "
     for p in chain((first, second), shapes):
-        # string leaves are json-escaped, so every newline is the layout's own
-        yield opening + _shape_text(p).replace("\n", "\n  ")
+        yield opening + _shape_text(p, "\n  ")
         opening = ",\n  "
     yield "\n]"
 
 
-def to_json(p: Permutomino, indent: int | None = None) -> str:
+def to_json(p: Permutomino) -> str:
     import json
 
-    return json.dumps(to_jsonable(p), indent=indent)
+    return json.dumps(to_jsonable(p))
 
 
 def _same_json(a, b) -> bool:
@@ -185,8 +181,9 @@ def ascii_art(p: Permutomino) -> str:
     return "\n".join(rows)
 
 
-def svg_document(p: Permutomino, cell_px: int = 24) -> str:
-    """Standalone SVG with the y axis pointing up (lattice point (1,1) at bottom left)."""
+def svg_chunks(p: Permutomino, cell_px: int = 24) -> Iterator[str]:
+    """`svg_document` in pieces, one line at a time, each after the first
+    opening with its line break."""
     n = p.size
     pad = cell_px
     side = (n - 1) * cell_px + 2 * pad if p.word else 2 * pad
@@ -197,35 +194,29 @@ def svg_document(p: Permutomino, cell_px: int = 24) -> str:
     def sy(y: float) -> float:
         return side - pad - (y - 1) * cell_px
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{side}" height="{side}" '
-        f'viewBox="0 0 {side} {side}" data-size="{n}" data-cell-px="{cell_px}">'
-    ]
+    yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{side}" height="{side}" '
+           f'viewBox="0 0 {side} {side}" data-size="{n}" data-cell-px="{cell_px}">')
     for (x, y) in sorted(p.cells):
-        parts.append(
-            f'<rect class="cell" data-x="{x}" data-y="{y}" x="{sx(x)}" y="{sy(y + 1)}" '
-            f'width="{cell_px}" height="{cell_px}" fill="#cfd8e3" stroke="#8899aa"/>'
-        )
+        yield (f'\n<rect class="cell" data-x="{x}" data-y="{y}" x="{sx(x)}" y="{sy(y + 1)}" '
+               f'width="{cell_px}" height="{cell_px}" fill="#cfd8e3" stroke="#8899aa"/>')
     if p.word is not None:
         outline = " ".join(f"{sx(x)},{sy(y)}" for x, y in p.path[:-1])
-        parts.append(f'<polygon points="{outline}" fill="none" stroke="#222" stroke-width="2"/>')
+        yield f'\n<polygon points="{outline}" fill="none" stroke="#222" stroke-width="2"/>'
         r = max(cell_px // 6, 3)
         for (x, y) in p.salient:
-            parts.append(
-                f'<rect class="salient" x="{sx(x) - r}" y="{sy(y) - r}" width="{2 * r}" '
-                f'height="{2 * r}" fill="white" stroke="#222"/>'
-            )
+            yield (f'\n<rect class="salient" x="{sx(x) - r}" y="{sy(y) - r}" width="{2 * r}" '
+                   f'height="{2 * r}" fill="white" stroke="#222"/>')
         for (x, y), label in p.reentrant:
-            parts.append(
-                f'<circle class="reentrant" data-label="{label}" cx="{sx(x)}" cy="{sy(y)}" '
-                f'r="{r}" fill="#222"/>'
-            )
-            parts.append(
-                f'<text x="{sx(x) + r + 2}" y="{sy(y) - r}" font-size="{cell_px // 2}">'
-                f"{_GLYPH[label]}</text>"
-            )
-    parts.append("</svg>")
-    return "\n".join(parts)
+            yield (f'\n<circle class="reentrant" data-label="{label}" cx="{sx(x)}" cy="{sy(y)}" '
+                   f'r="{r}" fill="#222"/>')
+            yield (f'\n<text x="{sx(x) + r + 2}" y="{sy(y) - r}" font-size="{cell_px // 2}">'
+                   f"{_GLYPH[label]}</text>")
+    yield "\n</svg>"
+
+
+def svg_document(p: Permutomino, cell_px: int = 24) -> str:
+    """Standalone SVG with the y axis pointing up (lattice point (1,1) at bottom left)."""
+    return "".join(svg_chunks(p, cell_px))
 
 
 def write(shapes: Iterable[Permutomino], fmt: str, cell_px: int, out: str | None) -> bool:
@@ -241,7 +232,7 @@ def write(shapes: Iterable[Permutomino], fmt: str, cell_px: int, out: str | None
     if fmt == "json":
         documents = iter([json_chunks(shapes)])
     elif fmt == "svg":
-        documents = ([svg_document(p, cell_px)] for p in shapes)
+        documents = (svg_chunks(p, cell_px) for p in shapes)
     else:
         documents = ([ascii_art(p)] for p in shapes)
     first = next(documents, None)

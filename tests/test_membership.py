@@ -191,6 +191,21 @@ def test_each_shape_is_checked_against_its_own_chains(monkeypatch):
         over.shape(over.free)
 
 
+@pytest.mark.parametrize("p, gamma", [
+    ((2, 1, 3, 4, 5, 6, 7), [2]),  # a fixed point, but not a left-right maximum
+    ((1, 3, 2, 4, 5, 6, 7, 8), [2]),  # not a fixed point
+    ((1, 2, 3, 4, 5, 6), [7]),  # not a position of p
+    ((1, 2, 3, 4, 5, 6), [1, 3]),  # an end of p
+])
+def test_only_free_fixed_points_can_be_typed_gamma(monkeypatch, p, gamma):
+    """A point outside `free` is refused in one line before any word is threaded."""
+    over = membership.Fiber(p)
+    monkeypatch.setattr(membership, "corner_word", None)
+    with pytest.raises(ValueError, match="is not a subset of .* free") as caught:
+        over.shape(gamma)
+    assert "\n" not in str(caught.value)
+
+
 def test_shape_checks_hold_under_python_O():
     """The post-checks of the shape layer are raises, not asserts: with the
     word validator swapped for one that returns a wrong shape, `python -O`
