@@ -21,7 +21,7 @@ from math import factorial
 
 from .errors import check_size
 
-# count_stats(30) fills the table from empty in 0.3-0.4 s: 32,336 states, ~15 MB,
+# count_stats(30) fills the table from empty in ~0.2 s: 32,336 states, ~15 MB,
 # which hold every smaller size too.  The table grows as O(n^4) states.
 COUNT_BOUND = 30
 # bits per packed coefficient: each counts square permutations of a size

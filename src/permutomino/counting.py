@@ -21,7 +21,7 @@ from ._kernels import COUNT_BOUND
 from .errors import check_size
 
 SCAN_BOUND = 10  # square_agreement walks S_10's ~3.6M permutations; listings stop here too
-FIBER_BOUND = 7  # convex_via_fibers streams 1836 shapes at size 7 (~0.2 s), 8468 at size 8 (~1 s)
+FIBER_BOUND = 7  # convex_via_fibers streams 1836 shapes at size 7 (~0.1 s), 8468 at size 8 (~0.5 s)
 
 # class -> the boundary.classify flag that picks it out of the convex walk
 CLASS_FLAGS = {

@@ -22,8 +22,8 @@ from .boundary import ALPHA, EMPTY, GAMMA, LABELS, Permutomino, corner_word, fro
 from .errors import NotAssociated, SizeTooLarge
 
 # a fiber has 2^|F(p)| shapes, built and written one at a time, so this bounds
-# time, not memory: `build --all` at the bound (4096 shapes) takes ~1.5 s as
-# SVG, ~0.9 s as JSON and ~1.3 s as ASCII on a 2-vCPU VM, in ~16 MB whatever
+# time, not memory: `build --all` at the bound (4096 shapes) takes ~1.0 s as
+# SVG, ~0.4 s as JSON and ~0.6 s as ASCII on a 2-vCPU VM, in ~15 MB whatever
 # the fiber size, and each free fixed point more doubles the time
 FREE_FIXED_BOUND = 12
 

@@ -48,7 +48,7 @@ _GLYPH = {"alpha": "α", "beta": "β", "gamma": "γ", "delta": "δ"}  # none nee
 # ascii and svg draw every cell; the fullest convex shapes of sizes 5-7 fill
 # 3/4 of the (n-1)^2 box, and at this size that pattern, pi1 = 1, 101..199,
 # 2..100, 200, is 29,701 cells, a 3.57 MB svg that `build` writes in about
-# 0.2 s and 20 MB
+# 0.1 s and 20 MB
 DRAW_BOUND = 200
 
 

@@ -10,7 +10,6 @@ expected: it lists its first three mismatches as 'discrepant', not a failure.
 """
 from __future__ import annotations
 
-import time
 from typing import NamedTuple
 
 from . import counting, formulas, oracles
@@ -22,10 +21,6 @@ class Entry(NamedTuple):
     sizes: str
     status: str  # pass | fail | discrepant
     detail: str = ""
-    elapsed: float = 0.0
-
-    def as_dict(self) -> dict:
-        return {**self._asdict(), "elapsed": round(self.elapsed, 6)}
 
 
 class VerificationReport(NamedTuple):
@@ -42,13 +37,12 @@ class VerificationReport(NamedTuple):
             "max_size": self.max_size,
             "strict_paper": self.strict_paper,
             "ok": self.ok,
-            "entries": [e.as_dict() for e in self.entries],
+            "entries": [e._asdict() for e in self.entries],
         }
 
 
 def _run(name: str, sizes: range, check, records: dict, printed: bool = False) -> Entry:
     """Evaluate one row over its sizes (see the module docstring)."""
-    start = time.monotonic()
     status, detail, mismatches = "pass", "", []
     for n in sizes:
         lhs, rhs, *shown = check(n, records[n])
@@ -63,7 +57,7 @@ def _run(name: str, sizes: range, check, records: dict, printed: bool = False) -
     if mismatches:
         status, detail = "discrepant", "; ".join(mismatches[:3])
     sizes_text = f"{sizes.start}..{sizes[-1]}"
-    return Entry(name, sizes_text, status, detail, time.monotonic() - start)
+    return Entry(name, sizes_text, status, detail)
 
 
 def _printed(form, n: int):

@@ -1,3 +1,6 @@
+import pathlib
+import re
+
 import pytest
 
 from permutomino import cli, counting, formulas, oracles
@@ -108,6 +111,42 @@ def test_geometric_listing_dispatch():
 
 def test_the_route_table_covers_every_enumerate_class():
     assert set(counting.ROUTES) == set(cli.PERM_CLASSES + cli.GEO_CLASSES)
+
+
+def readme_routes() -> dict[str, tuple[list[str], list[int]]]:
+    """{class: (its count methods, the bound of each count route and then of
+    its list route)} as the "Classes for `enumerate`" bullets of README say."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    bullets = readme.split("Classes for `enumerate`", 1)[1].split("\n\n")[1]
+    routes = {}
+    for bullet in bullets.split("\n- "):
+        head, body = " ".join(bullet.removeprefix("- ").split()).split(":", 1)
+        methods = re.findall(r"by `([\w-]+)`", body)
+        bounds = []
+        for both, size in re.findall(r"\((both )?up to size (\d+)\)", body):
+            bounds += [int(size)] * (2 if both else 1)
+        for name in re.findall(r"`([\w-]+)`", re.sub(r"\(.*?\)", "", head)):
+            routes[name] = methods, bounds
+    return routes
+
+
+def test_readme_lists_each_class_with_its_routes_and_bounds():
+    """README's class list names every class, its `--method` names in table
+    order and each route's bound, which the route accepts and exceeds by one
+    with SizeTooLarge; the bounds are the four size constants."""
+    readme = readme_routes()
+    assert set(readme) == set(counting.ROUTES)
+    for name, (counts, lister) in counting.ROUTES.items():
+        methods, bounds = readme[name]
+        assert methods == list(counts), name
+        assert len(bounds) == len(counts) + 1, name
+        for route, bound in zip([*counts.values(), lister], bounds):
+            out = route(name, bound)
+            assert isinstance(out, int) or next(iter(out))
+            with pytest.raises(SizeTooLarge):
+                next(iter(route(name, bound + 1)))
+    assert {b for _, bounds in readme.values() for b in bounds} == {
+        counting.COUNT_BOUND, counting.SCAN_BOUND, counting.FIBER_BOUND, oracles.DEFAULT_BOUND}
 
 
 def test_each_by_option_reads_strata_that_its_classes_count_records_hold():

@@ -1,6 +1,9 @@
+import importlib.util
+import pathlib
+
 import pytest
 
-from permutomino import formulas, verify
+from permutomino import _kernels, counting, formulas, verify
 from permutomino.cli import main
 from permutomino.verify import sequence_class_count, verify_identities
 from references import composition_class_count
@@ -50,7 +53,7 @@ def test_report_details_show_the_numbers():
     assert row.detail == "n=4: 13 = 24 - 11"
     as_dict = report.as_dict()
     assert as_dict["ok"] is True
-    assert {"name", "sizes", "status", "detail", "elapsed"} <= set(as_dict["entries"][0])
+    assert set(as_dict["entries"][0]) == {"name", "sizes", "status", "detail"}
 
 
 def test_strict_mode_reports_discrepancies_without_failing():
@@ -101,3 +104,68 @@ def test_a_fault_fails_exactly_its_rows(capsys, monkeypatch, fault):
     assert all(e.status == "pass" for e in report.entries if e.name not in FAULTS[fault])
     assert main(["verify", "--max-size", "6"]) == 1
     assert "FAILURES present" in capsys.readouterr().out
+
+
+# One-token defects of the counting kernel, each a substitution that occurs
+# once in _kernels.py.
+KERNEL_MUTANTS = {
+    "split-gap": ("if b == 0 and gap == 0:", "if b == 0 and gap <= 1:"),
+    "reversal-split-gap": ("reversal_split = a == 0 and gap == 0",
+                           "reversal_split = a == 0 and gap <= 1"),
+    "free-fixed-left-gt-0": ("reversal_split and left > 1", "reversal_split and left > 0"),
+    "free-fixed-left-gt-2": ("reversal_split and left > 1", "reversal_split and left > 2"),
+    "rising-end": ("offset >= above_first", "offset > above_first"),
+    "top-end-unguarded": ("if gap and b == 0 and (a or gap > 1):", "if gap and b == 0:"),
+    "both-ways-at-reversal-split": ("0 if reversal_split else both_ways", "both_ways"),
+}
+
+# the mutants that change the convex count
+CONVEX_FIELD = {"split-gap", "reversal-split-gap", "free-fixed-left-gt-0", "free-fixed-left-gt-2",
+                "top-end-unguarded"}
+
+# Each row of verify_identities(8) and the kernel mutants it fails under.
+# "ctilde = square - decomposable" can fail under none: count_stats reads all
+# three fields off one split polynomial.  The two vertex-class rows fail
+# together because, with square = ctilde + decomposable built in, they are one
+# identity.  The oracle rows read no kernel output.
+ROWS_CAUGHT = {
+    "convex = sum of 2^k over free-fixed-point classes (closed form)": CONVEX_FIELD,
+    "convex: fiber sum vs interval oracle": CONVEX_FIELD,
+    "ctilde closed form (exact rational factor)": {"split-gap", "top-end-unguarded"},
+    "ctilde = square - decomposable": set(),
+    "square closed form": {"top-end-unguarded"},
+    "decomposable closed form": {"split-gap", "top-end-unguarded"},
+    "square = both vertex classes united":
+        {"split-gap", "reversal-split-gap", "both-ways-at-reversal-split"},
+    "intersection = square - 2*decomposable":
+        {"split-gap", "reversal-split-gap", "both-ways-at-reversal-split"},
+    "realizable with rising ends = half the squares": {"split-gap", "rising-end"},
+    "one-direction surplus (definitional closed combination)": {"split-gap", "top-end-unguarded"},
+    "square = convex + central binomial": CONVEX_FIELD,
+    "convex = realizable + free-fixed-point surplus": CONVEX_FIELD,
+    "directed convex oracle vs closed form": set(),
+    "parallelogram oracle vs catalan": set(),
+    "symmetric oracle vs closed form": set(),
+    "decomposable classes match permutomino sequences": {"split-gap", "top-end-unguarded"},
+}
+
+
+@pytest.mark.parametrize("mutant", KERNEL_MUTANTS)
+def test_verify_fails_every_kernel_mutant(tmp_path, monkeypatch, mutant):
+    """A copy of _kernels.py with one defect, loaded in place of the module,
+    fails exactly the rows that ROWS_CAUGHT names for it."""
+    text, replacement = KERNEL_MUTANTS[mutant]
+    source = pathlib.Path(_kernels.__file__).read_text()
+    assert source.count(text) == 1
+    path = tmp_path / "_kernels.py"
+    path.write_text(source.replace(text, replacement))
+    # a name inside the package, so the copy's relative import finds permutomino.errors
+    spec = importlib.util.spec_from_file_location("permutomino._kernels_mutant", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(counting, "_kernels", module)
+    report = verify_identities(8)
+    assert [e.name for e in report.entries] == list(ROWS_CAUGHT)
+    failed = {e.name for e in report.entries if e.status == "fail"}
+    assert failed and not report.ok
+    assert failed == {row for row, caught in ROWS_CAUGHT.items() if mutant in caught}
