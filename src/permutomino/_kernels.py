@@ -21,56 +21,51 @@ from math import factorial
 
 from .errors import check_size
 
-# count_stats(30) fills the table from empty in ~0.2 s: 32,336 states, ~15 MB,
-# which hold every smaller size too.  The table grows as O(n^4) states.
+# count_stats(30) fills the table from empty in ~0.05 s: 4,525 states, which
+# hold every smaller size too.  The table grows as O(n^3) states.
 COUNT_BOUND = 30
 # bits per packed coefficient: each counts square permutations of a size
 # <= COUNT_BOUND, so it stays below COUNT_BOUND!
 _WIDTH = factorial(COUNT_BOUND).bit_length()
 
 
-def moves(a: int, b: int, g1: int, g2: int) -> list[tuple[int, tuple[int, int, int, int]]]:
-    """The children of state (a, b, g1, g2) (see count_stats) in increasing
+def moves(a: int, b: int, gap: int) -> list[tuple[int, tuple[int, int, int]]]:
+    """The children of state (a, b, gap) (see count_stats) in increasing
     value order, as (offset, child): offset ranks the value taken among the
     unused ones (the a below the prefix, the gap, the b above it).  A value
     extends the prefix iff it is a new minimum or maximum, or an end of the
     gap that is also the smallest or largest unused value.
     """
-    gap = g1 + g2
-    children = [(a - j, (a - j, b, g1 + j - 1, g2)) for j in range(a, 0, -1)]  # new minima
+    children = [(a - j, (a - j, b, gap + j - 1)) for j in range(a, 0, -1)]  # new minima
     if gap and a == 0:  # the gap's bottom end, the smallest unused value
-        children.append((0, (a, b, g1 - 1, g2) if g1 else (a, b, g1, g2 - 1)))
+        children.append((0, (a, b, gap - 1)))
     if gap and b == 0 and (a or gap > 1):  # the gap's top end, the largest unused value
-        children.append((a + gap - 1, (a, b, g1, g2 - 1) if g2 else (a, b, g1 - 1, g2)))
-    children += [(a + gap + j - 1, (a, b - j, g1, g2 + j - 1)) for j in range(1, b + 1)]  # new maxima
+        children.append((a + gap - 1, (a, b, gap - 1)))
+    children += [(a + gap + j - 1, (a, b - j, gap + j - 1)) for j in range(1, b + 1)]  # new maxima
     return children
 
 
 @cache
-def _walk(a: int, b: int, g1: int, g2: int) -> tuple[int, int, int, int]:
-    """Over the completions from state (a, b, g1, g2) (see count_stats): the
+def _walk(a: int, b: int, gap: int) -> tuple[int, int, int]:
+    """Over the completions from state (a, b, gap) (see count_stats): the
     polynomial of their split counts; for the split-free ones, the polynomial
-    of their free fixed points, how many have no reversal split and how many
-    end above the first value."""
-    gap = g1 + g2
+    of their free fixed points and how many have no reversal split."""
     left = a + b + gap
     if left == 0:
-        return 1, 1, 1, 0
+        return 1, 1, 1
     reversal_split = a == 0 and gap == 0
     # the prefix is 1..r, so the first move (offset 0) puts the new maximum
     # r + 1 at position r + 1: free when 1 < r + 1 < n, that is when left > 1
     free_fixed = reversal_split and left > 1
-    above_first = a + g1  # the unused values from this offset on are above the first
-    splits = fixed = both_ways = rising = 0
-    for offset, child in moves(a, b, g1, g2):
-        s, f, w, up = _walk(*child)
+    splits = fixed = both_ways = 0
+    for offset, child in moves(a, b, gap):
+        s, f, w = _walk(*child)
         splits += s
         fixed += f << _WIDTH if free_fixed and offset == 0 else f
         both_ways += w
-        rising += offset >= above_first if left == 1 else up
     if b == 0 and gap == 0:  # a split point
-        return splits << _WIDTH, 0, 0, 0
-    return splits, fixed, 0 if reversal_split else both_ways, rising
+        return splits << _WIDTH, 0, 0
+    return splits, fixed, 0 if reversal_split else both_ways
 
 
 def count_stats(n: int) -> dict:
@@ -86,40 +81,42 @@ def count_stats(n: int) -> dict:
       (realizable from both vertex classes)
     - assoc_first_lt_last: realizable permutations with p(1) < p(n)
 
-    After the first value f, the moves (see `moves`) depend only on four
+    After the first value, the moves (see `moves`) depend only on three
     numbers: a and b, the unused values below the prefix's minimum and
-    above its maximum, and the gap of unused values between the two, g1 of
-    them below f and g2 above (the gap is consumed only at its ends).  The
-    prefix length is r = n - left, left = a + b + g1 + g2, and every field
-    reads off the states a permutation passes through:
+    above its maximum, and the gap of unused values between the two (the
+    gap is consumed only at its ends).  The prefix length is r = n - left,
+    left = a + b + gap, and the fields read off the states a permutation
+    passes through:
 
     - a split point is a state with left > 0, b == 0 and an empty gap (the
       prefix holds the top r values);
     - the reversal has a split where a == 0 and the gap is empty (the prefix
       holds 1..r); only there can the next new maximum, r + 1, land at
-      position r + 1, and it is a free fixed point when 1 < r + 1 < n;
-    - p(1) < p(n) when the last move takes a value above f, that is at an
-      offset of at least a + g1.
+      position r + 1, and it is a free fixed point when 1 < r + 1 < n.
 
     The split counts and the free-fixed-point counts are polynomials packed
     into one int, _WIDTH bits per coefficient, so adding two is one int
     addition and multiplying by x one shift.  Size n sums the n first-value
-    states (f - 1, n - f, 0, 0) of the shared table _walk.
+    states (f - 1, n - f, 0) of the shared table _walk.
     """
     check_size(n, COUNT_BOUND, "counts are")
-    splits, fixed, both_ways, rising = (
-        sum(field) for field in zip(*(_walk(f - 1, n - f, 0, 0) for f in range(1, n + 1)))
+    splits, fixed, both_ways = (
+        sum(field) for field in zip(*(_walk(f - 1, n - f, 0) for f in range(1, n + 1)))
     )
     mask = (1 << _WIDTH) - 1
     by_splits = [(splits >> (k * _WIDTH)) & mask for k in range(n)]
     by_free = {k: v for k in range(n) if (v := (fixed >> (k * _WIDTH)) & mask)}
+    ctilde = by_splits[0]
     return {
         "square": sum(by_splits),
         "decomposable": sum(by_splits[1:]),
         "components": {k + 1: v for k, v in enumerate(by_splits) if v},
-        "ctilde": by_splits[0],
+        "ctilde": ctilde,
         "by_free_fixed_points": by_free,
         "convex": sum(v << k for k, v in by_free.items()),
         "both_ways": both_ways,
-        "assoc_first_lt_last": rising,
+        # for n >= 2: reversal maps the both-ways permutations onto themselves
+        # and swaps p(1) < p(n) with p(1) > p(n), so half of them rise; every
+        # other realizable p has a reversal split r, so p(1) <= r < p(n)
+        "assoc_first_lt_last": ctilde - both_ways // 2 if n > 1 else 0,
     }

@@ -126,8 +126,9 @@ def cmd_classify(args) -> int:
     elif verdict.reason == "decomposable":
         print(f"odd-vertex realizable: no (decomposable at split {verdict.witness})")
     else:
-        a, b, c = verdict.witness
-        print(f"odd-vertex realizable: no (lower envelope rises at {a} then falls: {b} > {c})")
+        (i, u), (j, v), (k, w) = verdict.witness  # (position, value) pairs
+        print(f"odd-vertex realizable: no (lower envelope rises from {u} at position {i}"
+              f" to {v} at position {j}, then falls to {w} at position {k})")
     print(f"even-vertex realizable: {'yes' if membership.is_associated_pi2(p) else 'no'}")
     if verdict.member:
         free = membership.free_fixed_values(p)

@@ -48,10 +48,18 @@ def validate_matrix(matrix: LabeledMatrix, size: int) -> None:
     Conditions: (x, y, label) triples with integer coordinates on {2..size-1}
     forming a permutation matrix; corner-order inequalities between the four
     label classes; strictly monotone ordinates within each label class; and
-    the diagonal bounds (alpha on or above y=x, gamma on or below, beta on or
-    above x+y=size+1, delta on or below).  The bounds exclude crossing paths:
-    an alpha right of a gamma lies above it (ya >= xa > xc >= yc), and a
-    beta left of a delta lies above it (xb + yb >= size+1 >= xd + yd).
+    alpha on or above y=x, beta on or above x+y=size+1.  Those put gamma on
+    or below y=x: a permutation matrix has as many points with x <= t < y as
+    with y <= t < x, and at t = xc a gamma with yc > xc is one of the first
+    while no point is one of the second (betas lie above it, deltas left of
+    it, later gammas above it, and an alpha with x > t has y > t).  Likewise
+    delta on or below x+y=size+1: as many points have x <= t, y <= size-t as
+    x > t, y > size-t, at t = size+1-yd a delta with xd + yd > size+1 is one
+    of the second, and no point is one of the first (alphas and earlier
+    deltas lie above it, gammas right of it, and a beta with x <= t has
+    y >= yd).  The four bounds exclude crossing paths: an alpha right of a
+    gamma lies above it (ya >= xa > xc >= yc), and a beta left of a delta
+    lies above it (xb + yb >= size+1 >= xd + yd).
     """
     if size < 2:
         raise InvalidMatrix("size", f"size {size} < 2")
@@ -104,15 +112,9 @@ def validate_matrix(matrix: LabeledMatrix, size: int) -> None:
     for x, y in alphas:
         if y < x:
             raise InvalidMatrix("diagonal", f"alpha ({x},{y}) below y=x")
-    for x, y in gammas:
-        if y > x:
-            raise InvalidMatrix("diagonal", f"gamma ({x},{y}) above y=x")
     for x, y in betas:
         if x + y < size + 1:
             raise InvalidMatrix("diagonal", f"beta ({x},{y}) below x+y={size + 1}")
-    for x, y in deltas:
-        if x + y > size + 1:
-            raise InvalidMatrix("diagonal", f"delta ({x},{y}) above x+y={size + 1}")
 
 
 def permutomino_from_matrix(matrix: LabeledMatrix, size: int) -> Permutomino:

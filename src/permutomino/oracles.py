@@ -69,16 +69,15 @@ def _interval_stacks(n: int, convex: bool) -> Iterator[tuple[tuple[int, ...], tu
     starts, are the previous column's bottom and top, and neither is ever a
     moved edge, so a moved edge is allowed iff its ordinate has no side yet:
     the state is the columns so far, the two trend flags and `used`, the set
-    of ordinates with a side as a bitmask.  A full stack has a side at every
-    ordinate 1..n.  With convex=True, tops must rise then fall and bottoms
-    fall then rise.
+    of ordinates with a side as a bitmask.  A complete stack has a side at
+    every ordinate 1..n without a check: the first column adds two distinct
+    ordinates and each of the other n - 2 a new one.  With convex=True, tops
+    must rise then fall and bottoms fall then rise.
     """
-    full = (1 << n + 1) - 2
 
     def extend(bottoms, tops, tops_fell, bottoms_rose, used):
         if len(bottoms) == n - 1:
-            if used == full:
-                yield bottoms, tops
+            yield bottoms, tops
             return
         prev_bottom, prev_top = bottoms[-1], tops[-1]
         # the bottom stays (its side goes on), the top moves

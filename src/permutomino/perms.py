@@ -226,7 +226,7 @@ def square_permutations(n: int) -> Iterator[tuple[int, ...]]:
         raise ValueError("size must be at least 1")
     values = tuple(range(1, n + 1))
     # a node is (prefix, the unused values in increasing order, the moves' state)
-    todo = [((f,), values[: f - 1] + values[f:], (f - 1, n - f, 0, 0)) for f in range(n, 0, -1)]
+    todo = [((f,), values[: f - 1] + values[f:], (f - 1, n - f, 0)) for f in range(n, 0, -1)]
     push = todo.append
     children = {}  # state -> its moves, largest value first
     while todo:

@@ -59,6 +59,13 @@ def test_domain_errors():
     validate_sequence([beta_shape, EMPTY])  # fine at an end
 
 
+def test_a_first_part_that_is_not_directed_is_refused():
+    shape = next(p for p in sorted_walk(4) if not p.flags["directed"])
+    assert shape.flags["convex"]
+    with pytest.raises(InvalidSequence, match="part 1 must be directed"):
+        PermutominoSequence((shape, shape))
+
+
 def _sequence_pool(n, k, directed, parallelogram):
     """All of T_{n,k} from oracle listings (size-1 slot = the empty permutomino)."""
 

@@ -53,6 +53,11 @@ def test_bad_words():
     assert (exc.axis, exc.coordinate, exc.count) == ("x", 2, 0)
 
 
+def test_the_empty_word_is_refused():
+    with pytest.raises(ValueError, match="empty boundary word"):
+        from_boundary_word("")
+
+
 def closed_words(max_len):
     """Every closed self-avoiding word of length <= max_len that starts N at its
     lowest leftmost point (the origin), degenerate NS included."""
@@ -215,6 +220,13 @@ def test_invalid_matrices_report_conditions():
     with pytest.raises(InvalidMatrix) as exc:
         validate_matrix(LabeledMatrix(1, frozenset({(2, 2, "omega")})), 3)
     assert exc.value.condition == "label"
+
+
+@pytest.mark.parametrize("size", [1, 0, -1])
+def test_a_matrix_below_size_two_is_refused(size):
+    with pytest.raises(InvalidMatrix) as exc:
+        validate_matrix(LabeledMatrix(0, frozenset()), size)
+    assert exc.value.condition == "size"
 
 
 @pytest.mark.parametrize("point, condition", [

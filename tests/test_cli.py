@@ -61,6 +61,13 @@ def test_classify_non_member_witness(capsys):
     assert code == 0 and "odd-vertex realizable: yes" in out
 
 
+def test_classify_names_the_values_and_positions_of_a_non_square_witness(capsys):
+    code, out, _ = run(capsys, "classify", "5 2 3 4 1")
+    assert code == 0
+    assert "odd-vertex realizable: no (lower envelope rises from 2 at position 2 to 3 at" \
+        " position 3, then falls to 1 at position 5)\n" in out
+
+
 def test_classify_parse_error(capsys):
     code, _, err = run(capsys, "classify", "1 2 5")
     assert code == 2 and "parse error" in err

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from permutomino import cli, counting, formulas, oracles
+from permutomino import _kernels, cli, counting, formulas, oracles
 from permutomino.boundary import Permutomino
 from permutomino.errors import SizeTooLarge
 from permutomino.membership import is_associated
@@ -82,6 +82,21 @@ def test_counts_above_the_scan_bound_match_the_closed_forms(n):
     assert decomposable == formulas.decomposable_square(n)
     assert 2 * stats["assoc_first_lt_last"] == square
     assert stats["both_ways"] == square - 2 * decomposable
+
+
+def test_both_ways_is_even_from_size_two():
+    """count_stats reads assoc_first_lt_last as ctilde - both_ways/2, which
+    needs reversal to pair off the both-ways permutations."""
+    for n in range(2, counting.COUNT_BOUND + 1):
+        assert _kernels.count_stats(n)["both_ways"] % 2 == 0, n
+
+
+def test_the_count_table_is_keyed_by_three_numbers():
+    """The states (a, b, gap) up to COUNT_BOUND; splitting the gap in two
+    around the first value would make them 32,336."""
+    _kernels._walk.cache_clear()
+    _kernels.count_stats(counting.COUNT_BOUND)
+    assert _kernels._walk.cache_info().currsize == 4525
 
 
 def test_fiber_listing_matches_oracle():

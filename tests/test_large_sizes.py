@@ -42,7 +42,7 @@ def square_permutations(draw, split=False, sizes=SIZES):
     """A square permutation drawn move by move from the generator's states.
 
     With split=True the walk first fills a prefix with the top r values, for a
-    drawn 1 <= r < n, so it passes through the split state (n - r, 0, 0, 0)
+    drawn 1 <= r < n, so it passes through the split state (n - r, 0, 0)
     (see _kernels.count_stats).  Until then it takes no value <= n - r, which
     always leaves a move: the largest unused value, in the top block.
     """
@@ -51,7 +51,7 @@ def square_permutations(draw, split=False, sizes=SIZES):
     low = n - r
     first = draw(st.integers(low + 1, n))
     unused = [v for v in range(1, n + 1) if v != first]
-    p, state = [first], (first - 1, n - first, 0, 0)
+    p, state = [first], (first - 1, n - first, 0)
     while unused:
         kids = [(offset, child) for offset, child in _kernels.moves(*state)
                 if len(p) >= r or offset >= low]

@@ -3,8 +3,10 @@ import pathlib
 
 import pytest
 
-from permutomino import _kernels, counting, formulas, verify
+import permutomino
+from permutomino import _kernels, counting, formulas, oracles, verify
 from permutomino.cli import main
+from permutomino.errors import NotPermutomino
 from permutomino.verify import sequence_class_count, verify_identities
 from references import composition_class_count
 
@@ -114,7 +116,6 @@ KERNEL_MUTANTS = {
                            "reversal_split = a == 0 and gap <= 1"),
     "free-fixed-left-gt-0": ("reversal_split and left > 1", "reversal_split and left > 0"),
     "free-fixed-left-gt-2": ("reversal_split and left > 1", "reversal_split and left > 2"),
-    "rising-end": ("offset >= above_first", "offset > above_first"),
     "top-end-unguarded": ("if gap and b == 0 and (a or gap > 1):", "if gap and b == 0:"),
     "both-ways-at-reversal-split": ("0 if reversal_split else both_ways", "both_ways"),
 }
@@ -125,8 +126,9 @@ CONVEX_FIELD = {"split-gap", "reversal-split-gap", "free-fixed-left-gt-0", "free
 
 # Each row of verify_identities(8) and the kernel mutants it fails under.
 # "ctilde = square - decomposable" can fail under none: count_stats reads all
-# three fields off one split polynomial.  The two vertex-class rows fail
-# together because, with square = ctilde + decomposable built in, they are one
+# three fields off one split polynomial.  The two vertex-class rows and the
+# rising-ends row fail together because, with square = ctilde + decomposable
+# and assoc_first_lt_last = ctilde - both_ways/2 built in, the three are one
 # identity.  The oracle rows read no kernel output.
 ROWS_CAUGHT = {
     "convex = sum of 2^k over free-fixed-point classes (closed form)": CONVEX_FIELD,
@@ -139,7 +141,8 @@ ROWS_CAUGHT = {
         {"split-gap", "reversal-split-gap", "both-ways-at-reversal-split"},
     "intersection = square - 2*decomposable":
         {"split-gap", "reversal-split-gap", "both-ways-at-reversal-split"},
-    "realizable with rising ends = half the squares": {"split-gap", "rising-end"},
+    "realizable with rising ends = half the squares":
+        {"split-gap", "reversal-split-gap", "both-ways-at-reversal-split"},
     "one-direction surplus (definitional closed combination)": {"split-gap", "top-end-unguarded"},
     "square = convex + central binomial": CONVEX_FIELD,
     "convex = realizable + free-fixed-point surplus": CONVEX_FIELD,
@@ -169,3 +172,48 @@ def test_verify_fails_every_kernel_mutant(tmp_path, monkeypatch, mutant):
     failed = {e.name for e in report.entries if e.status == "fail"}
     assert failed and not report.ok
     assert failed == {row for row, caught in ROWS_CAUGHT.items() if mutant in caught}
+
+
+GEOMETRIC_ROWS = {"convex: fiber sum vs interval oracle", "directed convex oracle vs closed form",
+                  "parallelogram oracle vs catalan", "symmetric oracle vs closed form",
+                  "decomposable classes match permutomino sequences"}
+
+# One-token defects of the interval oracle, each a substitution that occurs
+# once in oracles.py, and the rows of verify_identities(6) each fails, or the
+# error that the validator raises on the first stack it rejects.
+ORACLE_MUTANTS = {
+    "no-convex-top-rule": (
+        "used >> top & 1 or convex and tops_fell and top > prev_top", "used >> top & 1",
+        {"convex: fiber sum vs interval oracle"}),
+    "no-convex-bottom-rule": (
+        "used >> bottom & 1 or convex and bottoms_rose and bottom < prev_bottom",
+        "used >> bottom & 1", {"convex: fiber sum vs interval oracle"}),
+    "first-bottom-from-2": (
+        "for bottom in range(1, n):", "for bottom in range(2, n):", GEOMETRIC_ROWS),
+    "top-moves-only-up": (
+        "for top in range(prev_bottom + 1, n + 1):", "for top in range(prev_top + 1, n + 1):",
+        GEOMETRIC_ROWS - {"parallelogram oracle vs catalan"}),
+    "top-side-reused": ("used >> top & 1 or", "False or", NotPermutomino),
+}
+
+
+@pytest.mark.parametrize("mutant", ORACLE_MUTANTS)
+def test_verify_fails_every_oracle_mutant(tmp_path, monkeypatch, mutant):
+    """A copy of oracles.py with one defect, loaded in place of the module,
+    fails exactly the rows that ORACLE_MUTANTS names for it, or raises there."""
+    text, replacement, caught = ORACLE_MUTANTS[mutant]
+    source = pathlib.Path(oracles.__file__).read_text()
+    assert source.count(text) == 1
+    path = tmp_path / "oracles.py"
+    path.write_text(source.replace(text, replacement))
+    spec = importlib.util.spec_from_file_location("permutomino._oracles_mutant", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # counting imports the oracle from the package when it walks
+    monkeypatch.setattr(permutomino, "oracles", module)
+    if isinstance(caught, type):
+        with pytest.raises(caught):
+            verify_identities(6)
+        return
+    report = verify_identities(6)
+    assert {e.name for e in report.entries if e.status == "fail"} == caught
