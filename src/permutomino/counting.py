@@ -8,8 +8,10 @@ visiting a permutation, or counts the interval oracle's walk, geo_walk.  A
 list route streams the square generator, filtered, or the fibers, or sorts a
 walk's rows.  CLASS_FLAGS is the one map from class to boundary.classify
 flag; oracle_counts folds each size's convex walk into every flagged class's
-count.  The oracle and the permutation and shape modules are imported by the
-functions that call them, so a count loads none of them.
+count.  geo_walk is the one caller of the oracle, and ORACLE_BOUND, which it
+checks, is the oracle's one size bound.  The oracle and the permutation and
+shape modules are imported by the functions that call them, so a count loads
+none of them.
 """
 from __future__ import annotations
 
@@ -20,8 +22,13 @@ from . import _kernels
 from ._kernels import COUNT_BOUND
 from .errors import check_size
 
-SCAN_BOUND = 10  # square_agreement walks S_10's ~3.6M permutations; listings stop here too
+# the permutation listings stop here; square_agreement shares the bound, though
+# it walks all of S_n: 0.65 s at size 8, 8.8 s at size 9 (Python 3.11.7, 2-vCPU Xeon VM)
+SCAN_BOUND = 10
 FIBER_BOUND = 7  # convex_via_fibers streams 1836 shapes at size 7 (~0.1 s), 8468 at size 8 (~0.5 s)
+# the oracle's walk takes 0.010 s at size 6 and 0.045 s at size 7 (convex),
+# 0.026 s and 0.28 s (column-convex), on the same host
+ORACLE_BOUND = 6
 
 # class -> the boundary.classify flag that picks it out of the convex walk
 CLASS_FLAGS = {
@@ -75,15 +82,15 @@ def convex_via_fibers(n: int) -> Iterator:
 
 def geo_walk(class_name: str, n: int) -> Iterator:
     """The shapes of a geometric class of size n, one at a time from the
-    oracle's walk, whose bounds are checked here."""
+    oracle's walk; the class and the size are checked here."""
     from . import oracles
 
-    if class_name in ("convex", "column-convex"):
-        return oracles.walk(n, convex=class_name == "convex")
     flag = CLASS_FLAGS.get(class_name)
-    if flag is None:
+    if flag is None and class_name not in ("convex", "column-convex"):
         raise ValueError(f"no geometric listing for class {class_name!r}")
-    return (p for p in oracles.walk(n) if p.flags[flag])
+    check_size(n, ORACLE_BOUND, "interval oracle is")
+    shapes = oracles.walk(n, convex=class_name != "column-convex")
+    return shapes if flag is None else (p for p in shapes if p.flags[flag])
 
 
 def listing(class_name: str, n: int) -> list:
@@ -116,11 +123,9 @@ def perm_listing(class_name: str, n: int) -> Iterator[tuple[int, ...]]:
 def oracle_counts(sizes: range) -> dict[str, dict[int, int]]:
     """counts[name][n]: the convex permutominoes of size n and those of each
     class in CLASS_FLAGS, for every n in sizes, in one oracle walk per size."""
-    from . import oracles
-
     counts = {name: dict.fromkeys(sizes, 0) for name in ("convex", *CLASS_FLAGS)}
     for n in sizes:
-        for p in oracles.walk(n):
+        for p in geo_walk("convex", n):
             counts["convex"][n] += 1
             for name, flag in CLASS_FLAGS.items():
                 counts[name][n] += p.flags[flag]

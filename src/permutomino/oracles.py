@@ -16,13 +16,14 @@ through the full permutomino validator (`boundary.from_boundary_word`, which
 checks that the word is closed, simple and clockwise from its lowest leftmost
 point, and counts its sides per coordinate); a rejection there is an error,
 not a skipped candidate.  Counts coming out of here share no code path with
-the permutation-side machinery: `oracles` imports only `boundary` and `errors`
-from the package.
+the permutation-side machinery: `oracles` imports only `boundary` from the
+package.
 
 `walk` streams the validated shapes and keeps none of them: the counts in
 `counting` and `verify` fold over it, and `enumerate <class> --list` keeps only
 the (pi1, word) rows it prints.  The oracle is exhaustive over the box and
-bounded (default size 6).  The convex walk is the one source of every
+takes no bound: its one caller, `counting.geo_walk`, checks the size against
+`counting.ORACLE_BOUND`.  The convex walk is the one source of every
 geometric class: directed, parallelogram and symmetric permutominoes are the
 convex shapes whose class flag (`boundary.classify`) is set, so callers walk a
 size once and filter it.
@@ -32,9 +33,6 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from .boundary import EMPTY, Permutomino, from_boundary_word
-from .errors import check_size
-
-DEFAULT_BOUND = 6
 
 
 def _stack_word(bottoms: Sequence[int], tops: Sequence[int]) -> str:
@@ -96,13 +94,14 @@ def _interval_stacks(n: int, convex: bool) -> Iterator[tuple[tuple[int, ...], tu
             yield from extend((bottom,), (top,), False, False, 1 << bottom | 1 << top)
 
 
-def walk(n: int, convex: bool = True, bound: int = DEFAULT_BOUND) -> Iterator[Permutomino]:
+def walk(n: int, convex: bool = True) -> Iterator[Permutomino]:
     """The convex (or, with convex=False, column-convex) permutominoes of size
     n, one at a time in stack order, each validated as it is built.
 
-    The size and the bound are checked here, before any stack is walked.
+    The size is checked here, before any stack is walked.
     """
-    check_size(n, bound, "interval oracle is")
+    if n < 1:
+        raise ValueError("size must be at least 1")
     if n == 1:
         return iter([EMPTY])
     return (from_boundary_word(_stack_word(bottoms, tops))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from . import counting, formulas, oracles
+from . import counting, formulas
 from .errors import check_size
 
 
@@ -85,7 +85,7 @@ def sequence_class_count(n: int, k: int, directed_counts, parallelogram_counts) 
 
 
 def verify_identities(max_size: int, strict_paper: bool = False) -> VerificationReport:
-    """Run every identity up to max_size (interval-oracle rows up to the oracle's bound).
+    """Run every identity up to max_size (interval-oracle rows up to counting.ORACLE_BOUND).
 
     Each size is walked by the oracle once.  Raises SizeTooLarge before any
     count when max_size > counting.COUNT_BOUND.
@@ -94,7 +94,7 @@ def verify_identities(max_size: int, strict_paper: bool = False) -> Verification
         raise ValueError("max_size must be at least 2")
     check_size(max_size, counting.COUNT_BOUND, "counts are")
     every, from2 = range(1, max_size + 1), range(2, max_size + 1)
-    geo = range(1, min(max_size, oracles.DEFAULT_BOUND) + 1)
+    geo = range(1, min(max_size, counting.ORACLE_BOUND) + 1)
 
     # one count record per size, read as `enumerate` reads it, and one oracle walk
     stats = {n: counting.scan_stats(n) for n in every}

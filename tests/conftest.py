@@ -15,14 +15,13 @@ def all_perms(n):
 @pytest.fixture(scope="session")
 def convex_by_size():
     """Interval-oracle listings of convex permutominoes, cached per size."""
-    from permutomino import oracles
     from references import sorted_walk
 
     cache = {}
 
-    def get(n, bound=oracles.DEFAULT_BOUND):
+    def get(n):
         if n not in cache:
-            cache[n] = sorted_walk(n, bound=max(bound, n))
+            cache[n] = sorted_walk(n)
         return cache[n]
 
     return get

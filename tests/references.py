@@ -258,10 +258,10 @@ def generated_interval_stacks(n: int, convex: bool):
     yield from extend(1, False, False)
 
 
-def sorted_walk(n: int, convex: bool = True, bound: int = oracles.DEFAULT_BOUND):
+def sorted_walk(n: int, convex: bool = True):
     """The oracle's convex (or, with convex=False, column-convex) shapes of
     size n as one list, sorted by (pi1, boundary word) like the listings."""
-    return sorted(oracles.walk(n, convex, bound), key=Permutomino.sort_key)
+    return sorted(oracles.walk(n, convex), key=Permutomino.sort_key)
 
 
 def reference_square_permutations(n: int):

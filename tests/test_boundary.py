@@ -355,7 +355,7 @@ def test_path_flags_and_word_reflections_match_the_cells():
         except (ValueError, PermutominoError):
             continue
     for n in range(2, 8):
-        shapes += sorted_walk(n, bound=7)
+        shapes += sorted_walk(n)
     for n in range(2, 7):
         shapes += sorted_walk(n, convex=False)
     directed_starts_not_convex = 0

@@ -259,9 +259,9 @@ def oracle_spy(monkeypatch):
     sizes = []
     real = oracles.walk
 
-    def spy(n, convex=True, bound=oracles.DEFAULT_BOUND):
+    def spy(n, convex=True):
         sizes.append(n)
-        return real(n, convex, bound)
+        return real(n, convex)
 
     monkeypatch.setattr(oracles, "walk", spy)
     return sizes
@@ -408,7 +408,7 @@ def test_drawings_are_bounded_before_output(capsys, fmt):
 # sizes 1-6 and one over each bound: the oracle's, the fiber listing's, the
 # permutation listings' and the counts'; no size reaches a slow listing
 # (`enumerate ctilde 10 --list` takes seconds)
-SIZES = [*range(1, 7), oracles.DEFAULT_BOUND + 1, counting.FIBER_BOUND + 1,
+SIZES = [*range(1, 7), counting.ORACLE_BOUND + 1, counting.FIBER_BOUND + 1,
          counting.SCAN_BOUND + 1, counting.COUNT_BOUND + 1]
 # the identity of this size has one free fixed point more than a fiber may have
 OVER_FIBER_BOUND = " ".join(map(str, range(1, FREE_FIXED_BOUND + 4)))
@@ -844,10 +844,38 @@ def test_the_kernels_import_nothing_from_the_package_but_errors():
 
 def test_the_oracle_imports_nothing_from_the_package_but_boundary_and_errors():
     """The interval oracle shares no code with the permutation side: its source
-    imports only boundary and errors from the package."""
+    imports only boundary from the package (its size bound is counting's)."""
     relative, absolute = imports_of(oracles)
-    assert relative == {"boundary", "errors"}
+    assert relative == {"boundary"}
     assert not package_modules(absolute)
+
+
+def test_only_geo_walk_calls_the_oracle_and_the_oracle_takes_no_bound():
+    """counting.geo_walk is the one call of oracles.walk in the package, and
+    counting the one module that imports the oracle, so ORACLE_BOUND, which
+    geo_walk checks, bounds every walk; no oracle function takes a bound."""
+    callers, importers = [], set()
+    for path in sorted(pathlib.Path(counting.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    "oracles" in (node.module or "").split(".")
+                    or any(alias.name == "oracles" for alias in node.names)):
+                importers.add(path.stem)
+            if isinstance(node, ast.FunctionDef):
+                callers += [(path.stem, node.name) for call in ast.walk(node)
+                            if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                            and call.func.attr == "walk" and isinstance(call.func.value, ast.Name)
+                            and call.func.value.id == "oracles"]
+    assert importers == {"counting"}
+    assert callers == [("counting", "geo_walk")]
+    functions = [node for node in ast.walk(ast.parse(pathlib.Path(oracles.__file__).read_text()))
+                 if isinstance(node, ast.FunctionDef)]
+    assert {"walk", "extend"} <= {function.name for function in functions}
+    for function in functions:
+        arguments = function.args
+        names = [arg.arg for arg in arguments.posonlyargs + arguments.args + arguments.kwonlyargs]
+        assert "bound" not in names, function.name
 
 
 def test_the_matrix_route_imports_nothing_from_the_package_but_boundary_and_errors():

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from permutomino import _kernels, cli, counting, formulas, oracles
-from permutomino.boundary import Permutomino
+from permutomino.boundary import Permutomino, reflect_x, reflect_y, transpose
 from permutomino.errors import SizeTooLarge
 from permutomino.membership import is_associated
 from permutomino.perms import square_permutations
@@ -103,7 +103,55 @@ def test_fiber_listing_matches_oracle():
     for n in range(1, 8):
         shapes = list(counting.convex_via_fibers(n))  # streamed, never sorted
         assert shapes == sorted(shapes, key=Permutomino.sort_key)
-        assert shapes == sorted_walk(n, bound=7)
+        assert shapes == sorted_walk(n)
+
+
+def square_images(p):
+    """The images of p under the eight symmetries of the square, by name; the
+    two quarter-turns are each other's inverse."""
+    x, y = reflect_x(p), reflect_y(p)
+    half = reflect_x(y)
+    return {"identity": p, "reflect-x": x, "reflect-y": y, "half-turn": half,
+            "transpose": transpose(p), "anti-transpose": transpose(half),
+            "quarter-turn": transpose(x), "three-quarter-turn": transpose(y)}
+
+
+# the convex permutominoes of size n = 2..7 that each symmetry fixes; the
+# diagonal reflections fix formulas.symmetric(n) shapes each
+FIXED = {
+    "identity": [1, 4, 18, 84, 394, 1836],
+    "reflect-x": [1, 0, 0, 0, 0, 0],
+    "reflect-y": [1, 0, 0, 0, 0, 0],
+    "half-turn": [1, 0, 6, 0, 34, 0],
+    "transpose": [1, 2, 4, 10, 22, 54],
+    "anti-transpose": [1, 2, 4, 10, 22, 54],
+    "quarter-turn": [1, 0, 0, 0, 4, 0],
+    "three-quarter-turn": [1, 0, 0, 0, 4, 0],
+}
+
+
+@pytest.mark.parametrize("route", [oracles.walk, counting.convex_via_fibers],
+                         ids=["oracle", "fibers"])
+def test_convex_shapes_up_to_symmetry_by_orbits_and_by_burnside(route):
+    """The convex permutominoes of size n = 2..7 up to the symmetries of the
+    square number 1, 1, 4, 13, 60, 243, by the least word of each orbit and
+    by Burnside's average of the fixed counts, through each route."""
+    orbits, fixed = [], {name: [] for name in FIXED}
+    for n in range(2, 8):
+        least, counts = set(), dict.fromkeys(FIXED, 0)
+        for p in route(n):
+            images = square_images(p)
+            least.add(min(q.word for q in images.values()))
+            for name, q in images.items():
+                counts[name] += q == p
+        orbits.append(len(least))
+        for name, count in counts.items():
+            fixed[name].append(count)
+    assert fixed == FIXED
+    assert [formulas.symmetric(n) for n in range(2, 8)] == FIXED["transpose"]
+    burnside = [sum(column) for column in zip(*fixed.values())]
+    assert all(total % 8 == 0 for total in burnside)
+    assert orbits == [total // 8 for total in burnside] == [1, 1, 4, 13, 60, 243]
 
 
 def test_perm_listing_stable():
@@ -161,7 +209,7 @@ def test_readme_lists_each_class_with_its_routes_and_bounds():
             with pytest.raises(SizeTooLarge):
                 next(iter(route(name, bound + 1)))
     assert {b for _, bounds in readme.values() for b in bounds} == {
-        counting.COUNT_BOUND, counting.SCAN_BOUND, counting.FIBER_BOUND, oracles.DEFAULT_BOUND}
+        counting.COUNT_BOUND, counting.SCAN_BOUND, counting.FIBER_BOUND, counting.ORACLE_BOUND}
 
 
 def test_each_by_option_reads_strata_that_its_classes_count_records_hold():
@@ -193,7 +241,7 @@ def test_method_applies_exactly_to_the_classes_with_two_count_routes(capsys, nam
 # the largest size at which a count route of each name is compared with its
 # class's listing: the fibers' bound, the oracle's, or 8 for the permutation
 # classes, whose listings run to SCAN_BOUND = 10
-COMPARED_UP_TO = {"record": 8, "fibers": counting.FIBER_BOUND, "intervals": oracles.DEFAULT_BOUND}
+COMPARED_UP_TO = {"record": 8, "fibers": counting.FIBER_BOUND, "intervals": counting.ORACLE_BOUND}
 
 
 @pytest.mark.parametrize("name", cli.PERM_CLASSES + cli.GEO_CLASSES)

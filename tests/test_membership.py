@@ -254,7 +254,7 @@ def test_fiber_union_equals_oracle(n, convex_by_size):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_membership_agrees_with_geometry(n, convex_by_size):
-    realizable = {p.pi1 for p in convex_by_size(n, bound=7)}
+    realizable = {p.pi1 for p in convex_by_size(n)}
     for p in all_perms(n):
         assert is_associated(p) == (p in realizable)
 

@@ -45,18 +45,20 @@ def test_listings_are_sorted_and_validated():
 
 
 def test_size_bound():
+    """The oracle's one caller refuses a size over its bound; the walk itself
+    takes any size."""
+    with pytest.raises(SizeTooLarge, match="interval oracle is bounded at size 6, got 7"):
+        counting.geo_walk("convex", 7)
     with pytest.raises(SizeTooLarge):
-        oracles.walk(7)
-    with pytest.raises(SizeTooLarge):
-        oracles.walk(9, convex=False)
-    assert len(sorted_walk(7, bound=7)) == 1836
+        counting.geo_walk("column-convex", 9)
+    assert len(sorted_walk(7)) == 1836
 
 
 def test_walk_checks_its_bounds_at_the_call():
     """The walk is lazy, but a bad size is refused before the first shape."""
-    for convex in (True, False):
+    for convex, name in ((True, "convex"), (False, "column-convex")):
         with pytest.raises(SizeTooLarge):
-            oracles.walk(7, convex)
+            counting.geo_walk(name, 7)
         with pytest.raises(ValueError, match="size must be at least 1"):
             oracles.walk(0, convex)
 
@@ -129,7 +131,7 @@ def test_stacks_and_words_match_the_reference_generator(convex, count):
             assert len(stacks) == (394 if convex else 1262)
         assert sorted(listed_stacks(n, convex)) == expected
     assert len(stacks) == count
-    listing = sorted_walk(7, convex, bound=7)
+    listing = sorted_walk(7, convex)
     assert sorted(p.word for p in listing) == sorted(word for _, word in expected)
 
 

@@ -1,10 +1,11 @@
 import importlib.util
 import pathlib
+import sys
 
 import pytest
 
 import permutomino
-from permutomino import _kernels, counting, formulas, oracles, verify
+from permutomino import _kernels, boundary, counting, formulas, membership, oracles, verify
 from permutomino.cli import main
 from permutomino.errors import NotPermutomino
 from permutomino.verify import sequence_class_count, verify_identities
@@ -215,5 +216,93 @@ def test_verify_fails_every_oracle_mutant(tmp_path, monkeypatch, mutant):
         with pytest.raises(caught):
             verify_identities(6)
         return
+    report = verify_identities(6)
+    assert {e.name for e in report.entries if e.status == "fail"} == caught
+
+
+def load_copy(tmp_path, module, text=None, replacement=None):
+    """A copy of a package module, with text (which must occur once) replaced,
+    loaded under a name inside the package so its relative imports resolve
+    to the modules in sys.modules."""
+    source = pathlib.Path(module.__file__).read_text()
+    if text is not None:
+        assert source.count(text) == 1
+        source = source.replace(text, replacement)
+    name = module.__name__.rpartition(".")[2]
+    path = tmp_path / f"{name}.py"
+    path.write_text(source)
+    spec = importlib.util.spec_from_file_location(f"permutomino._{name}_mutant", path)
+    copy = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(copy)
+    return copy
+
+
+# One-token defects of membership, each a substitution that occurs once in
+# membership.py, and what list(convex_via_fibers(n)) does for n <= 6: raise
+# AssertionError, matching the text, first at the size given, or (None)
+# equal the oracle's listing.  verify builds no fiber, so no row of
+# verify_identities(6) fails under any of them.
+#   split-needs-two: the ctilde listing never passes the verdict a
+#   decomposable permutation, so the listing cannot see the split test;
+#   free-fixed-at-equal-high: equivalent, since the values of a permutation
+#   are distinct and v == high never holds.
+MEMBERSHIP_MUTANTS = {
+    "free-fixed-from-1": ("1 < v < n", "1 <= v < n", (2, "does not type")),
+    "alphas-from-first": ("upper[1:top]", "upper[:top]", (2, "does not type")),
+    "gammas-from-pivot": ("low[pivot + 1:-1]", "low[pivot:-1]", (2, "does not type")),
+    "least-free-bit-first": ("m >> (top - i) & 1", "m >> i & 1", (4, "does not follow")),
+    "split-needs-two": ("    if splits:", "    if len(splits) > 1:", None),
+    "free-fixed-at-equal-high": ("if v > high:", "if v >= high:", None),
+}
+
+
+@pytest.mark.parametrize("mutant", MEMBERSHIP_MUTANTS)
+def test_verify_builds_no_fiber(tmp_path, monkeypatch, convex_by_size, mutant):
+    """A copy of membership.py with one defect, loaded in place of the module,
+    fails no row of verify; the fiber listing raises as MEMBERSHIP_MUTANTS
+    says, or equals the oracle's."""
+    text, replacement, raises = MEMBERSHIP_MUTANTS[mutant]
+    # counting imports fiber from the module in sys.modules when it lists
+    monkeypatch.setitem(sys.modules, "permutomino.membership",
+                        load_copy(tmp_path, membership, text, replacement))
+    assert all(e.status == "pass" for e in verify_identities(6).entries)
+    size, match = raises or (7, None)  # no size up to 6 raises
+    for n in range(1, size):
+        assert list(counting.convex_via_fibers(n)) == convex_by_size(n)
+    if raises:
+        with pytest.raises(AssertionError, match=match):
+            list(counting.convex_via_fibers(size))
+
+
+# One-token defects of boundary, each a substitution that occurs once in
+# boundary.py, and the rows of verify_identities(6) each fails.  verify
+# validates and classifies only the shapes the oracle generates:
+#   row-convex-always: the convex walk yields only row-convex shapes;
+#   missing-start-accepted: each stack has one side per ordinate by
+#   construction, so no coordinate is ever missing.
+BOUNDARY_MUTANTS = {
+    "directed-anywhere": ("convex and vertices[0] == (1, 1)", "convex",
+                          {"directed convex oracle vs closed form", "parallelogram oracle vs catalan",
+                           "decomposable classes match permutomino sequences"}),
+    "parallelogram-without-top-corner": (
+        "directed and (n, n) in vertices", "directed",
+        {"parallelogram oracle vs catalan", "decomposable classes match permutomino sequences"}),
+    "symmetric-unrotated": ("in word + word", "== word", {"symmetric oracle vs closed form"}),
+    "row-convex-always": ('row_convex = "N" not in word.translate(_DROP_HORIZONTAL).lstrip("N")',
+                          "row_convex = True", set()),
+    "missing-start-accepted": ("starts.count(c) != 1", "starts.count(c) > 1", set()),
+}
+
+
+@pytest.mark.parametrize("mutant", BOUNDARY_MUTANTS)
+def test_verify_sees_boundary_only_through_the_oracle(tmp_path, monkeypatch, mutant):
+    """A copy of boundary.py with one defect, loaded in place of the module
+    under a fresh copy of the oracle, fails exactly the rows that
+    BOUNDARY_MUTANTS names for it."""
+    text, replacement, caught = BOUNDARY_MUTANTS[mutant]
+    monkeypatch.setitem(sys.modules, "permutomino.boundary",
+                        load_copy(tmp_path, boundary, text, replacement))
+    # the oracle's copy imports the validator from the boundary copy
+    monkeypatch.setattr(permutomino, "oracles", load_copy(tmp_path, oracles))
     report = verify_identities(6)
     assert {e.name for e in report.entries if e.status == "fail"} == caught
