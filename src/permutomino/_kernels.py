@@ -9,10 +9,11 @@ their strata), without visiting a permutation.  No state's count depends on
 n, so one memoised table serves every size up to COUNT_BOUND and stays filled
 between calls.  It evaluates the generator's own rules by counting, so it is
 not a further characterization of square permutations; the independent checks
-stay the closed forms, the envelope-vs-pattern agreement and the interval
-oracle.  Its reference, a fold over the value-level search in
-tests/references.py, is in tests/test_kernels.py.  The module imports nothing
-from the package but `errors`, so a count loads no permutation or shape code.
+stay the closed forms and the interval oracle, and tier-1 compares the
+envelope and pattern tests over S_n.  Its reference, a fold over the
+value-level search in tests/references.py, is in tests/test_kernels.py.  The
+module imports nothing from the package but `errors`, so a count loads no
+permutation or shape code.
 """
 from __future__ import annotations
 

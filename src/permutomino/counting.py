@@ -11,19 +11,21 @@ flag; oracle_counts folds each size's convex walk into every flagged class's
 count.  geo_walk is the one caller of the oracle, and ORACLE_BOUND, which it
 checks, is the oracle's one size bound.  The oracle and the permutation and
 shape modules are imported by the functions that call them, so a count loads
-none of them.
+none of them.  Every function here is one that `enumerate` or `verify` runs;
+the walk of S_n that compares the two square tests of `perms` is a test.
 """
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import filterfalse, permutations
+from itertools import filterfalse
 
 from . import _kernels
 from ._kernels import COUNT_BOUND
 from .errors import check_size
 
-# the permutation listings stop here; square_agreement shares the bound, though
-# it walks all of S_n: 0.65 s at size 8, 8.8 s at size 9 (Python 3.11.7, 2-vCPU Xeon VM)
+# the permutation listings stop here: at size 10, `enumerate ctilde` lists 148,094 rows in
+# 0.9-1.2 s, `square` 187,297 in 0.75-0.9 s and `decomposable` 39,204 in about 0.5 s, each
+# run as a process (Python 3.11.7, 2-vCPU Xeon VM)
 SCAN_BOUND = 10
 FIBER_BOUND = 7  # convex_via_fibers streams 1836 shapes at size 7 (~0.1 s), 8468 at size 8 (~0.5 s)
 # the oracle's walk takes 0.010 s at size 6 and 0.045 s at size 7 (convex),
@@ -43,27 +45,6 @@ def scan_stats(n: int, workers: int = 1) -> dict:
     fields and bounds); workers is accepted for callers that pass it and
     changes nothing."""
     return _kernels.count_stats(n)
-
-
-def square_agreement(n: int) -> dict:
-    """Compare the envelope route and the pattern route over all of S_n.
-
-    Returns counts from both routes plus the number of disagreements (zero if
-    the two characterizations really coincide).  It walks all of S_n, because
-    it has to see the non-squares, and defines no predicate of its own: both
-    square tests come from permutomino.perms.
-    """
-    from .perms import is_square, is_square_by_patterns
-
-    check_size(n, SCAN_BOUND, "scans are")
-    by_envelope = by_patterns = disagree = 0
-    for p in permutations(range(1, n + 1)):
-        a = is_square(p)
-        b = is_square_by_patterns(p)
-        by_envelope += a
-        by_patterns += b
-        disagree += a != b
-    return {"by_envelope": by_envelope, "by_patterns": by_patterns, "disagreements": disagree}
 
 
 def convex_via_fibers(n: int) -> Iterator:

@@ -116,9 +116,9 @@ def test_criterion_7_square_test_equivalence():
                    "square generator yields as many permutations"):
         start = time.monotonic()
         for n in range(1, 9):
-            out = counting.square_agreement(n)
-            assert out["disagreements"] == 0, n
-            assert out["by_envelope"] == out["by_patterns"] == SQUARE_COUNTS[n - 1]
+            by_envelope = [p for p in all_perms(n) if perms.is_square(p)]
+            assert by_envelope == [p for p in all_perms(n) if perms.is_square_by_patterns(p)], n
+            assert len(by_envelope) == SQUARE_COUNTS[n - 1], n
             assert sum(1 for _ in perms.square_permutations(n)) == SQUARE_COUNTS[n - 1], n
         elapsed = time.monotonic() - start
         assert elapsed < 120, f"dual square scan took {elapsed:.1f}s"

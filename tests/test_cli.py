@@ -878,6 +878,30 @@ def test_only_geo_walk_calls_the_oracle_and_the_oracle_takes_no_bound():
         assert "bound" not in names, function.name
 
 
+def test_every_counting_function_is_named_by_the_package():
+    """counting holds only what the package runs: each of its top-level
+    functions is named somewhere in the package outside its own body, so a
+    function that only the tests call cannot stay there."""
+    uses = []  # (a name, the counting function whose body holds it, or None)
+    for path in sorted(pathlib.Path(counting.__file__).parent.glob("*.py")):
+        for statement in ast.parse(path.read_text()).body:
+            owner = statement.name if (path.stem == "counting"
+                                       and isinstance(statement, ast.FunctionDef)) else None
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name):
+                    uses.append((node.id, owner))
+                elif isinstance(node, ast.Attribute):
+                    uses.append((node.attr, owner))
+                elif isinstance(node, ast.ImportFrom):
+                    uses += [(alias.name, owner) for alias in node.names]
+    functions = [statement.name for statement in
+                 ast.parse(pathlib.Path(counting.__file__).read_text()).body
+                 if isinstance(statement, ast.FunctionDef)]
+    assert "scan_stats" in functions
+    assert [function for function in functions
+            if not any(name == function and owner != function for name, owner in uses)] == []
+
+
 def test_the_matrix_route_imports_nothing_from_the_package_but_boundary_and_errors():
     """The corner-matrix route sits on the word validator alone: its source
     imports only boundary and errors from the package."""

@@ -5,7 +5,7 @@ so the count table is not checked against the moves it shares with it."""
 import pytest
 
 from conftest import all_perms
-from permutomino import _kernels, counting, perms
+from permutomino import _kernels, perms
 from permutomino._kernels import COUNT_BOUND
 from permutomino.errors import SizeTooLarge
 from permutomino.membership import free_fixed_values
@@ -103,10 +103,3 @@ def test_count_stats_refuses_sizes_the_packing_width_cannot_hold():
         _kernels.count_stats(COUNT_BOUND + 1)
     with pytest.raises(ValueError):
         _kernels.count_stats(0)
-
-
-def test_agreement_counts_are_square_counts():
-    for n, q in [(1, 1), (2, 2), (3, 6), (4, 24), (5, 104), (6, 464)]:
-        out = counting.square_agreement(n)
-        assert out["by_envelope"] == out["by_patterns"] == q
-        assert out["disagreements"] == 0

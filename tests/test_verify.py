@@ -7,7 +7,7 @@ import pytest
 import permutomino
 from permutomino import _kernels, boundary, counting, formulas, membership, oracles, verify
 from permutomino.cli import main
-from permutomino.errors import NotPermutomino
+from permutomino.errors import NotAssociated, NotPermutomino
 from permutomino.verify import sequence_class_count, verify_identities
 from references import composition_class_count
 
@@ -159,15 +159,7 @@ def test_verify_fails_every_kernel_mutant(tmp_path, monkeypatch, mutant):
     """A copy of _kernels.py with one defect, loaded in place of the module,
     fails exactly the rows that ROWS_CAUGHT names for it."""
     text, replacement = KERNEL_MUTANTS[mutant]
-    source = pathlib.Path(_kernels.__file__).read_text()
-    assert source.count(text) == 1
-    path = tmp_path / "_kernels.py"
-    path.write_text(source.replace(text, replacement))
-    # a name inside the package, so the copy's relative import finds permutomino.errors
-    spec = importlib.util.spec_from_file_location("permutomino._kernels_mutant", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    monkeypatch.setattr(counting, "_kernels", module)
+    monkeypatch.setattr(counting, "_kernels", load_copy(tmp_path, _kernels, text, replacement))
     report = verify_identities(8)
     assert [e.name for e in report.entries] == list(ROWS_CAUGHT)
     failed = {e.name for e in report.entries if e.status == "fail"}
@@ -203,15 +195,8 @@ def test_verify_fails_every_oracle_mutant(tmp_path, monkeypatch, mutant):
     """A copy of oracles.py with one defect, loaded in place of the module,
     fails exactly the rows that ORACLE_MUTANTS names for it, or raises there."""
     text, replacement, caught = ORACLE_MUTANTS[mutant]
-    source = pathlib.Path(oracles.__file__).read_text()
-    assert source.count(text) == 1
-    path = tmp_path / "oracles.py"
-    path.write_text(source.replace(text, replacement))
-    spec = importlib.util.spec_from_file_location("permutomino._oracles_mutant", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
     # counting imports the oracle from the package when it walks
-    monkeypatch.setattr(permutomino, "oracles", module)
+    monkeypatch.setattr(permutomino, "oracles", load_copy(tmp_path, oracles, text, replacement))
     if isinstance(caught, type):
         with pytest.raises(caught):
             verify_identities(6)
@@ -235,6 +220,57 @@ def load_copy(tmp_path, module, text=None, replacement=None):
     copy = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(copy)
     return copy
+
+
+# One-token defects of counting, each a substitution that occurs once in
+# counting.py, and the rows of verify_identities(6) each fails.  verify reads
+# counting only through scan_stats and oracle_counts, so the five that fail no
+# row change only `enumerate` routes, which a size-5 run of ROUTES shows:
+#   column-convex-walks-convex: the column-convex count and listing;
+#   ctilde-lists-decomposable: the ctilde listing and the convex fibers;
+#   flag-negated: the directed, parallelogram and symmetric counts and listings;
+#   fibers-of-squares: the convex listing (a decomposable square has no fiber);
+#   record-reads-ctilde: the square, decomposable and convex record counts.
+COUNTING_MUTANTS = {
+    "flag-counted-always": ("counts[name][n] += p.flags[flag]", "counts[name][n] += 1",
+                            GEOMETRIC_ROWS - {"convex: fiber sum vs interval oracle"}),
+    "first-size-skipped": ("for n in sizes:", "for n in sizes[1:]:",
+                           GEOMETRIC_ROWS - {"decomposable classes match permutomino sequences"}),
+    "column-convex-walks-convex": ('convex=class_name != "column-convex"', "convex=True", set()),
+    "ctilde-lists-decomposable": ("return filter(is_indecomposable, squares)",
+                                  "return filterfalse(is_indecomposable, squares)", set()),
+    "flag-negated": ("if p.flags[flag])", "if not p.flags[flag])", set()),
+    "fibers-of-squares": ('perm_listing("ctilde", n)', 'perm_listing("square", n)', set()),
+    "record-reads-ctilde": ("else record)[class_name]", 'else record)["ctilde"]', set()),
+}
+
+
+def route_outputs(module, n):
+    """What each route of module.ROUTES gives at size n: a count, the listed
+    rows, or NotAssociated when the listing raises it."""
+    out = {}
+    for name, (counts, lister) in module.ROUTES.items():
+        for method, count in counts.items():
+            out[name, method] = count(name, n)
+        try:
+            out[name, "list"] = list(lister(name, n))
+        except NotAssociated:
+            out[name, "list"] = NotAssociated
+    return out
+
+
+@pytest.mark.parametrize("mutant", COUNTING_MUTANTS)
+def test_verify_fails_every_counting_mutant(tmp_path, monkeypatch, mutant):
+    """A copy of counting.py with one defect, loaded in place of the module,
+    fails exactly the rows that COUNTING_MUTANTS names for it; one that fails
+    none changes some route, so no mutant is equivalent."""
+    text, replacement, caught = COUNTING_MUTANTS[mutant]
+    copy = load_copy(tmp_path, counting, text, replacement)
+    monkeypatch.setattr(verify, "counting", copy)
+    report = verify_identities(6)
+    assert {e.name for e in report.entries if e.status == "fail"} == caught
+    if not caught:
+        assert route_outputs(copy, 5) != route_outputs(counting, 5)
 
 
 # One-token defects of membership, each a substitution that occurs once in
