@@ -14,7 +14,8 @@ a bound are reported before anything is printed, and an empty `--out` path,
 or one whose directory does not exist, before anything is written; `build`
 and `decompose --render` draw ascii and svg up to `render.DRAW_BOUND`.
 `enumerate` counts and lists a class by the routes of `counting.ROUTES`,
-each with its own bound; `--method` picks a count route where there are two.
+each a function of (class, size) with its own bound; `--method` picks a count
+route where there are two, and `--by` reads its strata from the count record.
 `build --all` streams its shapes, so its memory does not grow with the output.
 `--workers` is ignored (IGNORED).
 At import this module loads only argparse, errno, io, os, sys and `errors`;
@@ -37,8 +38,11 @@ import sys
 from .errors import (Indecomposable, InvalidSequence, NotAssociated, NotSquare, OutputError,
                      ParseError, PermutominoError, SizeTooLarge)
 
-PERM_CLASSES = ("ctilde", "square", "decomposable")
-GEO_CLASSES = ("convex", "directed", "parallelogram", "symmetric", "column-convex")
+# the `enumerate` classes, in counting.ROUTES order (a test holds the two equal);
+# named here because argparse reads them before counting is loaded, and
+# classify, build and decompose must not load counting
+CLASSES = ("ctilde", "square", "decomposable", "convex", "directed", "parallelogram",
+           "symmetric", "column-convex")
 # each `enumerate --by`: its classes, the count record key of its strata, their label
 BY_CLASSES = {"fixed-points": (("convex", "ctilde"), "by_free_fixed_points", "free-fixed-points"),
               "components": (("square", "decomposable"), "components", "components")}
@@ -165,17 +169,15 @@ def cmd_enumerate(args) -> int:
     count = counts[args.method] if args.method else next(iter(counts.values()))
     # bounds come before any output: a listing's, then the count record's, then a walk's
     rows = lister(name, n) if args.list else ()
-    record = counting.scan_stats(n) if by else None
+    strata = counting.scan_stats(n)[BY_CLASSES[by][1]].items() if by else ()
     # a listing held as a list (a sorted walk) is its own count
-    print(len(rows) if isinstance(rows, list) else count(name, n, record))
-    if by:
-        _, key, label = BY_CLASSES[by]
-        for k, v in record[key].items():
-            if k > 1 or name != "decomposable":
-                print(f"{label} {k}: {v}"
-                      + (f" permutations, {v << k} permutominoes" if name == "convex" else ""))
+    print(len(rows) if isinstance(rows, list) else count(name, n))
+    for k, v in strata:
+        if k > 1 or name != "decomposable":
+            print(f"{BY_CLASSES[by][2]} {k}: {v}"
+                  + (f" permutations, {v << k} permutominoes" if name == "convex" else ""))
     for row in rows:  # a permutation, or a shape's (pi1, word)
-        print(" ".join(map(str, row)) if name in PERM_CLASSES
+        print(" ".join(map(str, row)) if lister is counting.perm_listing
               else f"{row[1] or '(empty)'}  pi1={' '.join(map(str, row[0]))}")
     return 0
 
@@ -258,10 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(fn=cmd_build)
 
     e = sub.add_parser("enumerate", help="count (and optionally list) a class at a size")
-    e.add_argument("klass", metavar="class", choices=PERM_CLASSES + GEO_CLASSES)
+    e.add_argument("klass", metavar="class", choices=CLASSES)
     e.add_argument("size", type=int_at_least(1))
     e.add_argument("--list", action="store_true", help="list members in stable order")
-    e.add_argument("--by", choices=("fixed-points", "components"),
+    e.add_argument("--by", choices=BY_CLASSES,
                    help="stratify the count (fixed-points: convex, ctilde; "
                         "components: square, decomposable)")
     e.add_argument("--method", choices=("fibers", "intervals"),

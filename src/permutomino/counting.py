@@ -1,12 +1,12 @@
 """Counts and listings of every `enumerate` class, and ROUTES, the table of
 the routes that count or list each class.
 
-A route is a function of a class name and a size that counts or lists the
-class up to a bound, which it checks when called.  A count route reads the
-count record scan_stats(n), which _kernels.count_stats makes without
-visiting a permutation, or counts the interval oracle's walk, geo_walk.  A
-list route streams the square generator, filtered, or the fibers, or sorts a
-walk's rows.  CLASS_FLAGS is the one map from class to boundary.classify
+A route is a function of a class name and a size, and of nothing else,
+that counts or lists the class up to a bound, which it checks when called.
+A count route reads the count record scan_stats(n), which
+_kernels.count_stats makes without visiting a permutation, or counts the
+interval oracle's walk, geo_walk.  A list route streams the square
+generator, filtered, or the fibers, or sorts a walk's rows.  CLASS_FLAGS is the one map from class to boundary.classify
 flag; oracle_counts folds each size's convex walk into every flagged class's
 count.  geo_walk is the one caller of the oracle, and ORACLE_BOUND, which it
 checks, is the oracle's one size bound.  The oracle and the permutation and
@@ -113,13 +113,13 @@ def oracle_counts(sizes: range) -> dict[str, dict[int, int]]:
     return counts
 
 
-def from_record(class_name: str, n: int, record: dict | None = None) -> int:
-    """The class's field of the count record of size n, or of the record given."""
-    return (scan_stats(n) if record is None else record)[class_name]
+def from_record(class_name: str, n: int) -> int:
+    """The class's field of the count record of size n."""
+    return scan_stats(n)[class_name]
 
 
-def from_walk(class_name: str, n: int, record: dict | None = None) -> int:
-    """The number of shapes in the class's oracle walk of size n (a record is not read)."""
+def from_walk(class_name: str, n: int) -> int:
+    """The number of shapes in the class's oracle walk of size n."""
     return sum(1 for _ in geo_walk(class_name, n))
 
 
@@ -127,6 +127,6 @@ def from_walk(class_name: str, n: int, record: dict | None = None) -> int:
 ROUTES = {
     **dict.fromkeys(("ctilde", "square", "decomposable"), ({"record": from_record}, perm_listing)),
     "convex": ({"fibers": from_record, "intervals": from_walk},
-               lambda name, n: ((p.pi1, p.word) for p in convex_via_fibers(n))),
+               lambda class_name, n: ((p.pi1, p.word) for p in convex_via_fibers(n))),
     **dict.fromkeys((*CLASS_FLAGS, "column-convex"), ({"intervals": from_walk}, listing)),
 }

@@ -4,7 +4,8 @@ The identities are a table of rows: a name, a range of sizes and check(n, s),
 s the count record of size n, which returns (lhs, rhs), or (lhs, rhs, shown)
 when the detail names the terms.
 One runner, _run, makes each row a report entry: 'pass', or 'fail' with both
-values at the first size where lhs != rhs.  A printed row (strict_paper only)
+values at the first size where lhs != rhs, or with the fraction at the first
+size where a closed form is not an integer.  A printed row (strict_paper only)
 checks a closed form exactly as the paper prints it, where a mismatch is
 expected: it lists its first three mismatches as 'discrepant', not a failure.
 """
@@ -45,7 +46,11 @@ def _run(name: str, sizes: range, check, records: dict, printed: bool = False) -
     """Evaluate one row over its sizes (see the module docstring)."""
     status, detail, mismatches = "pass", "", []
     for n in sizes:
-        lhs, rhs, *shown = check(n, records[n])
+        try:
+            lhs, rhs, *shown = check(n, records[n])
+        except formulas.NonIntegerResult as exc:  # a closed form that does not divide
+            status, detail, mismatches = "fail", f"n={n}: non-integer ({exc})", []
+            break
         if printed:
             if lhs != rhs:
                 mismatches.append(f"n={n}: printed {lhs} vs definitional {rhs}")

@@ -1,3 +1,4 @@
+import inspect
 import pathlib
 import re
 
@@ -172,7 +173,16 @@ def test_geometric_listing_dispatch():
 
 
 def test_the_route_table_covers_every_enumerate_class():
-    assert set(counting.ROUTES) == set(cli.PERM_CLASSES + cli.GEO_CLASSES)
+    """cli names the classes in table order, the order of argparse's choice error."""
+    assert tuple(counting.ROUTES) == cli.CLASSES
+
+
+def test_every_route_is_a_function_of_class_and_size():
+    """Each count route and list route takes a class name and a size, and
+    nothing else, so `enumerate` calls each one the same way."""
+    for name, (counts, lister) in counting.ROUTES.items():
+        for route in (*counts.values(), lister):
+            assert list(inspect.signature(route).parameters) == ["class_name", "n"], name
 
 
 def readme_routes() -> dict[str, tuple[list[str], list[int]]]:
@@ -222,7 +232,7 @@ def test_each_by_option_reads_strata_that_its_classes_count_records_hold():
             assert all(key in counting.scan_stats(n) for n in range(1, 8))
 
 
-@pytest.mark.parametrize("name", cli.PERM_CLASSES + cli.GEO_CLASSES)
+@pytest.mark.parametrize("name", cli.CLASSES)
 def test_method_applies_exactly_to_the_classes_with_two_count_routes(capsys, name):
     counts, _ = counting.ROUTES[name]
     for method in sorted({method for routes, _ in counting.ROUTES.values() for method in routes}):
@@ -243,7 +253,7 @@ def test_method_applies_exactly_to_the_classes_with_two_count_routes(capsys, nam
 COMPARED_UP_TO = {"record": 8, "fibers": counting.FIBER_BOUND, "intervals": counting.ORACLE_BOUND}
 
 
-@pytest.mark.parametrize("name", cli.PERM_CLASSES + cli.GEO_CLASSES)
+@pytest.mark.parametrize("name", cli.CLASSES)
 def test_each_count_route_equals_its_listings_length(name):
     """Wherever a count route and the list route of a class both run, the
     count is the number of rows listed."""

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import pathlib
 import sys
 
@@ -28,6 +29,18 @@ def bijection_fault(monkeypatch):
     monkeypatch.setattr(verify, "sequence_class_count", faulty)
 
 
+def non_integer_fault(monkeypatch):
+    """Make the ctilde closed form fail to divide at n = 5."""
+    real = formulas.ctilde
+
+    def faulty(n):
+        if n == 5:
+            raise formulas.NonIntegerResult("ctilde(5) = 1/2 is not an integer")
+        return real(n)
+
+    monkeypatch.setattr(formulas, "ctilde", faulty)
+
+
 # the rows each fault fails, with their details; every other row passes
 FAULTS = {
     square_fault: {
@@ -37,6 +50,10 @@ FAULTS = {
     },
     bijection_fault: {
         "decomposable classes match permutomino sequences": "n=5: 11 != 12 (n=5,k=3: 11 = 12)",
+    },
+    non_integer_fault: {
+        "ctilde closed form (exact rational factor)":
+            "n=5: non-integer (ctilde(5) = 1/2 is not an integer)",
     },
 }
 
@@ -98,7 +115,7 @@ def test_max_size_validation():
         verify_identities(1)
 
 
-@pytest.mark.parametrize("fault", FAULTS, ids=("square", "bijection"))
+@pytest.mark.parametrize("fault", FAULTS, ids=("square", "bijection", "non-integer"))
 def test_a_fault_fails_exactly_its_rows(capsys, monkeypatch, fault):
     fault(monkeypatch)
     report = verify_identities(6)
@@ -107,6 +124,8 @@ def test_a_fault_fails_exactly_its_rows(capsys, monkeypatch, fault):
     assert all(e.status == "pass" for e in report.entries if e.name not in FAULTS[fault])
     assert main(["verify", "--max-size", "6"]) == 1
     assert "FAILURES present" in capsys.readouterr().out
+    assert main(["verify", "--max-size", "6", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False
 
 
 # One-token defects of the counting kernel, each a substitution that occurs
@@ -205,6 +224,88 @@ def test_verify_fails_every_oracle_mutant(tmp_path, monkeypatch, mutant):
     assert {e.name for e in report.entries if e.status == "fail"} == caught
 
 
+SURPLUS = "one-direction surplus (definitional closed combination)"
+DIRECTED = "directed convex oracle vs closed form"
+
+# One-token defects of formulas, each a substitution that occurs once in
+# formulas.py, and the rows of verify_identities(6, strict_paper=True) each
+# fails, or the error that it raises; a closed form that no longer divides
+# fails its row as a non-integer.  The six that fail no row are not
+# equivalent: each names what it changes instead, the detail of a discrepant
+# row, or the first terms of a family that no row reads, which
+# test_formulas pins.
+FORMULAS_MUTANTS = {
+    "convex-factor": ("2 * (m + 3) * 4**m", "2 * (m + 2) * 4**m",
+                      {"convex = sum of 2^k over free-fixed-point classes (closed form)"}),
+    "ctilde-factor": ("(m + 2) * 4**m", "(m + 1) * 4**m",
+                      {"ctilde closed form (exact rational factor)"}),
+    "square-factor": ("(2 * m - 3)", "(2 * m - 1)", {"square closed form", SURPLUS}),
+    "decomposable-sign": ("+ comb", "- comb", {"decomposable closed form", SURPLUS}),
+    "directed-index": ("central_binomial(n - 1), 2", "central_binomial(n - 2), 2", {DIRECTED}),
+    "catalan-index": ("catalan(n - 1)", "catalan(n)", {"parallelogram oracle vs catalan"}),
+    "symmetric-sign": ("- (m - 1) * comb", "+ (m - 1) * comb",
+                       {"symmetric oracle vs closed form"}),
+    "fixed-point-surplus-sign": ("4**m - comb", "4**m + comb",
+                                 {"convex = realizable + free-fixed-point surplus"}),
+    "asym-surplus-once": ("- 2 * decomposable_square(n)", "- decomposable_square(n)",
+                          {SURPLUS, "one-direction surplus closed form as printed"}),
+    "central-binomial-offset": ("comb(2 * n, n)\n", "comb(2 * n, n + 1)\n",
+                                {"square = convex + central binomial", DIRECTED}),
+    "initial-terms-overrun": ("if n < first + len(initial):",
+                              "if n <= first + len(initial):", IndexError),
+    "half-diff-printed-factor": ("(m + 1) * 4**m - 8", "(m + 2) * 4**m - 8",
+                                 "one-direction surplus closed form as printed"),
+    "intersection-printed-factor": ("2 * (m + 1) * 4**m - 16", "2 * (m + 2) * 4**m - 16",
+                                    "intersection closed form as printed"),
+    "remainder-ignored": ("if remainder:", "if False:",
+                          "one-direction surplus closed form as printed"),
+    "centered-exponent": ("4 ** (n - 2)", "4 ** (n - 3)", "centered"),
+    "bicentered-recurrence": ("4 * b - 2 * a", "4 * b - a", "bicentered"),
+    "stacks-exponent": ("2 ** (n - 2)", "2 ** (n - 3)", "stacks"),
+}
+
+
+@pytest.mark.parametrize("mutant", FORMULAS_MUTANTS)
+def test_verify_fails_every_formulas_mutant(tmp_path, monkeypatch, mutant):
+    """A copy of formulas.py with one defect, loaded in place of the module,
+    fails exactly the rows that FORMULAS_MUTANTS names for it, raises the
+    error it names, or changes the one thing it names."""
+    text, replacement, caught = FORMULAS_MUTANTS[mutant]
+    baseline = verify_identities(6, strict_paper=True).entries
+    copy = load_copy(tmp_path, formulas, text, replacement)
+    monkeypatch.setattr(verify, "formulas", copy)
+    if isinstance(caught, type):
+        with pytest.raises(caught):
+            verify_identities(6, strict_paper=True)
+        return
+    report = verify_identities(6, strict_paper=True)
+    failed = {e.name for e in report.entries if e.status == "fail"}
+    if isinstance(caught, set):
+        assert failed == caught
+        return
+    assert not failed
+    if caught in formulas.FAMILIES:
+        sizes = range(1, 8)
+        assert [copy.FAMILIES[caught](n) for n in sizes] != \
+            [formulas.FAMILIES[caught](n) for n in sizes]
+    else:
+        changed = {e.name for e, old in zip(report.entries, baseline) if e != old}
+        assert changed == {caught}
+        assert next(e for e in report.entries if e.name == caught).status == "discrepant"
+
+
+def test_verify_passes_at_the_count_bound():
+    """At counting.COUNT_BOUND every row passes but the two printed rows,
+    which are discrepant, and the oracle rows stop at counting.ORACLE_BOUND."""
+    report = verify_identities(counting.COUNT_BOUND, strict_paper=True)
+    printed = {"one-direction surplus closed form as printed", "intersection closed form as printed"}
+    assert report.ok
+    for e in report.entries:
+        assert e.status == ("discrepant" if e.name in printed else "pass"), e.name
+        last = counting.ORACLE_BOUND if e.name in GEOMETRIC_ROWS else counting.COUNT_BOUND
+        assert e.sizes in (f"1..{last}", f"2..{last}"), e.name
+
+
 def load_copy(tmp_path, module, text=None, replacement=None):
     """A copy of a package module, with text (which must occur once) replaced,
     loaded under a name inside the package so its relative imports resolve
@@ -241,7 +342,7 @@ COUNTING_MUTANTS = {
                                   "return filterfalse(is_indecomposable, squares)", set()),
     "flag-negated": ("if p.flags[flag])", "if not p.flags[flag])", set()),
     "fibers-of-squares": ('perm_listing("ctilde", n)', 'perm_listing("square", n)', set()),
-    "record-reads-ctilde": ("else record)[class_name]", 'else record)["ctilde"]', set()),
+    "record-reads-ctilde": ("scan_stats(n)[class_name]", 'scan_stats(n)["ctilde"]', set()),
 }
 
 
